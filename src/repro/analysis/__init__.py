@@ -31,8 +31,6 @@ RB004     Telemetry hygiene: ``span()`` results must be used as context
           managers (or returned verbatim by a forwarding wrapper), and
           nothing under ``telemetry/`` may read the wall clock apart
           from ``perf_counter`` in the span recorder.
-RB005     Library hygiene: no mutable default arguments, no bare
-          ``except:``.
 RB006     Import layering (project pass): eager imports must respect
           the declared layer DAG (``[analysis] layers`` in
           ``budgets.toml``) — no upward imports, no import cycles.

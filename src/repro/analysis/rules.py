@@ -1,4 +1,4 @@
-"""The RB001–RB005 and RB007–RB010 per-file rule classes.
+"""The RB001–RB004 and RB007–RB010 per-file rule classes.
 
 Every rule subclasses :class:`Rule` and implements :meth:`Rule.check`,
 receiving the parsed module and a :class:`RuleContext` describing where
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "DETERMINISTIC_PACKAGES",
@@ -28,7 +28,6 @@ __all__ = [
     "RB002SeedPlumbing",
     "RB003Uint8Overflow",
     "RB004TelemetryHygiene",
-    "RB005LibraryHygiene",
     "RB007ResourceLifecycle",
     "RB008CliExitContract",
     "RB009PoolBoundary",
@@ -574,49 +573,6 @@ class RB004TelemetryHygiene(Rule):
         return out
 
 
-class RB005LibraryHygiene(Rule):
-    """No mutable default arguments, no bare except."""
-
-    id = "RB005"
-    title = "mutable default / bare except"
-
-    _MUTABLE_CALLS = frozenset({"list", "dict", "set"})
-
-    def check(self, tree: ast.Module, ctx: RuleContext) -> list[Violation]:
-        out: list[Violation] = []
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defaults: Iterable[ast.expr | None] = list(node.args.defaults) + list(
-                    node.args.kw_defaults
-                )
-                for default in defaults:
-                    if default is None:
-                        continue
-                    if isinstance(default, (ast.List, ast.Dict, ast.Set)) or (
-                        isinstance(default, ast.Call)
-                        and isinstance(default.func, ast.Name)
-                        and default.func.id in self._MUTABLE_CALLS
-                    ):
-                        out.append(
-                            self.violation(
-                                ctx,
-                                default,
-                                f"mutable default argument in `{node.name}()`; "
-                                "use None and construct inside the body",
-                            )
-                        )
-            elif isinstance(node, ast.ExceptHandler) and node.type is None:
-                out.append(
-                    self.violation(
-                        ctx,
-                        node,
-                        "bare `except:` also swallows KeyboardInterrupt/SystemExit; "
-                        "catch Exception or narrower",
-                    )
-                )
-        return out
-
-
 #: Dotted-name suffixes whose call acquires an OS-backed resource that
 #: must be released on every path (RB007).
 _ACQUIRE_SUFFIXES = (
@@ -1122,7 +1078,6 @@ RULES: Sequence[Rule] = (
     RB002SeedPlumbing(),
     RB003Uint8Overflow(),
     RB004TelemetryHygiene(),
-    RB005LibraryHygiene(),
     RB007ResourceLifecycle(),
     RB008CliExitContract(),
     RB009PoolBoundary(),

@@ -16,13 +16,10 @@ worker processes:
   actually schedule on — see :func:`repro.serve.resolve_workers`).
   ``workers <= 1`` (or a single job) falls back to plain in-process
   execution with no pool, no pickling, no subprocesses.
-* **Backend**: by default jobs run on the process-wide persistent
+* **Pool**: jobs run on the process-wide persistent
   :func:`repro.serve.shared_pool` — spawned once, reused by every
   batch, which is what fixed the old engine's negative scaling (4
   workers at 0.38x serial when every call re-paid spawn + pickling).
-  Set ``REPRO_POOL_BACKEND=executor`` (or ``backend="executor"``) to
-  fall back to the legacy ProcessPoolExecutor-per-call path; that path
-  now chunks jobs (``chunksize``) so small jobs amortize IPC too.
 
 The job functions (``run_rainbar_trial`` etc.) and their kwargs must be
 picklable — true for every config dataclass in this repo.
@@ -30,12 +27,9 @@ picklable — true for every config dataclass in this repo.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..serve.pool import (
-    BACKEND_ENV,
     WORKERS_ENV,
     default_chunksize,
     effective_processes,
@@ -48,28 +42,15 @@ if TYPE_CHECKING:
 
 __all__ = [
     "WORKERS_ENV",
-    "BACKEND_ENV",
     "resolve_workers",
     "run_trials_parallel",
     "sweep",
 ]
 
 
-def _resolve_backend(backend: str | None) -> str:
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV, "").strip().lower() or "pool"
-    if backend not in ("pool", "executor"):
-        raise ValueError(f"unknown parallel backend {backend!r} (want pool|executor)")
-    return backend
-
-
 def _call_job(job: tuple[Callable[..., Any], dict]) -> Any:
     fn, kwargs = job
     return fn(**kwargs)
-
-
-def _call_chunk(chunk: Sequence[tuple[Callable[..., Any], dict]]) -> list[Any]:
-    return [_call_job(job) for job in chunk]
 
 
 def run_trials_parallel(
@@ -78,7 +59,6 @@ def run_trials_parallel(
     *,
     workers: int | None = None,
     chunksize: int | None = None,
-    backend: str | None = None,
 ) -> list["TrialResult"]:
     """Run ``trial_fn(**kwargs)`` for every kwargs dict in *jobs*.
 
@@ -92,30 +72,15 @@ def run_trials_parallel(
     """
     job_list = [(trial_fn, dict(kwargs)) for kwargs in jobs]
     workers = resolve_workers(workers)
-    if workers <= 1 or len(job_list) <= 1:
+    if workers <= 1 or len(job_list) <= 1 or effective_processes(workers) <= 1:
+        # A pool capped to one process is IPC with no parallelism;
+        # run in-process instead (bit-identical — jobs carry seeds).
         return [_call_job(job) for job in job_list]
     if chunksize is None:
         chunksize = default_chunksize(len(job_list), workers)
-    if _resolve_backend(backend) == "pool":
-        if effective_processes(workers) <= 1:
-            # A pool capped to one process is IPC with no parallelism;
-            # run in-process instead (bit-identical — jobs carry seeds).
-            return [_call_job(job) for job in job_list]
-        pool = shared_pool(workers)
-        return pool.map_ordered(
-            trial_fn, [kwargs for _, kwargs in job_list], chunksize=chunksize
-        )
-    # Legacy fallback: a fresh executor per call.  Kept for A/B runs and
-    # as an escape hatch; chunked so it at least amortizes pickling.
-    chunks = [
-        job_list[start : start + chunksize]
-        for start in range(0, len(job_list), chunksize)
-    ]
-    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as executor:
-        out: list["TrialResult"] = []
-        for chunk_result in executor.map(_call_chunk, chunks):
-            out.extend(chunk_result)
-        return out
+    return shared_pool(workers).map_ordered(
+        trial_fn, [kwargs for _, kwargs in job_list], chunksize=chunksize
+    )
 
 
 def sweep(
@@ -124,7 +89,6 @@ def sweep(
     *,
     workers: int | None = None,
     chunksize: int | None = None,
-    backend: str | None = None,
 ) -> list["TrialResult"]:
     """Run a whole sweep — many conditions x many seeds — on one pool.
 
@@ -138,9 +102,7 @@ def sweep(
 
     point_jobs = [list(jobs) for jobs in points]
     flat = [job for jobs in point_jobs for job in jobs]
-    results = run_trials_parallel(
-        trial_fn, flat, workers=workers, chunksize=chunksize, backend=backend
-    )
+    results = run_trials_parallel(trial_fn, flat, workers=workers, chunksize=chunksize)
     pooled: list["TrialResult"] = []
     cursor = 0
     for jobs in point_jobs:

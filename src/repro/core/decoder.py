@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, ContextManager, Iterable
+from itertools import islice
+from typing import Any, Callable, ContextManager, Iterable, Iterator, Sized
 
 import numpy as np
 
@@ -60,6 +61,7 @@ __all__ = [
     "FrameResult",
     "FrameDecoder",
     "assemble_frame",
+    "decode_batch",
 ]
 
 #: Color index -> 2-bit symbol; black and out-of-alphabet map to -1 (erasure).
@@ -694,46 +696,74 @@ class FrameDecoder:
     ) -> list[FrameResult | None]:
         """Decode a batch of captures, optionally fanning across processes.
 
-        *captures* is a sequence of capture images (or objects with an
-        ``image`` attribute, e.g. :class:`repro.channel.link.Capture`).
-        Entries whose capture is undecodable (:exc:`DecodeError`) come
-        back as ``None``; order matches the input.  ``workers`` follows
-        the ``REPRO_WORKERS`` convention of :mod:`repro.serve` —
-        ``None`` reads the environment, ``1`` decodes serially
-        in-process, and ``N > 1`` fans captures over the process-wide
-        persistent :func:`repro.serve.shared_pool` (frames travel via
-        shared memory), the paper's 1-vs-4-threads comparison (Section
-        IV-D).  When the pool would cap to a single process (1-core
-        host without ``REPRO_POOL_OVERSUBSCRIBE``) the stream decodes
+        *captures* is an iterable of capture images (or objects with an
+        ``image`` attribute, e.g. :class:`repro.channel.link.Capture`),
+        consumed lazily when it is sized.  Entries whose capture is
+        undecodable (:exc:`DecodeError`) come back as ``None``; order
+        matches the input.  ``workers`` follows the ``REPRO_WORKERS``
+        convention of :mod:`repro.serve` — ``None`` reads the
+        environment, ``1`` decodes serially in-process, and ``N > 1``
+        fans captures over the process-wide persistent
+        :func:`repro.serve.shared_pool` (frames travel via shared
+        memory), the paper's 1-vs-4-threads comparison (Section IV-D).
+        When the pool would cap to a single process (1-core host
+        without ``REPRO_POOL_OVERSUBSCRIBE``) the stream decodes
         serially too — one process buys no parallelism, only the
-        frame-copy tax.  ``chunksize`` sets frames-per-job; pass an
-        existing :class:`repro.serve.DecodeService` as *service* to
-        reuse its pool (its decoder is ignored — ``self`` decodes).
+        frame-copy tax.  Pass an existing :class:`repro.serve.
+        DecodeService` as *service* to run on its pool instead (its
+        decoder is ignored — ``self`` decodes).  ``chunksize`` sets
+        frames-per-job: explicit, else ``service.chunksize``, else
+        :func:`repro.serve.default_chunksize`.
+
+        Jobs are submitted as frames arrive, so a pool's back-pressure
+        bounds how far a streaming source runs ahead of the workers,
+        and submission order fixes result order: the output is
+        bit-identical to the serial decode for any worker count or
+        chunk size.
         """
         from ..serve import (
-            DecodeService,
+            WorkerPool,
+            default_chunksize,
             effective_processes,
             resolve_workers,
             shared_pool,
         )
 
-        images = [getattr(c, "image", c) for c in captures]
+        if not isinstance(captures, Sized):
+            captures = list(captures)
+        images = (getattr(c, "image", c) for c in captures)
+        registry = telemetry.registry()
+        collect = bool(registry)
+        pool: WorkerPool | None = None
         if service is not None:
-            own = DecodeService(self, pool=service.pool, chunksize=chunksize)
-            return own.map_ordered(images, chunksize=chunksize)
-        workers = resolve_workers(workers)
-        if workers <= 1 or len(images) <= 1 or effective_processes(workers) <= 1:
-            registry = telemetry.registry()
-            if not registry:
-                return [_decode_one_or_none(self, image) for image in images]
-            out: list[FrameResult | None] = []
-            for image in images:
-                result, det, timing = _decode_one_collected(self, image)
+            pool = service.pool
+            chunksize = service.chunksize if chunksize is None else chunksize
+        else:
+            workers = resolve_workers(workers)
+            if workers > 1 and len(captures) > 1 and effective_processes(workers) > 1:
+                pool = shared_pool(workers)
+        payloads: Iterable[Any]
+        if pool is None:
+            payloads = [decode_batch(images, decoder=self, with_metrics=collect)]
+        else:
+            if chunksize is None:
+                chunksize = default_chunksize(len(captures), pool.requested)
+            futures = [
+                pool.submit(
+                    decode_batch, frames=batch, decoder=self, with_metrics=collect
+                )
+                for batch in _batched(images, max(1, int(chunksize)))
+            ]
+            payloads = (future.result() for future in futures)
+        out: list[FrameResult | None] = []
+        for payload in payloads:
+            results, captured = payload if collect else (payload, ())
+            # Folding per capture, in submission order, keeps the merged
+            # metrics bit-identical to the serial decode.
+            for det, timing in captured:
                 _fold_capture_metrics(registry, det, timing)
-                out.append(result)
-            return out
-        pooled = DecodeService(self, pool=shared_pool(workers))
-        return pooled.map_ordered(images, chunksize=chunksize)
+            out.extend(results)
+        return out
 
     def decode_trace(
         self,
@@ -744,16 +774,13 @@ class FrameDecoder:
         service: Any = None,
         verify: bool = True,
     ) -> list[FrameResult | None]:
-        """Replay a recorded capture trace through the decode path.
+        """Replay a recorded capture trace through :meth:`decode_stream`.
 
         *trace* is a trace directory path (see :mod:`repro.io.trace`)
-        or an open :class:`~repro.io.trace.TraceReader`.  Frames stream
-        chunk by chunk — a long session never loads fully into memory:
-        the serial path decodes each chunk as it is read, and the
-        pooled path (``workers`` resolves exactly as in
-        :meth:`decode_stream`) stages frames into the shared-memory
-        ring as it reads, with the pool's back-pressure bounding how
-        far the reader runs ahead of the workers.  uint8 traces are
+        or an open :class:`~repro.io.trace.TraceReader`; ``workers``,
+        ``chunksize`` and ``service`` mean what they mean for
+        :meth:`decode_stream`.  Frames stream chunk by chunk — a long
+        session never loads fully into memory.  uint8 traces are
         restored to float images in [0, 1]
         (:func:`repro.io.trace.normalize_frame`); float traces replay
         bit-identically, so results match decoding the original
@@ -765,13 +792,7 @@ class FrameDecoder:
         partial decode.  ``verify=False`` skips only the per-chunk
         checksum, never the structural checks.
         """
-        from ..io.trace import TraceReader, normalize_frame
-        from ..serve import (
-            DecodeService,
-            effective_processes,
-            resolve_workers,
-            shared_pool,
-        )
+        from ..io.trace import TraceReader
 
         reader = trace if isinstance(trace, TraceReader) else TraceReader(
             trace, verify=verify
@@ -779,72 +800,31 @@ class FrameDecoder:
         # Run-shape metadata, not channel quality: timing-flagged so a
         # replay's deterministic snapshot equals the live-decode one.
         telemetry.registry().counter("decode.trace_replays", timing=True).inc()
-        if service is not None:
-            own = DecodeService(self, pool=service.pool, chunksize=chunksize)
-            return self._decode_trace_pooled(reader, own, chunksize)
-        workers = resolve_workers(workers)
-        if workers <= 1 or len(reader) <= 1 or effective_processes(workers) <= 1:
-            registry = telemetry.registry()
-            if not registry:
-                return [
-                    _decode_one_or_none(self, normalize_frame(frame.image))
-                    for frame in reader
-                ]
-            out: list[FrameResult | None] = []
-            for frame in reader:
-                result, det, timing = _decode_one_collected(
-                    self, normalize_frame(frame.image)
-                )
-                _fold_capture_metrics(registry, det, timing)
-                out.append(result)
-            return out
-        pooled = DecodeService(self, pool=shared_pool(workers))
-        return self._decode_trace_pooled(reader, pooled, chunksize)
+        return self.decode_stream(
+            _TraceImages(reader), workers, chunksize=chunksize, service=service
+        )
 
-    def _decode_trace_pooled(
-        self,
-        reader: Any,
-        service: Any,
-        chunksize: int | None,
-    ) -> list[FrameResult | None]:
-        """Stream *reader* through *service*, preserving input order.
 
-        Jobs are submitted as frames arrive from the trace; submission
-        order fixes result order, so the output is structurally
-        bit-identical to the serial replay regardless of worker count
-        or chunk boundaries (trace chunks and job chunks need not
-        align).
-        """
+class _TraceImages:
+    """A trace's frames as decoder-ready images: streamed, but sized."""
+
+    def __init__(self, reader: Any):
+        self._reader = reader
+
+    def __len__(self) -> int:
+        return len(self._reader)
+
+    def __iter__(self) -> Iterator[np.ndarray]:
         from ..io.trace import normalize_frame
-        from ..serve import default_chunksize
 
-        if chunksize is None:
-            chunksize = service.chunksize
-        if chunksize is None:
-            chunksize = default_chunksize(len(reader), service.pool.requested)
-        chunksize = max(1, int(chunksize))
-        registry = telemetry.registry()
-        collect = bool(registry)
-        futures = []
-        batch: list[np.ndarray] = []
-        for frame in reader:
-            batch.append(normalize_frame(frame.image))
-            if len(batch) >= chunksize:
-                futures.append(service.submit(batch, with_metrics=collect))
-                batch = []
-        if batch:
-            futures.append(service.submit(batch, with_metrics=collect))
-        out: list[FrameResult | None] = []
-        for future in futures:
-            payload = future.result()
-            if collect:
-                results, captures = payload
-                for det, timing in captures:
-                    _fold_capture_metrics(registry, det, timing)
-                out.extend(results)
-            else:
-                out.extend(payload)
-        return out
+        return (normalize_frame(frame.image) for frame in self._reader)
+
+
+def _batched(items: Iterable[Any], size: int) -> Iterator[list[Any]]:
+    """Consecutive runs of *size* items, pulled from *items* lazily."""
+    iterator = iter(items)
+    while batch := list(islice(iterator, size)):
+        yield batch
 
 
 def _assign_rows(
@@ -916,6 +896,38 @@ def _decode_one_collected(
         for section, entries in full.items()
     }
     return result, det, timing
+
+
+#: One capture's collected metrics: (deterministic, timing-only) snapshots.
+CaptureMetrics = tuple[dict[str, Any], dict[str, Any]]
+
+
+def decode_batch(
+    frames: Iterable[np.ndarray],
+    *,
+    decoder: FrameDecoder,
+    with_metrics: bool = False,
+) -> list[FrameResult | None] | tuple[list[FrameResult | None], list[CaptureMetrics]]:
+    """The per-capture decode loop (module level => picklable).
+
+    :meth:`FrameDecoder.decode_stream` runs it in-process over a whole
+    stream and pool workers run it per job, over zero-copy
+    shared-memory views (or inline copies).  Undecodable captures map
+    to ``None``.  With ``with_metrics=True`` each capture decodes under
+    a private registry and the return value is ``(results,
+    per_capture_snapshots)``: the caller folds the snapshots in capture
+    order, which keeps merged quality metrics bit-identical to the
+    serial path for any worker count.
+    """
+    if not with_metrics:
+        return [_decode_one_or_none(decoder, frame) for frame in frames]
+    results: list[FrameResult | None] = []
+    captures: list[CaptureMetrics] = []
+    for frame in frames:
+        result, det, timing = _decode_one_collected(decoder, frame)
+        results.append(result)
+        captures.append((det, timing))
+    return results, captures
 
 
 def _fold_capture_metrics(

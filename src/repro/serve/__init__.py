@@ -2,7 +2,7 @@
 
 This subpackage is the fix for the parallel engine's negative scaling
 (``BENCH_decode.json`` pre-service: 4 workers at 0.38x of serial).  It
-replaces the ProcessPoolExecutor-per-call pattern with:
+replaces the executor-per-call pattern with:
 
 * :class:`WorkerPool` — workers spawned once (fork: warm caches), jobs
   over a bounded queue with back-pressure, results re-ordered to
@@ -11,13 +11,14 @@ replaces the ProcessPoolExecutor-per-call pattern with:
 * :mod:`~repro.serve.shm` — frames travel through generation-stamped
   shared-memory ring slots, zero-copy on the worker side;
 * :class:`DecodeService` — batched/async decode API
-  (``submit -> Future``, ``map_ordered``, context-manager lifecycle);
+  (``submit -> Future``, context-manager lifecycle); whole streams and
+  traces run on its pool via ``FrameDecoder.decode_stream(...,
+  service=svc)`` / ``decode_trace(..., service=svc)``;
 * :func:`shared_pool` — the process-wide pool every bench/decode
   entry point reuses, so repeated batches stop paying spawn cost.
 """
 
 from .pool import (
-    BACKEND_ENV,
     OVERSUBSCRIBE_ENV,
     START_METHOD_ENV,
     WORKERS_ENV,
@@ -32,12 +33,11 @@ from .pool import (
     resolve_workers,
     shared_pool,
 )
-from .service import DecodeService, decode_batch
+from .service import DecodeService
 from .shm import FrameRef, FrameRing, RingReader, StaleFrameError, inline_ref
 
 __all__ = [
     "WORKERS_ENV",
-    "BACKEND_ENV",
     "OVERSUBSCRIBE_ENV",
     "START_METHOD_ENV",
     "available_cpus",
@@ -51,7 +51,6 @@ __all__ = [
     "shared_pool",
     "close_shared_pools",
     "DecodeService",
-    "decode_batch",
     "FrameRef",
     "FrameRing",
     "RingReader",

@@ -1,11 +1,10 @@
 """Long-lived worker pool: spawn once, feed over bounded queues.
 
-The previous parallel engine paid a :class:`~concurrent.futures.
-ProcessPoolExecutor` per *call*: every batch re-spawned workers with
-cold capture caches and pickled full frame arrays both ways, which is
-how 4 workers managed to run at 0.38x of serial (``BENCH_decode.json``,
-pre-service).  This pool is the fix and the substrate for the decode
-*service*:
+The previous parallel engine paid a process-pool executor per *call*:
+every batch re-spawned workers with cold capture caches and pickled
+full frame arrays both ways, which is how 4 workers managed to run at
+0.38x of serial (``BENCH_decode.json``, pre-service).  This pool is the
+fix and the substrate for the decode *service*:
 
 * **workers are spawned once** (fork by default, so they inherit the
   parent's warm capture/warp caches) and fed jobs over a bounded
@@ -56,7 +55,6 @@ from .shm import FrameRef, FrameRing, RingReader, inline_ref
 
 __all__ = [
     "WORKERS_ENV",
-    "BACKEND_ENV",
     "OVERSUBSCRIBE_ENV",
     "START_METHOD_ENV",
     "available_cpus",
@@ -73,10 +71,6 @@ __all__ = [
 
 #: Environment variable read when ``workers`` is not given explicitly.
 WORKERS_ENV = "REPRO_WORKERS"
-#: Select the parallel backend for the bench engine: ``pool`` (default,
-#: the persistent shared-memory pool) or ``executor`` (the legacy
-#: ProcessPoolExecutor-per-call path, kept as a fallback).
-BACKEND_ENV = "REPRO_POOL_BACKEND"
 #: Set truthy to spawn one process per requested worker even when that
 #: exceeds the schedulable cores.
 OVERSUBSCRIBE_ENV = "REPRO_POOL_OVERSUBSCRIBE"

@@ -10,10 +10,10 @@ elsewhere:
   :class:`~concurrent.futures.Future` back immediately; the frames are
   staged into shared memory up front, so the caller may reuse or drop
   its arrays right away;
-* :meth:`map_ordered` — decode a whole capture sequence with automatic
-  chunking, results in input order (``None`` for undecodable frames,
-  exactly like serial :meth:`~repro.core.decoder.FrameDecoder.
-  decode_stream`);
+* whole streams and traces decode on the service's pool through
+  ``decoder.decode_stream(captures, service=svc)`` and
+  ``decoder.decode_trace(path, service=svc)``, chunked by
+  :attr:`DecodeService.chunksize`;
 * ``close``/``join`` and context-manager lifecycle: when the service
   *owns* its pool, closing the service tears the workers and every
   shared-memory segment down; a service wrapping a shared pool leaves
@@ -22,55 +22,15 @@ elsewhere:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
+from concurrent.futures import Future
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .. import telemetry
-from .pool import WorkerPool, default_chunksize, shared_pool
+from ..core.decoder import FrameDecoder, decode_batch
+from .pool import WorkerPool, shared_pool
 
-if TYPE_CHECKING:
-    from concurrent.futures import Future
-
-    from ..core.decoder import FrameDecoder, FrameResult
-
-__all__ = ["DecodeService", "decode_batch"]
-
-#: One capture's collected metrics: (deterministic, timing-only) snapshots.
-CaptureMetrics = tuple[dict[str, Any], dict[str, Any]]
-BatchResult = Union[
-    list[Optional["FrameResult"]],
-    tuple[list[Optional["FrameResult"]], list[CaptureMetrics]],
-]
-
-
-def decode_batch(
-    frames: Sequence[np.ndarray],
-    *,
-    decoder: "FrameDecoder",
-    with_metrics: bool = False,
-) -> BatchResult:
-    """Worker-side batch decode (module level => picklable).
-
-    ``frames`` arrive as zero-copy shared-memory views (or inline
-    copies); undecodable captures map to ``None`` — the same contract
-    as serial ``decode_stream``.  With ``with_metrics=True`` each
-    capture decodes under a private registry and the return value is
-    ``(results, per_capture_snapshots)``: the caller folds the
-    snapshots in capture order, which keeps merged quality metrics
-    bit-identical to the serial path for any worker count.
-    """
-    from ..core.decoder import _decode_one_collected, _decode_one_or_none
-
-    if not with_metrics:
-        return [_decode_one_or_none(decoder, frame) for frame in frames]
-    results: list[Optional["FrameResult"]] = []
-    captures: list[CaptureMetrics] = []
-    for frame in frames:
-        result, det, timing = _decode_one_collected(decoder, frame)
-        results.append(result)
-        captures.append((det, timing))
-    return results, captures
+__all__ = ["DecodeService"]
 
 
 class DecodeService:
@@ -92,8 +52,9 @@ class DecodeService:
         to own a private pool, or e.g. ``shared_pool(4)`` to join the
         process-wide service.
     chunksize:
-        Default frames-per-job for :meth:`map_ordered`; ``None`` picks
-        ~4 chunks per requested worker.
+        Default frames-per-job when ``decode_stream``/``decode_trace``
+        run on this service; ``None`` picks ~4 chunks per requested
+        worker.
     queue_depth, ring_slots, slot_bytes:
         Forwarded to the private :class:`WorkerPool` (ignored with an
         external *pool*).
@@ -101,7 +62,7 @@ class DecodeService:
 
     def __init__(
         self,
-        decoder: "FrameDecoder",
+        decoder: FrameDecoder,
         workers: Optional[int] = None,
         *,
         pool: Optional[WorkerPool] = None,
@@ -126,7 +87,7 @@ class DecodeService:
 
     @classmethod
     def shared(
-        cls, decoder: "FrameDecoder", workers: Optional[int] = None
+        cls, decoder: FrameDecoder, workers: Optional[int] = None
     ) -> "DecodeService":
         """A service view over the process-wide shared pool."""
         return cls(decoder, pool=shared_pool(workers))
@@ -144,7 +105,7 @@ class DecodeService:
 
     def submit(
         self, frames: Sequence[np.ndarray], *, with_metrics: bool = False
-    ) -> "Future[Any]":
+    ) -> Future[Any]:
         """Queue one batch of frames; resolves to per-frame results.
 
         Frames are copied into shared-memory slots *before* this call
@@ -160,73 +121,6 @@ class DecodeService:
             decoder=self.decoder,
             with_metrics=with_metrics,
         )
-
-    def map_ordered(
-        self,
-        frames: Sequence[Any],
-        *,
-        chunksize: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ) -> list[Optional["FrameResult"]]:
-        """Decode every capture; results in input order.
-
-        Accepts raw arrays or objects with an ``image`` attribute
-        (e.g. :class:`repro.channel.link.Capture`), mirroring
-        ``decode_stream``.  Chunks of consecutive frames ship as one
-        job each, so ordering — and therefore bit-identity with the
-        serial path — is structural, not scheduled.
-        """
-        images = [np.asarray(getattr(f, "image", f)) for f in frames]
-        if not images:
-            return []
-        if chunksize is None:
-            chunksize = self.chunksize
-        if chunksize is None:
-            chunksize = default_chunksize(len(images), self._pool.requested)
-        chunksize = max(1, int(chunksize))
-        registry = telemetry.registry()
-        collect = bool(registry)
-        if collect:
-            from ..core.decoder import _fold_capture_metrics
-        futures = [
-            self.submit(images[start : start + chunksize], with_metrics=collect)
-            for start in range(0, len(images), chunksize)
-        ]
-        out: list[Optional["FrameResult"]] = []
-        for future in futures:
-            payload = future.result(timeout)
-            if collect:
-                results, captures = payload
-                # Folding per capture, in submission order, keeps the
-                # merged metrics bit-identical to the serial decode.
-                for det, timing in captures:
-                    _fold_capture_metrics(registry, det, timing)
-                out.extend(results)
-            else:
-                out.extend(payload)
-        return out
-
-    def decode_trace(
-        self,
-        trace: Any,
-        *,
-        chunksize: Optional[int] = None,
-        verify: bool = True,
-    ) -> list[Optional["FrameResult"]]:
-        """Replay a recorded capture trace on this service's pool.
-
-        *trace* is a trace directory (see :mod:`repro.io.trace`) or an
-        open :class:`~repro.io.trace.TraceReader`.  Frames stream from
-        the trace straight into shared-memory job batches — the pool's
-        back-pressure bounds reader memory — and results come back in
-        frame order, bit-identical to the serial replay.
-        """
-        from ..io.trace import TraceReader
-
-        reader = trace if isinstance(trace, TraceReader) else TraceReader(
-            trace, verify=verify
-        )
-        return self.decoder._decode_trace_pooled(reader, self, chunksize)
 
     # -- lifecycle -------------------------------------------------------
 

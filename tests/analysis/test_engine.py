@@ -72,19 +72,19 @@ def test_non_matching_suppression_keeps_violation():
             import numpy as np
 
             def noise(shape):
-                return np.random.rand(*shape)  # repro: noqa RB005
+                return np.random.rand(*shape)  # repro: noqa RB003
             """
         ),
         "repro/core/fixture.py",
     )
-    # The RB005 suppression silences nothing, so it is itself stale (RB000).
+    # The RB003 suppression silences nothing, so it is itself stale (RB000).
     assert [v.rule for v in report.violations] == ["RB000", "RB001"]
     assert report.suppressed == 0
 
 
 def test_bare_noqa_silences_all_rules():
     report = analyze_source(
-        "def f(x=[]):  # repro: noqa\n    return x\n",
+        "import numpy as np\n\nx = np.random.rand(3)  # repro: noqa\n",
         "repro/core/fixture.py",
     )
     assert report.violations == []

@@ -345,34 +345,3 @@ def test_rb004_time_sleep_is_not_a_clock_read():
         select=["RB004"],
     )
     assert violations == []
-
-
-# -- RB005 ---------------------------------------------------------------
-
-
-def test_rb005_flags_mutable_defaults_and_bare_except():
-    violations = check(
-        """
-        def collect(items=[], lookup={}, seen=set()):
-            try:
-                return items, lookup, seen
-            except:
-                return None
-        """,
-        select=["RB005"],
-    )
-    assert rules_of(violations) == ["RB005"] * 4
-
-
-def test_rb005_accepts_none_defaults_and_typed_except():
-    violations = check(
-        """
-        def collect(items=None, lookup=None):
-            try:
-                return items or [], lookup or {}
-            except ValueError:
-                return None
-        """,
-        select=["RB005"],
-    )
-    assert violations == []

@@ -116,21 +116,6 @@ class TestRunTrialsParallel:
     def test_empty_jobs(self):
         assert run_trials_parallel(run_rainbar_trial, [], workers=2) == []
 
-    def test_legacy_executor_backend_matches_pool(self):
-        jobs = _jobs([1, 2, 3])
-        pooled = run_trials_parallel(run_rainbar_trial, jobs, workers=2)
-        legacy = run_trials_parallel(
-            run_rainbar_trial, jobs, workers=2, backend="executor", chunksize=2
-        )
-        for a, b in zip(pooled, legacy):
-            assert dataclasses.asdict(a) == dataclasses.asdict(b)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            run_trials_parallel(
-                run_rainbar_trial, _jobs([1, 2]), workers=2, backend="threads"
-            )
-
     def test_chunksize_preserves_order(self):
         jobs = _jobs([5, 1, 9, 2])
         chunked = run_trials_parallel(run_rainbar_trial, jobs, workers=2, chunksize=3)

@@ -22,7 +22,7 @@ from repro.core.encoder import FrameCodecConfig
 from repro.core.layout import FrameLayout
 from repro.io import read_png
 from repro.io.trace import TraceMetadata, TraceReader, TraceWriter, normalize_frame
-from repro.serve import DecodeService, close_shared_pools
+from repro.serve import OVERSUBSCRIBE_ENV, DecodeService, WorkerPool, close_shared_pools
 
 CORPUS_DIR = Path(__file__).parent.parent / "fixtures" / "corpus"
 TRACES_DIR = CORPUS_DIR / "traces"
@@ -120,11 +120,41 @@ def test_combined_trace_pooled_replay_bit_identical(combined_trace, workers):
 
 
 def test_decode_trace_via_service_and_chunksize_invariance(combined_trace):
-    """DecodeService.decode_trace, any chunking: identical results."""
+    """decode_trace on a DecodeService, any chunking: identical results."""
     path, names = combined_trace
     decoder = _decoder()
     live = decoder.decode_stream([_png_image(n) for n in names])
     with DecodeService(decoder, workers=2) as service:
-        assert service.decode_trace(path) == live
-        assert service.decode_trace(path, chunksize=1) == live
-        assert service.decode_trace(path, chunksize=5) == live
+        assert decoder.decode_trace(path, service=service) == live
+        assert decoder.decode_trace(path, service=service, chunksize=1) == live
+        assert decoder.decode_trace(path, service=service, chunksize=5) == live
+
+
+def test_pooled_replay_submits_before_the_trace_is_read(combined_trace, monkeypatch):
+    """The pooled replay streams: jobs leave before the last frame is read."""
+    path, names = combined_trace
+    decoder = _decoder()
+    live = decoder.decode_stream([_png_image(n) for n in names], workers=1)
+    monkeypatch.setenv(OVERSUBSCRIBE_ENV, "1")
+    events: list[tuple[str, int]] = []
+    read_frames = TraceReader.__iter__
+    submit = WorkerPool.submit
+
+    def spy_iter(reader):
+        for frame in read_frames(reader):
+            events.append(("frame", frame.index))
+            yield frame
+
+    def spy_submit(pool, fn, /, *, frames=None, **kwargs):
+        events.append(("submit", len(frames)))
+        return submit(pool, fn, frames=frames, **kwargs)
+
+    monkeypatch.setattr(TraceReader, "__iter__", spy_iter)
+    monkeypatch.setattr(WorkerPool, "submit", spy_submit)
+    try:
+        pooled = decoder.decode_trace(path, workers=2, chunksize=2)
+    finally:
+        close_shared_pools()
+    assert pooled == live
+    first_submit = next(i for i, (kind, _) in enumerate(events) if kind == "submit")
+    assert first_submit < events.index(("frame", len(names) - 1))

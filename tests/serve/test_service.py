@@ -21,6 +21,7 @@ from repro.core.decoder import FrameDecoder
 from repro.core.encoder import FrameCodecConfig
 from repro.core.layout import FrameLayout
 from repro.io import read_png
+from repro.io.trace import TraceWriter
 from repro.serve import (
     OVERSUBSCRIBE_ENV,
     DecodeService,
@@ -62,7 +63,7 @@ class TestBitIdentity:
         decoder = _decoder()
         serial = decoder.decode_stream(corpus_images, workers=1)
         with DecodeService(decoder, workers=2) as service:
-            pooled = service.map_ordered(corpus_images)
+            pooled = decoder.decode_stream(corpus_images, service=service)
         assert _comparable(pooled) == _comparable(serial)
 
     def test_decode_stream_identical_across_worker_counts(self, corpus_images):
@@ -78,8 +79,12 @@ class TestBitIdentity:
         decoder = _decoder()
         serial = decoder.decode_stream(corpus_images, workers=1)
         with DecodeService(decoder, workers=2) as service:
-            one_by_one = service.map_ordered(corpus_images, chunksize=1)
-            big_chunks = service.map_ordered(corpus_images, chunksize=4)
+            one_by_one = decoder.decode_stream(
+                corpus_images, service=service, chunksize=1
+            )
+            big_chunks = decoder.decode_stream(
+                corpus_images, service=service, chunksize=4
+            )
         assert _comparable(one_by_one) == _comparable(serial)
         assert _comparable(big_chunks) == _comparable(serial)
 
@@ -102,8 +107,9 @@ class TestBitIdentity:
     def test_matches_pinned_corpus_expectations(self, corpus_images):
         expected = json.loads((CORPUS_DIR / "expected.json").read_text())
         names = [p.stem for p in sorted(CORPUS_DIR.glob("*.png"))]
-        with DecodeService(_decoder(), workers=2) as service:
-            results = service.map_ordered(corpus_images)
+        decoder = _decoder()
+        with DecodeService(decoder, workers=2) as service:
+            results = decoder.decode_stream(corpus_images, service=service)
         for name, result in zip(names, results):
             # decode_stream's None corresponds to a pinned decode failure.
             assert (result is not None) == expected[name]["decodes"], name
@@ -127,6 +133,46 @@ class TestSubmit:
             future = service.submit([scratch])
             scratch.fill(0.0)  # frames were staged at submit time
             assert _comparable(future.result(60)) == expected
+
+
+class TestServiceChunksize:
+    """Both service routes chunk by ``service.chunksize`` unless overridden."""
+
+    @pytest.fixture
+    def batch_sizes(self, monkeypatch):
+        sizes: list[int] = []
+        submit = WorkerPool.submit
+
+        def spy(pool, fn, /, *, frames=None, **kwargs):
+            sizes.append(len(frames))
+            return submit(pool, fn, frames=frames, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "submit", spy)
+        return sizes
+
+    def test_decode_stream_honours_service_chunksize(self, corpus_images, batch_sizes):
+        decoder = _decoder()
+        serial = decoder.decode_stream(corpus_images, workers=1)
+        with DecodeService(decoder, workers=2, chunksize=3) as service:
+            routed = decoder.decode_stream(corpus_images, service=service)
+            assert batch_sizes == [3, 3]
+            decoder.decode_stream(corpus_images, service=service, chunksize=4)
+            assert batch_sizes == [3, 3, 4, 2]
+        assert _comparable(routed) == _comparable(serial)
+
+    def test_decode_trace_honours_service_chunksize(
+        self, corpus_images, batch_sizes, tmp_path
+    ):
+        path = tmp_path / "corpus.rbtrace"
+        with TraceWriter(path, chunk_frames=2) as writer:
+            for i, image in enumerate(corpus_images):
+                writer.append(image, i / 30.0)
+        decoder = _decoder()
+        serial = decoder.decode_stream(corpus_images, workers=1)
+        with DecodeService(decoder, workers=2, chunksize=3) as service:
+            replayed = decoder.decode_trace(path, service=service)
+        assert batch_sizes == [3, 3]
+        assert _comparable(replayed) == _comparable(serial)
 
 
 class TestLifecycle:
@@ -159,5 +205,6 @@ class TestLifecycle:
         assert _comparable(routed) == _comparable(serial)
 
     def test_map_ordered_empty(self):
-        with DecodeService(_decoder(), workers=1) as service:
-            assert service.map_ordered([]) == []
+        decoder = _decoder()
+        with DecodeService(decoder, workers=1) as service:
+            assert decoder.decode_stream([], service=service) == []
