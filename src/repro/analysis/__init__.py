@@ -32,8 +32,8 @@ RB004     Telemetry hygiene: ``span()`` results must be used as context
           nothing under ``telemetry/`` may read the wall clock apart
           from ``perf_counter`` in the span recorder.
 RB006     Import layering (project pass): eager imports must respect
-          the declared layer DAG (``[analysis] layers`` in
-          ``budgets.toml``) — no upward imports, no import cycles.
+          the declared layer DAG (:data:`LAYERS`) — no upward
+          imports, no import cycles.
           Lazy (function-scoped / TYPE_CHECKING) imports are the
           sanctioned upward mechanism.
 RB007     Resource lifecycle: ``SharedMemory`` / ``open`` /
@@ -53,26 +53,13 @@ RB010     Schema-version hygiene: writers of versioned artifacts stamp
 
 Run it with ``python -m repro.analysis src/repro`` or ``repro
 analyze``; suppress a finding with a ``# repro: noqa RBxxx`` comment
-on the offending line.  ``--format sarif`` emits a SARIF 2.1.0 log
-for code-scanning upload, ``--graph`` exports the layer DAG as
-Graphviz DOT, and ``--baseline``/``--ratchet`` gate a legacy tree so
-new violations fail while grandfathered ones are paid down (and the
-grandfathered count can only decrease).  See
-:mod:`repro.analysis.engine` for the exit-code contract,
-:mod:`repro.analysis.graph` for the layer DAG, and
-:mod:`repro.analysis.baseline` for the ratchet semantics.
+on the offending line; ``--format json`` emits the versioned CI
+report.  See :mod:`repro.analysis.engine` for the exit-code contract
+and :mod:`repro.analysis.graph` for the layer DAG.
 """
 
 from __future__ import annotations
 
-from .baseline import (
-    BASELINE_SCHEMA_VERSION,
-    Baseline,
-    BaselineOutcome,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from .engine import (
     ALL_RULE_IDS,
     AnalysisResult,
@@ -80,62 +67,42 @@ from .engine import (
     FileReport,
     ModuleRecord,
     Violation,
-    analyze_file,
     analyze_paths,
     analyze_source,
     iter_python_files,
     parse_suppressions,
 )
 from .graph import (
-    DEFAULT_LAYERS,
+    LAYERS,
     PROJECT_RULES,
     ImportEdge,
-    LayerConfig,
     ProjectGraph,
-    ProjectRule,
     build_project_graph,
-    load_layer_config,
-    render_dot,
 )
 from .report import JSON_SCHEMA_VERSION, render_json, render_text
 from .rules import RULES, UNUSED_SUPPRESSION_RULE_ID, Rule, RuleContext
-from .sarif import SARIF_SCHEMA_URI, SARIF_VERSION, render_sarif
 
 __all__ = [
     "ALL_RULE_IDS",
     "AnalysisResult",
     "AnalysisUsageError",
-    "BASELINE_SCHEMA_VERSION",
-    "Baseline",
-    "BaselineOutcome",
-    "DEFAULT_LAYERS",
     "FileReport",
     "ImportEdge",
     "JSON_SCHEMA_VERSION",
-    "LayerConfig",
+    "LAYERS",
     "ModuleRecord",
     "PROJECT_RULES",
     "ProjectGraph",
-    "ProjectRule",
     "RULES",
     "Rule",
     "RuleContext",
-    "SARIF_SCHEMA_URI",
-    "SARIF_VERSION",
     "UNUSED_SUPPRESSION_RULE_ID",
     "Violation",
-    "analyze_file",
     "analyze_paths",
     "analyze_source",
-    "apply_baseline",
     "build_project_graph",
     "iter_python_files",
-    "load_baseline",
-    "load_layer_config",
     "parse_suppressions",
-    "render_dot",
     "render_json",
-    "render_sarif",
     "render_text",
-    "write_baseline",
 ]

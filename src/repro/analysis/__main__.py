@@ -2,29 +2,16 @@
 
 Examples
 --------
-Lint the library and fail on any finding (what CI runs)::
+Lint the library and the tests and fail on any finding (what CI runs)::
 
-    python -m repro.analysis src/repro --format json
+    python -m repro.analysis src/repro tests --format json
 
 Run a single rule over one file::
 
     python -m repro.analysis src/repro/core/decoder.py --select RB003
 
-Emit SARIF 2.1.0 for code-scanning upload::
-
-    python -m repro.analysis src/repro --format sarif > analysis.sarif
-
-Export the layer graph as Graphviz DOT::
-
-    python -m repro.analysis src/repro --graph | dot -Tsvg -o layers.svg
-
-Gate a legacy tree against its grandfathered baseline (the ratchet)::
-
-    python -m repro.analysis tests --baseline tests/analysis_baseline.json --ratchet
-
-Exit codes: 0 clean, 1 violations found (with ``--baseline``: *new*
-violations, or a loosened ratchet under ``--ratchet``), 2 usage/parse
-error (see :mod:`repro.analysis.engine`).
+Exit codes: 0 clean, 1 violations found, 2 usage/parse error (see
+:mod:`repro.analysis.engine`).
 """
 
 from __future__ import annotations
@@ -32,12 +19,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .engine import AnalysisUsageError, analyze_paths
-from .graph import PROJECT_RULES, build_project_graph, load_layer_config, render_dot
+from .graph import PROJECT_RULES
 from .report import render_json, render_text
 from .rules import RULES, UNUSED_SUPPRESSION_RULE_ID
-from .sarif import render_sarif
 
 __all__ = ["build_parser", "main"]
 
@@ -59,12 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
-        help=(
-            "report format (json is the CI artifact, sarif is the "
-            "code-scanning upload; both schemas are versioned)"
-        ),
+        help="report format (json is the versioned CI artifact)",
     )
     parser.add_argument(
         "--select",
@@ -76,35 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
-    )
-    parser.add_argument(
-        "--graph",
-        action="store_true",
-        help="print the import layer graph as Graphviz DOT and exit",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=(
-            "judge findings against a grandfathered baseline: pre-existing "
-            "violations pass, new ones fail"
-        ),
-    )
-    parser.add_argument(
-        "--ratchet",
-        action="store_true",
-        help=(
-            "with --baseline: also fail when grandfathered violations were "
-            "fixed but the baseline was not tightened (the count may only "
-            "decrease)"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="write (or tighten) the baseline from this run's findings",
     )
     return parser
 
@@ -130,71 +83,21 @@ def main(argv: "list[str] | None" = None) -> int:
         select = [part.strip() for part in args.select.split(",") if part.strip()]
 
     try:
-        if args.graph:
-            return _render_graph(args.paths)
         result = analyze_paths(args.paths, select=select)
-        baseline = (
-            load_baseline(args.baseline) if args.baseline is not None else None
-        )
     except (FileNotFoundError, AnalysisUsageError, ValueError) as exc:
         print(f"repro.analysis: error: {exc}", file=sys.stderr)
         return 2
 
-    outcome = apply_baseline(result, baseline) if baseline is not None else None
-
-    if args.write_baseline is not None:
-        try:
-            written = write_baseline(result, args.write_baseline)
-        except OSError as exc:
-            print(f"repro.analysis: error: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"wrote baseline {written.source}: {written.total} "
-            "grandfathered violation(s)"
-        )
-
     if args.format == "json":
-        print(render_json(result, outcome=outcome, baseline=baseline))
-    elif args.format == "sarif":
-        print(render_sarif(result))
+        print(render_json(result))
     else:
-        print(render_text(result, outcome=outcome, baseline=baseline))
-    if result.errors:
-        for report in result.errors:
-            print(
-                f"repro.analysis: error: {report.path}: {report.error}",
-                file=sys.stderr,
-            )
-        return 2
-    if args.write_baseline is not None:
-        return 0
-    if outcome is not None:
-        return outcome.exit_code(ratchet=args.ratchet)
+        print(render_text(result))
+    for report in result.errors:
+        print(
+            f"repro.analysis: error: {report.path}: {report.error}",
+            file=sys.stderr,
+        )
     return result.exit_code
-
-
-def _render_graph(paths: "list[str]") -> int:
-    """Print the project layer graph as DOT (exit 0 even with findings).
-
-    The graph render is diagnostic: upward edges come out red rather
-    than failing the run — use a plain analyze run to gate.
-    """
-    from pathlib import Path
-
-    from .engine import _read_module, iter_python_files
-
-    roots = [Path(p) for p in paths]
-    for root in roots:
-        if not root.exists():
-            raise FileNotFoundError(f"no such file or directory: {root}")
-    records = [
-        _read_module(file_path, str(file_path))
-        for file_path in iter_python_files(roots)
-    ]
-    graph = build_project_graph(records)
-    config = load_layer_config(roots[0] if roots else None)
-    print(render_dot(graph, config), end="")
-    return 0
 
 
 if __name__ == "__main__":

@@ -42,10 +42,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .graph import (
     PROJECT_RULES,
-    LayerConfig,
-    ProjectRule,
+    RB006ImportLayering,
     build_project_graph,
-    load_layer_config,
     module_name_for,
 )
 from .rules import RULES, UNUSED_SUPPRESSION_RULE_ID, Rule, RuleContext, Violation
@@ -57,7 +55,6 @@ __all__ = [
     "FileReport",
     "ModuleRecord",
     "Violation",
-    "analyze_file",
     "analyze_paths",
     "analyze_source",
     "iter_python_files",
@@ -175,7 +172,9 @@ def parse_suppressions(source: str) -> dict[int, frozenset[str]]:
     return suppressions
 
 
-def _select_rules(select: "Iterable[str] | None") -> tuple[Sequence[Rule], Sequence[ProjectRule]]:
+def _select_rules(
+    select: "Iterable[str] | None",
+) -> tuple[Sequence[Rule], Sequence[RB006ImportLayering]]:
     """Validate *select* and split it into per-file and project rules."""
     if select is None:
         return RULES, PROJECT_RULES
@@ -284,18 +283,6 @@ def analyze_source(
     return result.reports[0]
 
 
-def analyze_file(
-    path: Path,
-    root: "Path | None" = None,
-    select: "Iterable[str] | None" = None,
-) -> FileReport:
-    relpath = str(path.relative_to(root)) if root is not None else str(path)
-    record = _read_module(path, relpath)
-    file_rules, _ = _select_rules(select)
-    raw = {relpath: _run_file_rules(record, file_rules)}
-    return _finalize([record], raw, emit_stale=select is None).reports[0]
-
-
 def _read_module(path: Path, relpath: str) -> ModuleRecord:
     try:
         source = path.read_text(encoding="utf-8")
@@ -343,7 +330,6 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
 def analyze_paths(
     paths: "Iterable[str | Path]",
     select: "Iterable[str] | None" = None,
-    layers: "LayerConfig | None" = None,
 ) -> AnalysisResult:
     """Lint every ``.py`` file under *paths* and aggregate the findings.
 
@@ -376,11 +362,8 @@ def analyze_paths(
 
     if project_rules:
         graph = build_project_graph(records)
-        config = layers if layers is not None else load_layer_config(
-            roots[0] if roots else None
-        )
         for project_rule in project_rules:
-            for violation in project_rule.check_project(graph, config):
+            for violation in project_rule.check_project(graph):
                 raw.setdefault(violation.path, []).append(violation)
 
     return _finalize(records, raw, emit_stale=select is None)

@@ -1,156 +1,63 @@
-"""Project-wide import graph: the layer DAG, RB006 and the DOT export.
+"""Project-wide import graph: the layer DAG and RB006.
 
 The per-file rules see one module at a time; this pass sees them all.
 It resolves every ``import`` in the indexed tree to the target module,
-separates **eager** edges (executed at import time) from **lazy** ones
-(function-scoped or under ``if TYPE_CHECKING:``), and checks the eager
-graph against the declared layer DAG:
+keeps the **eager** edges (executed at import time) and drops the
+**lazy** ones (function-scoped or under ``if TYPE_CHECKING:``), then
+checks the eager graph against the declared layer DAG:
 
 * an eager import may only point at the **same or a lower** layer —
   an upward import is a layering inversion (RB006);
 * the eager module graph must be **acyclic** — any strongly-connected
   component is reported as a cycle (RB006), because such modules only
   import by luck of execution order;
-* every package that appears in the tree must be **declared** in the
-  layer config, so a new subsystem cannot dodge the contract.
+* every package that appears in the tree must be **declared** in
+  :data:`LAYERS`, so a new subsystem cannot dodge the contract.
 
 Lazy imports are the sanctioned mechanism for upward references (the
 CLI pulling subsystems on demand, a low layer reaching a diagnostic
-renderer at call time) and are exempt — they appear dashed in the DOT
-export so the escape hatch stays visible.
+renderer at call time) and are exempt.
 
-The declared layers live in ``budgets.toml`` under ``[analysis]`` as a
-``layers`` array-of-arrays, lowest layer first; :data:`DEFAULT_LAYERS`
-is the built-in mirror used when no config is found (or on
-interpreters without ``tomllib``).  The default is grounded in the
-real dependency structure of the tree: ``telemetry`` and ``faults``
-sit *below* ``core``/``channel`` because they are substrates the
-pipeline instruments into and draws seeds from — everything imports
-them, they eagerly import nothing.
+:data:`LAYERS` is declared in :mod:`repro.analysis.rules` (which also
+derives its package scoping from it) and re-exported here.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .rules import RuleContext, Violation
+from .rules import LAYERS, Violation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import ModuleRecord
 
 __all__ = [
-    "DEFAULT_LAYERS",
+    "LAYERS",
     "ImportEdge",
-    "LayerConfig",
     "ProjectGraph",
     "PROJECT_RULES",
-    "ProjectRule",
     "RB006ImportLayering",
     "build_project_graph",
-    "load_layer_config",
-    "render_dot",
 ]
-
-#: Declared layer DAG, lowest layer first.  Mirrored by ``[analysis]``
-#: ``layers`` in ``budgets.toml``; packages on the same row may import
-#: each other, higher rows may import lower rows, never the reverse.
-DEFAULT_LAYERS: tuple[tuple[str, ...], ...] = (
-    ("coding", "imaging", "faults", "telemetry"),
-    ("core", "io"),
-    ("channel",),
-    ("link",),
-    ("serve",),
-    ("baselines", "bench"),
-    ("analysis", "cli"),
-)
 
 
 @dataclass(frozen=True)
 class ImportEdge:
-    """One resolved ``import`` statement: source module -> target module."""
+    """One resolved eager ``import`` statement: source module -> target module."""
 
     src: str
     dst: str
     relpath: str
     line: int
     col: int
-    eager: bool
 
 
-@dataclass(frozen=True)
-class LayerConfig:
-    """The declared layer DAG: entity name -> layer index (0 = lowest)."""
-
-    layers: tuple[tuple[str, ...], ...]
-    source: str = "builtin"
-
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for row in self.layers:
-            for name in row:
-                if name in seen:
-                    raise ValueError(
-                        f"layer config ({self.source}): package {name!r} "
-                        "declared in more than one layer"
-                    )
-                seen.add(name)
-
-    @property
-    def level_of(self) -> dict[str, int]:
-        return {
-            name: level for level, row in enumerate(self.layers) for name in row
-        }
-
-
-def load_layer_config(start: "Path | None" = None) -> LayerConfig:
-    """Find and parse the ``[analysis] layers`` table, else the default.
-
-    Walks from *start* (a linted path or the cwd) upward looking for a
-    ``budgets.toml`` with an ``[analysis]`` table.  Falls back to
-    :data:`DEFAULT_LAYERS` when no config is found or the interpreter
-    lacks ``tomllib`` (< 3.11); a present-but-malformed table raises
-    ``ValueError`` so a typo cannot silently disable the contract.
-    """
-    try:
-        import tomllib
-    except ImportError:  # pragma: no cover - Python < 3.11
-        return LayerConfig(DEFAULT_LAYERS)
-
-    base = (start or Path.cwd()).resolve()
-    if base.is_file():
-        base = base.parent
-    for candidate in [base, *base.parents]:
-        budgets = candidate / "budgets.toml"
-        if not budgets.is_file():
-            continue
-        try:
-            with open(budgets, "rb") as fh:
-                doc = tomllib.load(fh)
-        except (OSError, tomllib.TOMLDecodeError):
-            continue
-        table = doc.get("analysis")
-        if not isinstance(table, dict) or "layers" not in table:
-            continue
-        layers = table["layers"]
-        if not (
-            isinstance(layers, list)
-            and layers
-            and all(
-                isinstance(row, list) and all(isinstance(n, str) for n in row)
-                for row in layers
-            )
-        ):
-            raise ValueError(
-                f"{budgets}: [analysis] layers must be a non-empty "
-                "array of arrays of package names"
-            )
-        return LayerConfig(
-            tuple(tuple(row) for row in layers), source=str(budgets)
-        )
-    return LayerConfig(DEFAULT_LAYERS)
+#: Package -> layer index (0 = lowest).
+_LEVEL_OF: dict[str, int] = {
+    name: level for level, row in enumerate(LAYERS) for name in row
+}
 
 
 def module_name_for(relpath: str) -> str:
@@ -187,26 +94,21 @@ def entity_of(module: str) -> str:
 
 
 class _ImportCollector(ast.NodeVisitor):
-    """Collect (module, line, col, eager) import targets for one file."""
+    """Collect (module, line, col) eager import targets for one file."""
 
     def __init__(self, module: str, known: set[str], is_package: bool = False):
         self.module = module
         self.known = known
         self.is_package = is_package
-        self.found: list[tuple[str, int, int, bool]] = []
-        self._depth = 0
+        self.found: list[tuple[str, int, int]] = []
 
     # Function bodies (and TYPE_CHECKING blocks) execute after import
-    # time; imports there are lazy edges.
+    # time; imports there are lazy and never enter the graph.
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._depth += 1
-        self.generic_visit(node)
-        self._depth -= 1
+        pass
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._depth += 1
-        self.generic_visit(node)
-        self._depth -= 1
+        pass
 
     def visit_If(self, node: ast.If) -> None:
         test = node.test
@@ -214,10 +116,6 @@ class _ImportCollector(ast.NodeVisitor):
             isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
         )
         if is_type_checking:
-            self._depth += 1
-            for stmt in node.body:
-                self.visit(stmt)
-            self._depth -= 1
             for stmt in node.orelse:
                 self.visit(stmt)
         else:
@@ -257,9 +155,7 @@ class _ImportCollector(ast.NodeVisitor):
 
     def _add(self, target: str, node: ast.stmt) -> None:
         if target == "repro" or target.startswith("repro."):
-            self.found.append(
-                (target, node.lineno, node.col_offset, self._depth == 0)
-            )
+            self.found.append((target, node.lineno, node.col_offset))
 
 
 @dataclass
@@ -268,22 +164,6 @@ class ProjectGraph:
 
     modules: dict[str, "ModuleRecord"] = field(default_factory=dict)
     edges: list[ImportEdge] = field(default_factory=list)
-
-    def eager_edges(self) -> list[ImportEdge]:
-        return [e for e in self.edges if e.eager]
-
-    def entities(self) -> set[str]:
-        return {entity_of(m) for m in self.modules}
-
-    def entity_edges(self, eager_only: bool = True) -> set[tuple[str, str]]:
-        out: set[tuple[str, str]] = set()
-        for edge in self.edges:
-            if eager_only and not edge.eager:
-                continue
-            src, dst = entity_of(edge.src), entity_of(edge.dst)
-            if src != dst:
-                out.add((src, dst))
-        return out
 
 
 def build_project_graph(records: Iterable["ModuleRecord"]) -> ProjectGraph:
@@ -302,7 +182,7 @@ def build_project_graph(records: Iterable["ModuleRecord"]) -> ProjectGraph:
         is_package = record.relpath.replace("\\", "/").endswith("/__init__.py")
         collector = _ImportCollector(module, known, is_package=is_package)
         collector.visit(record.tree)
-        for target, line, col, eager in collector.found:
+        for target, line, col in collector.found:
             resolved = _resolve_target(target, known)
             if resolved is None or resolved == module:
                 continue
@@ -313,7 +193,6 @@ def build_project_graph(records: Iterable["ModuleRecord"]) -> ProjectGraph:
                     relpath=record.relpath,
                     line=line,
                     col=col,
-                    eager=eager,
                 )
             )
     return graph
@@ -382,50 +261,34 @@ def _strongly_connected(nodes: Sequence[str], edges: dict[str, set[str]]) -> lis
     return components
 
 
-class ProjectRule:
-    """Base for whole-program passes run after every file has parsed."""
-
-    id = "RB000"
-    title = ""
-
-    def check_project(
-        self, graph: ProjectGraph, config: LayerConfig
-    ) -> list[Violation]:
-        raise NotImplementedError
-
-
-class RB006ImportLayering(ProjectRule):
+class RB006ImportLayering:
     """Eager imports must respect the declared layer DAG and stay acyclic."""
 
     id = "RB006"
     title = "import layering inversion or cycle"
 
-    def check_project(
-        self, graph: ProjectGraph, config: LayerConfig
-    ) -> list[Violation]:
+    def check_project(self, graph: ProjectGraph) -> list[Violation]:
         out: list[Violation] = []
-        levels = config.level_of
-
         undeclared_flagged: set[str] = set()
         adjacency: dict[str, set[str]] = {}
-        for edge in graph.eager_edges():
+        for edge in graph.edges:
             adjacency.setdefault(edge.src, set()).add(edge.dst)
             src_entity, dst_entity = entity_of(edge.src), entity_of(edge.dst)
             for entity, module in ((src_entity, edge.src), (dst_entity, edge.dst)):
-                if entity not in levels and entity not in undeclared_flagged:
+                if entity not in _LEVEL_OF and entity not in undeclared_flagged:
                     undeclared_flagged.add(entity)
                     out.append(
                         self._violation(
                             edge,
                             f"package `{entity}` (via {module}) is not "
-                            "declared in the [analysis] layers config; every "
-                            "package must take a place in the layer DAG",
+                            "declared in LAYERS; every package must take a "
+                            "place in the layer DAG",
                         )
                     )
             if src_entity == dst_entity:
                 continue
-            src_level = levels.get(src_entity)
-            dst_level = levels.get(dst_entity)
+            src_level = _LEVEL_OF.get(src_entity)
+            dst_level = _LEVEL_OF.get(dst_entity)
             if src_level is None or dst_level is None:
                 continue
             if src_level < dst_level:
@@ -443,11 +306,7 @@ class RB006ImportLayering(ProjectRule):
             cycle = " -> ".join(component + component[:1])
             first = component[0]
             edge = next(
-                (
-                    e
-                    for e in graph.eager_edges()
-                    if e.src == first and e.dst in component
-                ),
+                (e for e in graph.edges if e.src == first and e.dst in component),
                 None,
             )
             record = graph.modules[first]
@@ -477,50 +336,4 @@ class RB006ImportLayering(ProjectRule):
 
 
 #: Registry of project passes, run by the engine after per-file rules.
-PROJECT_RULES: Sequence[ProjectRule] = (RB006ImportLayering(),)
-
-
-def render_dot(graph: ProjectGraph, config: LayerConfig) -> str:
-    """Graphviz DOT of the package-level layer graph.
-
-    One cluster per declared layer, solid edges for eager imports,
-    dashed for lazy ones; an upward eager edge comes out red so a
-    screenshot of the graph is itself the violation report.
-    """
-    levels = config.level_of
-    entities = sorted(graph.entities())
-    lines = [
-        "digraph repro_layers {",
-        "  rankdir=BT;",
-        '  node [shape=box, fontname="Helvetica"];',
-    ]
-    for level, row in enumerate(config.layers):
-        members = [name for name in row if name in entities]
-        if not members:
-            continue
-        lines.append(f"  subgraph cluster_layer{level} {{")
-        lines.append(f'    label="layer {level}"; style=dashed; color=gray;')
-        for name in members:
-            lines.append(f'    "{name}";')
-        lines.append("  }")
-    for name in entities:
-        if name not in levels:
-            lines.append(f'  "{name}" [color=red];  // undeclared')
-
-    eager = graph.entity_edges(eager_only=True)
-    lazy = graph.entity_edges(eager_only=False) - eager
-    for src, dst in sorted(eager):
-        upward = (
-            src in levels and dst in levels and levels[src] < levels[dst]
-        )
-        attrs = ' [color=red, penwidth=2.0, label="UPWARD"]' if upward else ""
-        lines.append(f'  "{src}" -> "{dst}"{attrs};')
-    for src, dst in sorted(lazy):
-        lines.append(f'  "{src}" -> "{dst}" [style=dashed, color=gray];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def context_for(record: "ModuleRecord") -> RuleContext:
-    """RuleContext for a record (project rules reuse file-rule scoping)."""
-    return RuleContext.for_path(record.relpath)
+PROJECT_RULES: Sequence[RB006ImportLayering] = (RB006ImportLayering(),)

@@ -15,52 +15,31 @@ versioned and tested:
       "errors": [{"path": "...", "error": "syntax error: ..."}],
       "violations": [
         {"rule": "RB001", "message": "...", "path": "...", "line": 7, "col": 4}
-      ],
-      "baseline": {
-        "source": ".analysis-baseline.json",
-        "grandfathered": 2,
-        "new_count": 0,
-        "improved": {"src/repro/x.py::RB003": 1}
-      }
+      ]
     }
 
-``baseline`` appears only when a run was judged against one.
 ``version`` bumps on any backwards-incompatible change to this shape
-(v2: RB006–RB010 ids, RB000 stale-suppression findings, the baseline
-block).  The SARIF 2.1.0 reporter lives in
-:mod:`repro.analysis.sarif`.
+(v2: RB006–RB010 ids and RB000 stale-suppression findings).
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from .engine import AnalysisResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .baseline import Baseline, BaselineOutcome
 
 __all__ = ["JSON_SCHEMA_VERSION", "render_json", "render_text"]
 
 JSON_SCHEMA_VERSION = 2
 
 
-def render_text(
-    result: AnalysisResult,
-    outcome: "BaselineOutcome | None" = None,
-    baseline: "Baseline | None" = None,
-) -> str:
-    """One ``path:line:col: RBxxx message`` line per finding plus a summary.
-
-    With a baseline applied, grandfathered findings collapse into a
-    count and only *new* violations are listed individually.
-    """
+def render_text(result: AnalysisResult) -> str:
+    """One ``path:line:col: RBxxx message`` line per finding plus a summary."""
     lines = []
     for report in result.errors:
         lines.append(f"{report.path}: error: {report.error}")
-    shown = result.violations if outcome is None else outcome.new
-    for violation in shown:
+    for violation in result.violations:
         lines.append(
             f"{violation.path}:{violation.line}:{violation.col}: "
             f"{violation.rule} {violation.message}"
@@ -76,26 +55,10 @@ def render_text(
         f"{len(result.violations)} violation(s){breakdown}, "
         f"{result.suppressed_count} suppressed, {len(result.errors)} error(s)"
     )
-    if outcome is not None and baseline is not None:
-        lines.append(
-            f"baseline {baseline.source}: {outcome.grandfathered} "
-            f"grandfathered, {len(outcome.new)} new"
-        )
-        if outcome.improved:
-            lines.append(
-                f"ratchet: {outcome.improvement_total} grandfathered "
-                "violation(s) fixed — tighten the baseline with "
-                "--write-baseline to lock the gain in"
-            )
     return "\n".join(lines)
 
 
-def render_json(
-    result: AnalysisResult,
-    indent: "int | None" = 2,
-    outcome: "BaselineOutcome | None" = None,
-    baseline: "Baseline | None" = None,
-) -> str:
+def render_json(result: AnalysisResult, indent: "int | None" = 2) -> str:
     doc: dict[str, Any] = {
         "version": JSON_SCHEMA_VERSION,
         "tool": "repro.analysis",
@@ -108,12 +71,4 @@ def render_json(
         ],
         "violations": [violation.as_dict() for violation in result.violations],
     }
-    if outcome is not None and baseline is not None:
-        doc["baseline"] = {
-            "source": baseline.source,
-            "grandfathered": outcome.grandfathered,
-            "new_count": len(outcome.new),
-            "new": [violation.as_dict() for violation in outcome.new],
-            "improved": dict(sorted(outcome.improved.items())),
-        }
     return json.dumps(doc, indent=indent, sort_keys=False)

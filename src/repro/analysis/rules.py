@@ -24,6 +24,7 @@ from typing import Iterator, Sequence
 
 __all__ = [
     "DETERMINISTIC_PACKAGES",
+    "LAYERS",
     "RB001GlobalNondeterminism",
     "RB002SeedPlumbing",
     "RB003Uint8Overflow",
@@ -44,6 +45,24 @@ __all__ = [
 #: suppress anything are reported under this pseudo-rule id (the engine
 #: emits them after every other rule — per-file and project — has run).
 UNUSED_SUPPRESSION_RULE_ID = "RB000"
+
+#: The import-layer DAG that RB006 checks, lowest layer first.  Packages
+#: on one row may import each other; higher rows may eagerly import
+#: lower rows, never the reverse — upward references must be lazy
+#: (function-scoped or TYPE_CHECKING) imports.  ``telemetry`` and
+#: ``faults`` sit at the bottom because they are substrates the whole
+#: pipeline instruments into and draws seeds from (everything imports
+#: them; they eagerly import nothing).  ``cli`` is the user-facing
+#: shell: the ``repro`` facade, ``cli.py`` and ``__main__.py``.
+LAYERS: tuple[tuple[str, ...], ...] = (
+    ("coding", "imaging", "faults", "telemetry"),
+    ("core", "io"),
+    ("channel",),
+    ("link",),
+    ("serve",),
+    ("baselines", "bench"),
+    ("analysis", "cli"),
+)
 
 #: Packages whose code must be deterministic by construction (RB001).
 DETERMINISTIC_PACKAGES = frozenset({"core", "channel", "coding", "faults", "link"})
@@ -162,15 +181,7 @@ class RuleContext:
         )
 
 
-_KNOWN_PACKAGES = DETERMINISTIC_PACKAGES | {
-    "telemetry",
-    "imaging",
-    "baselines",
-    "bench",
-    "analysis",
-    "io",
-    "serve",
-}
+_KNOWN_PACKAGES = frozenset(name for row in LAYERS for name in row) - {"cli"}
 
 
 def _package_of(relpath: str) -> str:

@@ -312,11 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Two-phase static analysis over the repro tree: per-file rules "
             "(global-nondeterminism, seed plumbing, uint8 overflow hazards, "
-            "telemetry hygiene, library hygiene, resource lifecycle, CLI "
-            "exit-code contract, pool-boundary picklability, schema-version "
-            "hygiene) plus project passes (import layering, stale "
-            "suppressions).  Exit 0 clean, 1 violations, 2 usage error.  "
-            "All arguments are forwarded to `python -m repro.analysis`."
+            "telemetry hygiene, resource lifecycle, CLI exit-code contract, "
+            "pool-boundary picklability, schema-version hygiene) plus "
+            "project passes (import layering, stale suppressions).  Exit 0 "
+            "clean, 1 violations, 2 usage error.  All arguments are "
+            "forwarded to `python -m repro.analysis`."
         ),
     )
     ana.add_argument(
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs=argparse.REMAINDER,
         help=(
             "arguments for repro.analysis (paths, --format, --select, "
-            "--list-rules, --graph, --baseline, --ratchet, --write-baseline)"
+            "--list-rules)"
         ),
     )
     return parser
@@ -916,12 +916,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from .analysis.__main__ import main as analyze_main
-
-    return analyze_main(args.analyze_args)
-
-
 _COMMANDS = {
     "encode": _cmd_encode,
     "decode": _cmd_decode,
@@ -933,7 +927,6 @@ _COMMANDS = {
     "telemetry": _cmd_telemetry,
     "quality": _cmd_quality,
     "perf": _cmd_perf,
-    "analyze": _cmd_analyze,
 }
 
 

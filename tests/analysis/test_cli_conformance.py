@@ -2,11 +2,9 @@
 
 The analyzer's CLI must never traceback at a user: misnamed files,
 bytecode caches, undecodable sources and malformed options all land on
-``repro.analysis: error: <reason>`` on stderr and exit code 2, while
-``--graph`` and the format switches keep their documented behavior.
+``repro.analysis: error: <reason>`` on stderr and exit code 2.
 """
 
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -102,20 +100,6 @@ def test_select_rb000_is_a_typed_usage_error():
     assert_typed_error(
         run_cli(str(SRC_REPRO), "--select", "RB000"), "RB000"
     )
-
-
-def test_graph_mode_exits_zero_with_dot():
-    proc = run_cli(str(SRC_REPRO), "--graph")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("digraph repro_layers {")
-    assert proc.stdout.rstrip().endswith("}")
-
-
-def test_sarif_format_emits_parseable_json():
-    proc = run_cli(str(SRC_REPRO), "--format", "sarif")
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
-    assert doc["version"] == "2.1.0"
 
 
 def test_duplicate_inputs_are_linted_once(tmp_path):

@@ -216,9 +216,10 @@ def test_repro_analyze_subcommand_forwards():
 # -- the contract this PR exists for ------------------------------------
 
 
-def test_self_lint_src_repro_is_clean():
-    """`src/repro` must stay free of RB001-RB010 (and RB000) violations."""
-    result = analyze_paths([SRC_REPRO])
+@pytest.mark.parametrize("tree", ["src/repro", "tests"])
+def test_self_lint_src_repro_is_clean(tree):
+    """`src/repro` and `tests` must stay free of RB000-RB010 violations."""
+    result = analyze_paths([REPO_ROOT / tree])
     assert result.errors == []
     offending = [
         f"{v.path}:{v.line}: {v.rule} {v.message}" for v in result.violations

@@ -1,4 +1,4 @@
-"""RB006 import layering: the project pass, the layer config and DOT.
+"""RB006 import layering: the project pass and the layer DAG.
 
 The seeded regressions here are the contract this PR exists for: a
 layering inversion (a low layer eagerly importing a high one), an
@@ -9,18 +9,10 @@ the sanctioned upward mechanism.  The final tests prove the *real*
 """
 
 import textwrap
+from collections import Counter
 from pathlib import Path
 
-import pytest
-
-from repro.analysis import (
-    DEFAULT_LAYERS,
-    LayerConfig,
-    analyze_paths,
-    build_project_graph,
-    load_layer_config,
-    render_dot,
-)
+from repro.analysis import LAYERS, analyze_paths, build_project_graph
 from repro.analysis.engine import parse_module
 from repro.analysis.graph import (
     RB006ImportLayering,
@@ -31,8 +23,6 @@ from repro.analysis.graph import (
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC_REPRO = REPO_ROOT / "src" / "repro"
 
-DEFAULT_CONFIG = LayerConfig(DEFAULT_LAYERS)
-
 
 def records_for(modules):
     """Parse {relpath: source} into phase-1 records."""
@@ -42,9 +32,9 @@ def records_for(modules):
     ]
 
 
-def rb006(modules, config=DEFAULT_CONFIG):
+def rb006(modules):
     graph = build_project_graph(records_for(modules))
-    return graph, RB006ImportLayering().check_project(graph, config)
+    return graph, RB006ImportLayering().check_project(graph)
 
 
 # -- seeded regression: layering inversion -------------------------------
@@ -76,7 +66,7 @@ def test_downward_eager_import_is_fine():
 
 
 def test_lazy_function_scoped_import_is_exempt():
-    _, violations = rb006(
+    graph, violations = rb006(
         {
             "repro/core/ok.py": """
                 def render():
@@ -87,6 +77,7 @@ def test_lazy_function_scoped_import_is_exempt():
         }
     )
     assert violations == []
+    assert graph.edges == []  # lazy imports never enter the graph
 
 
 def test_type_checking_import_is_exempt():
@@ -167,57 +158,9 @@ def test_module_name_and_entity_resolution():
     assert entity_of("repro") == "cli"
 
 
-def test_layer_config_rejects_duplicate_packages():
-    with pytest.raises(ValueError, match="more than one layer"):
-        LayerConfig((("core",), ("core", "serve")))
-
-
-def test_load_layer_config_walks_up_to_budgets_toml(tmp_path):
-    (tmp_path / "budgets.toml").write_text(
-        '[analysis]\nlayers = [["core"], ["serve"]]\n'
-    )
-    nested = tmp_path / "src" / "repro"
-    nested.mkdir(parents=True)
-    config = load_layer_config(nested)
-    assert config.layers == (("core",), ("serve",))
-    assert config.source.endswith("budgets.toml")
-
-
-def test_load_layer_config_falls_back_to_default(tmp_path):
-    config = load_layer_config(tmp_path)
-    assert config.layers == DEFAULT_LAYERS
-    assert config.source == "builtin"
-
-
-def test_load_layer_config_rejects_malformed_table(tmp_path):
-    (tmp_path / "budgets.toml").write_text('[analysis]\nlayers = "core,serve"\n')
-    with pytest.raises(ValueError, match="array of arrays"):
-        load_layer_config(tmp_path)
-
-
-# -- DOT export ----------------------------------------------------------
-
-
-def test_render_dot_shows_layers_eager_lazy_and_upward():
-    graph, _ = rb006(
-        {
-            "repro/core/bad.py": "from repro.serve.pool import WorkerPool\n",
-            "repro/serve/pool.py": "from repro.core.util import f\n",
-            "repro/core/util.py": """
-                def render():
-                    from repro.link.frames import g
-                    return g
-                """,
-            "repro/link/frames.py": "def g():\n    return 0\n",
-        }
-    )
-    dot = render_dot(graph, DEFAULT_CONFIG)
-    assert dot.startswith("digraph repro_layers {")
-    assert 'label="layer 1"' in dot  # core's cluster exists
-    assert '"serve" -> "core";' in dot  # downward eager edge, plain
-    assert '"core" -> "serve" [color=red' in dot  # the inversion, in red
-    assert "UPWARD" in dot
-    assert '"core" -> "link" [style=dashed' in dot  # lazy edge, dashed
+def test_each_package_appears_in_layers_once():
+    counts = Counter(name for row in LAYERS for name in row)
+    assert [name for name, n in counts.items() if n > 1] == []
 
 
 # -- the real tree -------------------------------------------------------
@@ -240,11 +183,10 @@ def test_src_repro_graph_has_real_edges_and_declared_entities():
         _read_module(p, str(p)) for p in iter_python_files([SRC_REPRO])
     ]
     graph = build_project_graph(records)
-    config = load_layer_config(SRC_REPRO)
-    assert config.source.endswith("budgets.toml")  # the committed config
-    assert len(graph.eager_edges()) > 20  # the tree genuinely interconnects
-    levels = config.level_of
-    assert graph.entities() <= set(levels)  # every package is declared
+    assert len(graph.edges) > 20  # the tree genuinely interconnects
+    levels = {name: level for level, row in enumerate(LAYERS) for name in row}
+    assert {entity_of(m) for m in graph.modules} <= set(levels)  # all declared
     # Every eager package edge points level-downward or sideways.
-    for src, dst in graph.entity_edges(eager_only=True):
+    for edge in graph.edges:
+        src, dst = entity_of(edge.src), entity_of(edge.dst)
         assert levels[src] >= levels[dst], f"upward edge {src} -> {dst}"

@@ -1,10 +1,9 @@
-"""Property tests: the noqa tokenizer and the baseline round-trip.
+"""Property tests: the noqa tokenizer.
 
 For arbitrary comment spacing, id separators, casing and placement —
 including after line continuations and multi-line expressions — the
 suppression map must land the right rule-id set on the right physical
-line, and never fire from inside a string literal.  The baseline
-serializer must round-trip arbitrary finding multisets exactly.
+line, and never fire from inside a string literal.
 """
 
 from __future__ import annotations
@@ -14,14 +13,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    Baseline,
-    apply_baseline,
-    parse_suppressions,
-)
-from repro.analysis.baseline import _key, render_baseline
-from repro.analysis.engine import AnalysisResult, FileReport
-from repro.analysis.rules import Violation
+from repro.analysis import parse_suppressions
 
 RULE_IDS = st.sampled_from(
     ["RB000", "RB001", "RB003", "RB005", "RB006", "RB007", "RB010", "RB999"]
@@ -93,58 +85,3 @@ def test_multiple_ids_all_register(ids):
     source = "x = 1  # repro: noqa " + ", ".join(ids) + "\n"
     assert parse_suppressions(source)[1] == frozenset(ids)
 
-
-# -- baseline round-trip -------------------------------------------------
-
-violations = st.lists(
-    st.builds(
-        Violation,
-        rule=st.sampled_from(["RB001", "RB003", "RB007", "RB010"]),
-        message=st.just("m"),
-        path=st.sampled_from(
-            ["src/repro/a.py", "src/repro/b.py", "src\\repro\\c.py"]
-        ),
-        line=st.integers(min_value=1, max_value=500),
-        col=st.integers(min_value=0, max_value=80),
-    ),
-    max_size=20,
-)
-
-
-def result_of(found):
-    report = FileReport(path="synthetic", violations=list(found))
-    return AnalysisResult(reports=[report])
-
-
-@given(violations)
-@settings(max_examples=100)
-def test_baseline_round_trips_arbitrary_findings(found):
-    result = result_of(found)
-    doc = json.loads(render_baseline(result))
-    loaded = Baseline(counts=doc["counts"], source="mem")
-    assert loaded.total == len(found)
-    # Keys are normalized to forward slashes and count multiplicity.
-    expected: dict[str, int] = {}
-    for violation in found:
-        key = _key(violation.path, violation.rule)
-        assert "\\" not in key
-        expected[key] = expected.get(key, 0) + 1
-    assert loaded.counts == expected
-    # A run judged against its own baseline is entirely grandfathered.
-    outcome = apply_baseline(result, loaded)
-    assert outcome.new == []
-    assert outcome.improved == {}
-    assert outcome.grandfathered == len(found)
-    # Serialization is deterministic: render twice, byte-identical.
-    assert render_baseline(result) == render_baseline(result_of(found))
-
-
-@given(violations, violations)
-@settings(max_examples=100)
-def test_baseline_judgement_counts_add_up(old, new):
-    baseline_doc = json.loads(render_baseline(result_of(old)))
-    baseline = Baseline(counts=baseline_doc["counts"], source="mem")
-    outcome = apply_baseline(result_of(new), baseline)
-    assert outcome.grandfathered + len(outcome.new) == len(new)
-    assert outcome.grandfathered <= baseline.total
-    assert baseline.total - outcome.grandfathered == outcome.improvement_total

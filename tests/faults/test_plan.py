@@ -181,7 +181,8 @@ class TestDeriveSeed:
         """FaultPlan._rng must keep the exact pre-derive_seed streams."""
         plan = FaultPlan((ShutterJitter(),), seed=123)
         expected = np.random.default_rng(
-            np.random.SeedSequence(
+            # Raw construction pins the stream as it was before derive_seed.
+            np.random.SeedSequence(  # repro: noqa RB001
                 entropy=123, spawn_key=(STAGES.index("shutter"), 5, 0)
             )
         ).random(8)

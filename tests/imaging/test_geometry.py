@@ -118,9 +118,12 @@ class TestPinhole:
     def test_distance_shrinks_projection(self):
         near = self._setup(distance_cm=10.0)
         far = self._setup(distance_cm=20.0)
-        span = lambda s: np.ptp(s.project_screen_points(s.screen_corners_px())[:, 0])  # noqa: E731
-        assert span(far) < span(near)
-        assert span(far) == pytest.approx(span(near) / 2, rel=1e-6)
+
+        def width(s):
+            return np.ptp(s.project_screen_points(s.screen_corners_px())[:, 0])
+
+        assert width(far) < width(near)
+        assert width(far) == pytest.approx(width(near) / 2, rel=1e-6)
 
     def test_view_angle_foreshortens_asymmetrically(self):
         setup = self._setup(view_angle_deg=25.0)
