@@ -101,32 +101,57 @@ def warp_perspective(
     *h* maps **source** coordinates to **destination** coordinates; the
     warp inverse-maps each destination pixel and samples bilinearly,
     which is the standard artifact-free direction.
+
+    Only the source image's footprint is sampled: every destination
+    pixel is inverse-mapped, but the bilinear terms and the gather run
+    on the bounding box of the pixels that land inside the source, and
+    the rest of the output is *fill*.  Pixels inside the box get exactly
+    the values a whole-grid sample would give them; pixels whose mapped
+    point is outside the source or not finite are *fill* either way.
     """
     height, width = output_shape
     src = np.asarray(image)
     src_h, src_w = int(src.shape[0]), int(src.shape[1])
     h_arr = np.ascontiguousarray(h, dtype=np.float64)
     key = (h_arr.tobytes(), height, width, src_h, src_w)
-    coeffs = _WARP_COORD_CACHE.get(key)
-    if coeffs is None:
+    entry = _WARP_COORD_CACHE.get(key)
+    if entry is None:
         h_inv = np.linalg.inv(h_arr)
         pts = _pixel_grid(height, width)
         mapped = h_inv @ pts
         mapped_x = (mapped[0] / mapped[2]).reshape(height, width)
         mapped_y = (mapped[1] / mapped[2]).reshape(height, width)
-        coeffs = bilinear_coeffs(mapped_x, mapped_y, src_h, src_w)
-        if len(_WARP_COORD_CACHE) > 16:
-            _WARP_COORD_CACHE.clear()
-        _WARP_COORD_CACHE[key] = coeffs
-    return sample_bilinear(image, None, None, fill=fill, coeffs=coeffs)
+        # Same bounds test as `bilinear_coeffs`; comparisons against a
+        # NaN or infinite coordinate are false, so those stay outside.
+        inside = (
+            (mapped_x >= 0.0)
+            & (mapped_x <= src_w - 1.0)
+            & (mapped_y >= 0.0)
+            & (mapped_y <= src_h - 1.0)
+        )
+        rows = np.flatnonzero(inside.any(axis=1))
+        cols = np.flatnonzero(inside.any(axis=0))
+        if rows.size == 0:
+            entry = (None, None)
+        else:
+            roi = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+            entry = (roi, bilinear_coeffs(mapped_x[roi], mapped_y[roi], src_h, src_w))
+        _WARP_COORD_CACHE.clear()
+        _WARP_COORD_CACHE[key] = entry
+    roi, coeffs = entry
+    out = np.full((height, width) + src.shape[2:], fill, dtype=np.float64)
+    if roi is not None:
+        out[roi] = sample_bilinear(image, None, None, fill=fill, coeffs=coeffs)
+    return out
 
 
-#: Precomputed bilinear interpolation terms for the inverse-mapped warp
-#: grid, keyed by (homography bytes, output shape, source shape).  A
-#: tripod session reuses one homography for every capture, so the
-#: inverse map, projective divide and neighbour-index arithmetic all run
-#: exactly once per session.
-_WARP_COORD_CACHE: dict[tuple[bytes, int, int, int, int], tuple[np.ndarray, ...]] = {}
+#: The last warp's footprint box and its bilinear terms, keyed by
+#: (homography bytes, output shape, source shape).  One entry only: a
+#: tripod session reuses one homography, so every capture after the
+#: first skips the inverse map, projective divide and index arithmetic;
+#: a handheld session draws a new homography per capture and would
+#: never hit an older entry.
+_WARP_COORD_CACHE: dict[tuple[bytes, int, int, int, int], tuple] = {}
 
 _GRID_CACHE: dict[tuple[int, int], np.ndarray] = {}
 

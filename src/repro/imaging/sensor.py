@@ -30,28 +30,34 @@ __all__ = [
 _KR, _KG, _KB = 0.299, 0.587, 0.114
 
 
+def _ycbcr_planes(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BT.601 Y, Cb and Cr of an ``(..., 3)`` *rgb* array as separate planes."""
+    y = _KR * rgb[..., 0] + _KG * rgb[..., 1] + _KB * rgb[..., 2]
+    cb = (rgb[..., 2] - y) / (2.0 * (1.0 - _KB))
+    cr = (rgb[..., 0] - y) / (2.0 * (1.0 - _KR))
+    return y, cb, cr
+
+
+def _rgb_from_planes(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
+    """Interleaved, clipped RGB from Y, Cb and Cr planes."""
+    r = y + 2.0 * (1.0 - _KR) * cr
+    b = y + 2.0 * (1.0 - _KB) * cb
+    out = np.empty(y.shape + (3,), dtype=np.float64)
+    out[..., 0] = r
+    out[..., 1] = (y - _KR * r - _KB * b) / _KG
+    out[..., 2] = b
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
 def rgb_to_ycbcr(rgb: np.ndarray) -> np.ndarray:
     """BT.601 full-range RGB -> YCbCr (Y in [0,1], Cb/Cr in [-0.5, 0.5])."""
-    rgb = np.asarray(rgb, dtype=np.float64)
-    y = _KR * rgb[..., 0] + _KG * rgb[..., 1] + _KB * rgb[..., 2]
-    out = np.empty(rgb.shape[:-1] + (3,), dtype=np.float64)
-    out[..., 0] = y
-    out[..., 1] = (rgb[..., 2] - y) / (2.0 * (1.0 - _KB))
-    out[..., 2] = (rgb[..., 0] - y) / (2.0 * (1.0 - _KR))
-    return out
+    return np.stack(_ycbcr_planes(np.asarray(rgb, dtype=np.float64)), axis=-1)
 
 
 def ycbcr_to_rgb(ycc: np.ndarray) -> np.ndarray:
     """Inverse of :func:`rgb_to_ycbcr` (exact up to rounding)."""
     ycc = np.asarray(ycc, dtype=np.float64)
-    y, cb, cr = ycc[..., 0], ycc[..., 1], ycc[..., 2]
-    r = y + 2.0 * (1.0 - _KR) * cr
-    b = y + 2.0 * (1.0 - _KB) * cb
-    out = np.empty(ycc.shape[:-1] + (3,), dtype=np.float64)
-    out[..., 0] = r
-    out[..., 1] = (y - _KR * r - _KB * b) / _KG
-    out[..., 2] = b
-    return np.clip(out, 0.0, 1.0, out=out)
+    return _rgb_from_planes(ycc[..., 0], ycc[..., 1], ycc[..., 2])
 
 
 def chroma_subsample(image: np.ndarray, factor: int = 2, chroma_blur: float = 0.7) -> np.ndarray:
@@ -60,31 +66,49 @@ def chroma_subsample(image: np.ndarray, factor: int = 2, chroma_blur: float = 0.
     Luma passes through untouched; chroma is low-passed, decimated by
     *factor* and bilinearly restored — the same information loss a
     recorded H.264 stream (or a Bayer demosaic) imposes on block colors.
+
+    Y, Cb and Cr are processed as separate contiguous 2-D planes and RGB
+    is written straight from them.  The box-average decimation sums the
+    ``factor x factor`` strided views of a plane in row-major order from
+    zero and divides by ``factor**2``: the same additions, in the same
+    order, as ``reshape(...).mean(axis=(1, 3))``, so the result matches
+    that formulation bit for bit.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
     image = np.asarray(image, dtype=np.float64)
-    ycc = rgb_to_ycbcr(image)
-    if factor == 1 and chroma_blur <= 0:
-        return ycbcr_to_rgb(ycc)
-    chroma = ycc[..., 1:]
-    if factor > 1:
-        # Box-average decimation (the anti-alias filter), then any extra
-        # blur on the *small* plane where it is `factor^2` times cheaper.
-        height, width = chroma.shape[:2]
-        h2, w2 = height // factor * factor, width // factor * factor
-        sub = (
-            chroma[:h2, :w2]
-            .reshape(h2 // factor, factor, w2 // factor, factor, 2)
-            .mean(axis=(1, 3))
+    if image.shape[0] < factor or image.shape[1] < factor:
+        raise ValueError(
+            f"image of shape {image.shape} is smaller than the chroma factor {factor}"
         )
-        if chroma_blur > 0:
-            sub = gaussian_blur(sub, chroma_blur / factor)
-        chroma = _bilinear_upsample(sub, image.shape[:2], factor)
+    y, cb, cr = _ycbcr_planes(image)
+    if factor > 1:
+        cb = _subsample_plane(cb, factor, chroma_blur)
+        cr = _subsample_plane(cr, factor, chroma_blur)
     elif chroma_blur > 0:
-        chroma = gaussian_blur(chroma, chroma_blur)
-    out = np.concatenate([ycc[..., :1], chroma], axis=-1)
-    return ycbcr_to_rgb(out)
+        cb = gaussian_blur(cb, chroma_blur)
+        cr = gaussian_blur(cr, chroma_blur)
+    return _rgb_from_planes(y, cb, cr)
+
+
+def _subsample_plane(plane: np.ndarray, factor: int, chroma_blur: float) -> np.ndarray:
+    """Box-decimate one chroma plane, blur it small, restore its size.
+
+    Rows and columns past the last whole ``factor`` block are dropped by
+    the decimation; the upsample replicates the edge into them.  Any
+    extra blur runs on the *small* plane, where it is ``factor**2``
+    times cheaper.
+    """
+    height, width = plane.shape
+    h2, w2 = height // factor * factor, width // factor * factor
+    sub = np.zeros((h2 // factor, w2 // factor), dtype=np.float64)
+    for i in range(factor):
+        for j in range(factor):
+            sub += plane[i:h2:factor, j:w2:factor]
+    sub /= factor * factor
+    if chroma_blur > 0:
+        sub = gaussian_blur(sub, chroma_blur / factor)
+    return _bilinear_upsample(sub, (height, width), factor)
 
 
 #: 1-D upsample coordinates keyed by (full shape, small shape, factor).
@@ -104,7 +128,7 @@ def _upsample_axis_coords(full: int, small: int, factor: int) -> tuple:
 
 
 def _bilinear_upsample(small: np.ndarray, shape: tuple[int, int], factor: int) -> np.ndarray:
-    """Restore a decimated plane to *shape* with bilinear interpolation.
+    """Restore a decimated 2-D plane to *shape* with bilinear interpolation.
 
     A decimated sample i covers full-resolution pixels
     ``[i*factor, (i+1)*factor)`` and is centered at
@@ -117,7 +141,7 @@ def _bilinear_upsample(small: np.ndarray, shape: tuple[int, int], factor: int) -
     rather than full H x W grids — identical values, far less work.
     """
     height, width = shape
-    sh, sw = small.shape[:2]
+    sh, sw = small.shape
     key = (height, width, sh, sw, factor)
     cached = _UPSAMPLE_COORD_CACHE.get(key)
     if cached is None:
@@ -129,8 +153,8 @@ def _bilinear_upsample(small: np.ndarray, shape: tuple[int, int], factor: int) -
         _UPSAMPLE_COORD_CACHE[key] = cached
     y0, y1, fy, x0, x1, fx = cached
 
-    fx_b = fx[np.newaxis, :, np.newaxis]
-    fy_b = fy[:, np.newaxis, np.newaxis]
+    fx_b = fx[np.newaxis, :]
+    fy_b = fy[:, np.newaxis]
     ifx_b = 1.0 - fx_b
     ify_b = 1.0 - fy_b
     rows0 = small.take(y0, axis=0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.imaging import geometry
 from repro.imaging.geometry import (
     PinholeSetup,
     apply_homography,
@@ -11,6 +12,7 @@ from repro.imaging.geometry import (
     radial_undistort_points,
     warp_perspective,
 )
+from repro.imaging.interpolation import bilinear_coeffs, sample_bilinear
 
 
 def _square(width=100.0, height=60.0):
@@ -78,6 +80,111 @@ class TestWarp:
         h = np.array([[1, 0, 100], [0, 1, 100], [0, 0, 1]], dtype=float)
         out = warp_perspective(img, h, (10, 10), fill=0.5)
         assert np.allclose(out, 0.5)
+
+
+def _warp_oracle(image, h, output_shape, fill):
+    """Whole-grid warp: bilinear terms and gather on every output pixel."""
+    height, width = output_shape
+    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
+    pts = np.stack([xs.ravel(), ys.ravel(), np.ones(xs.size)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mapped = np.linalg.inv(np.asarray(h, dtype=np.float64)) @ pts
+        mapped_x = (mapped[0] / mapped[2]).reshape(height, width)
+        mapped_y = (mapped[1] / mapped[2]).reshape(height, width)
+    coeffs = bilinear_coeffs(mapped_x, mapped_y, image.shape[0], image.shape[1])
+    return sample_bilinear(image, None, None, fill=fill, coeffs=coeffs)
+
+
+#: Homography whose projective ``w = x/16 - 1`` is exactly 0 on output
+#: column 16: the inverse map there is infinite or NaN.  The matrix is
+#: its own inverse, so ``np.linalg.inv`` reproduces it exactly.
+_W_CROSSES_ZERO = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0625, 0.0, -1.0]])
+
+
+def _warp_cases():
+    screen, sensor = (60, 100), (96, 160)
+    return {
+        "identity": (np.eye(3), screen),
+        "translation": (np.array([[1.0, 0, 7.25], [0, 1.0, -3.5], [0, 0, 1.0]]), screen),
+        "pinhole_0deg": (PinholeSetup(screen, sensor).homography(), sensor),
+        "pinhole_45deg": (PinholeSetup(screen, sensor, view_angle_deg=45.0).homography(), sensor),
+        "all_outside": (np.array([[1.0, 0, 500.0], [0, 1.0, 500.0], [0, 0, 1.0]]), screen),
+        "w_crosses_zero": (_W_CROSSES_ZERO, (40, 64)),
+    }
+
+
+class TestWarpFootprint:
+    """The footprint-box warp is byte-identical to a whole-grid warp."""
+
+    @pytest.mark.parametrize("case", sorted(_warp_cases()))
+    @pytest.mark.parametrize("channels", [None, 3])
+    @pytest.mark.parametrize("fill", [0.0, 0.1, 0.5])
+    def test_matches_whole_grid_oracle(self, case, channels, fill):
+        h, output_shape = _warp_cases()[case]
+        shape = (60, 100) if channels is None else (60, 100, channels)
+        image = np.random.default_rng(5).random(shape)
+        expected = _warp_oracle(image, h, output_shape, fill)
+        geometry._WARP_COORD_CACHE.clear()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            first = warp_perspective(image, h, output_shape, fill=fill)
+            cached = warp_perspective(image, h, output_shape, fill=fill)
+        assert first.shape == expected.shape
+        assert np.array_equal(first.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(cached.view(np.uint64), expected.view(np.uint64))
+
+    def test_non_finite_case_really_has_non_finite_points(self):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xs = np.arange(64.0)
+            w = _W_CROSSES_ZERO[2, 0] * xs + _W_CROSSES_ZERO[2, 2]
+            mapped_x = xs / w
+        assert not np.isfinite(mapped_x).all()
+
+
+class TestWarpCache:
+    """The warp keeps the terms of the last homography only."""
+
+    @staticmethod
+    def _link(mobility):
+        from repro.channel.link import LinkConfig, ScreenCameraLink
+        from repro.channel.screen import FrameSchedule
+
+        image = np.random.default_rng(6).random((60, 100, 3))
+        schedule = FrameSchedule([image, image[::-1]], display_rate=10.0)
+        config = LinkConfig(sensor_size=(96, 160), mobility=mobility)
+        return ScreenCameraLink(config, rng=np.random.default_rng(7)), schedule
+
+    def test_tripod_stream_computes_terms_once(self, monkeypatch):
+        from repro.channel.mobility import tripod
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[2:])
+            return bilinear_coeffs(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "bilinear_coeffs", spy)
+        geometry._WARP_COORD_CACHE.clear()
+        link, schedule = self._link(tripod())
+        captures = link.capture_stream(schedule)
+        assert len(captures) > 1
+        assert len(calls) == 1
+
+    def test_handheld_stream_holds_one_entry(self, monkeypatch):
+        from repro.channel import link as link_module
+        from repro.channel.mobility import handheld
+
+        sizes = []
+
+        def recording_warp(*args, **kwargs):
+            out = warp_perspective(*args, **kwargs)
+            sizes.append(len(geometry._WARP_COORD_CACHE))
+            return out
+
+        monkeypatch.setattr(link_module, "warp_perspective", recording_warp)
+        link, schedule = self._link(handheld())
+        captures = link.capture_stream(schedule)
+        assert len(sizes) == len(captures) > 1
+        assert max(sizes) == 1
 
 
 class TestRadialDistortion:

@@ -1,8 +1,11 @@
 """Camera color pipeline: YCbCr, chroma subsampling, white balance."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.imaging.filters import gaussian_blur
 from repro.imaging.sensor import (
     CameraPipeline,
     chroma_subsample,
@@ -66,6 +69,108 @@ class TestChromaSubsample:
     def test_invalid_factor(self):
         with pytest.raises(ValueError):
             chroma_subsample(np.zeros((4, 4, 3)), factor=0)
+
+    @pytest.mark.parametrize("shape", [(1, 5, 3), (5, 1, 3), (0, 4, 3)])
+    def test_image_smaller_than_factor(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"{shape}") + ".*factor 2"):
+            chroma_subsample(np.zeros(shape), factor=2)
+
+
+_KR, _KG, _KB = 0.299, 0.587, 0.114
+
+
+def _ycc_oracle(rgb):
+    """Interleaved BT.601 RGB -> YCbCr."""
+    y = _KR * rgb[..., 0] + _KG * rgb[..., 1] + _KB * rgb[..., 2]
+    out = np.empty(rgb.shape[:-1] + (3,))
+    out[..., 0] = y
+    out[..., 1] = (rgb[..., 2] - y) / (2.0 * (1.0 - _KB))
+    out[..., 2] = (rgb[..., 0] - y) / (2.0 * (1.0 - _KR))
+    return out
+
+
+def _rgb_oracle(ycc):
+    """Interleaved BT.601 YCbCr -> clipped RGB."""
+    y, cb, cr = ycc[..., 0], ycc[..., 1], ycc[..., 2]
+    r = y + 2.0 * (1.0 - _KR) * cr
+    b = y + 2.0 * (1.0 - _KB) * cb
+    out = np.empty(ycc.shape[:-1] + (3,))
+    out[..., 0] = r
+    out[..., 1] = (y - _KR * r - _KB * b) / _KG
+    out[..., 2] = b
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _upsample_oracle(small, shape, factor):
+    """Bilinear restore of an interleaved ``(h, w, 2)`` chroma array."""
+
+    def axis(full, n):
+        coords = np.clip((np.arange(full, dtype=np.float64) - (factor - 1) / 2.0) / factor,
+                         0.0, n - 1.0)
+        i0 = np.clip(np.floor(coords), 0, n - 1).astype(np.int64)
+        return i0, np.clip(i0 + 1, 0, n - 1), np.clip(coords - i0, 0.0, 1.0)
+
+    y0, y1, fy = axis(shape[0], small.shape[0])
+    x0, x1, fx = axis(shape[1], small.shape[1])
+    fx = fx[np.newaxis, :, np.newaxis]
+    fy = fy[:, np.newaxis, np.newaxis]
+    rows0, rows1 = small[y0], small[y1]
+    top = rows0[:, x0] * (1.0 - fx) + rows0[:, x1] * fx
+    bottom = rows1[:, x0] * (1.0 - fx) + rows1[:, x1] * fx
+    return top * (1.0 - fy) + bottom * fy
+
+
+def _chroma_oracle(image, factor, chroma_blur):
+    """Interleaved chroma subsampling with a ``reshape(...).mean`` decimation."""
+    ycc = _ycc_oracle(image)
+    if factor == 1 and chroma_blur <= 0:
+        return _rgb_oracle(ycc)
+    chroma = ycc[..., 1:]
+    if factor > 1:
+        height, width = chroma.shape[:2]
+        h2, w2 = height // factor * factor, width // factor * factor
+        sub = (
+            chroma[:h2, :w2]
+            .reshape(h2 // factor, factor, w2 // factor, factor, 2)
+            .mean(axis=(1, 3))
+        )
+        if chroma_blur > 0:
+            sub = gaussian_blur(sub, chroma_blur / factor)
+        chroma = _upsample_oracle(sub, image.shape[:2], factor)
+    elif chroma_blur > 0:
+        chroma = gaussian_blur(chroma, chroma_blur)
+    return _rgb_oracle(np.concatenate([ycc[..., :1], chroma], axis=-1))
+
+
+def _capture_like(shape, seed):
+    """Random RGB with saturated and signed-zero patches, as clipped captures have."""
+    rng = np.random.default_rng(seed)
+    image = rng.random(shape)
+    image[rng.random(shape) < 0.1] = 1.0
+    image[rng.random(shape) < 0.1] = 0.0
+    image[: shape[0] // 3, : shape[1] // 3] = -0.0
+    return image
+
+
+class TestChromaPlanes:
+    """Plane-wise chroma subsampling is byte-identical to the interleaved form."""
+
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    @pytest.mark.parametrize("chroma_blur", [0.0, 0.7])
+    @pytest.mark.parametrize("shape", [(32, 48, 3), (17, 23, 3), (9, 14, 3)])
+    def test_matches_interleaved_oracle(self, factor, chroma_blur, shape):
+        image = _capture_like(shape, seed=factor * 10 + shape[0])
+        expected = _chroma_oracle(image, factor, chroma_blur)
+        out = chroma_subsample(image, factor=factor, chroma_blur=chroma_blur)
+        assert out.shape == expected.shape
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+    def test_conversions_match_interleaved_oracle(self):
+        image = _capture_like((17, 23, 3), seed=8)
+        ycc = rgb_to_ycbcr(image)
+        assert np.array_equal(ycc.view(np.uint64), _ycc_oracle(image).view(np.uint64))
+        rgb = ycbcr_to_rgb(ycc)
+        assert np.array_equal(rgb.view(np.uint64), _rgb_oracle(ycc).view(np.uint64))
 
 
 class TestWhiteBalanceAndQuantize:
