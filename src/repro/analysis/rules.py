@@ -118,7 +118,7 @@ _WALL_CLOCK = frozenset(
 #: Monotonic-clock reads.  Under telemetry/ these are legitimate only in
 #: the span recorder itself (``telemetry/trace.py``); everywhere else —
 #: the report, the Chrome-trace exporter, the percentile aggregator, the
-#: perf ledger and the campaign tail — durations must come from
+#: budget gate and the campaign tail — durations must come from
 #: *recorded* span data, never from a fresh clock read, or exported
 #: artifacts stop being pure functions of their inputs.
 _MONOTONIC_CLOCK = frozenset(
@@ -1031,8 +1031,8 @@ _SCHEMA_KEYS = frozenset({"version", "schema_version"})
 class RB010SchemaVersionHygiene(Rule):
     """Versioned-artifact writers must reference a SCHEMA_VERSION constant.
 
-    The trace header, perf ledger and analysis report each stamp their
-    documents from a single module-level ``*SCHEMA_VERSION`` constant;
+    The trace header and analysis report each stamp their documents
+    from a single module-level ``*SCHEMA_VERSION`` constant;
     a hand-rolled ``{"version": 1}`` literal forks the schema silently
     — the writer and the version-compatibility check drift apart on
     the next bump.  Flags inline int/str constants under a ``version``

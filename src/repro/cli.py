@@ -16,17 +16,17 @@ the worker pool), ``info``/validate one
 ``quality``   channel-quality observatory: render the link-health /
 RS-margin / confusion-matrix report from a telemetry run, or gate it
 against the ``[quality.*]`` budgets (``report [--check]``)
-``perf``      perf-ledger tooling: ``diff`` two snapshots, ``check``
-current timings against a baseline under ``budgets.toml``
+``perf``      perf gate: ``check`` a perfbench result against the
+``[perf.<workload>.*]`` budgets of ``budgets.toml``
 
 The CLI wraps the same public API the examples use; it exists so the
 library is drivable without writing Python.  When ``REPRO_TELEMETRY=1``
 is set, every command flushes its trace/metrics artifacts to
 ``$REPRO_TELEMETRY_DIR`` (default ``telemetry/``) on exit; ``repro
-telemetry report`` then renders them, ``repro telemetry export-trace``
-converts them into Perfetto-loadable Chrome trace JSON, and ``repro
-perf check`` gates per-stage decode timings against the committed
-``BENCH_decode.json`` (exit 0 pass / 1 regression / 2 usage error,
+telemetry report`` then renders them, and ``repro telemetry
+export-trace`` converts them into Perfetto-loadable Chrome trace JSON.
+``repro perf check`` reads the final JSON line of a ``perfbench/run.py``
+run and gates its metrics (exit 0 pass / 1 regression / 2 usage error,
 mirroring ``repro analyze``).
 """
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from .core.encoder import FrameCodecConfig
@@ -273,38 +273,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="perf ledger: diff snapshots, gate timings against budgets",
-        description=(
-            "Works on the benchmark snapshots perf_snapshot.py records "
-            "(BENCH_decode.json and the append-only JSONL ledger).  "
-            "Snapshot arguments accept a .json path or ledger.jsonl@N "
-            "(N may be negative; @-1 is the latest record)."
-        ),
+        help="perf gate: check a perfbench result against budgets",
     )
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-
-    pdiff = perf_sub.add_parser("diff", help="per-stage delta between two snapshots")
-    pdiff.add_argument("snapshot_a", help="old snapshot (.json or ledger.jsonl@N)")
-    pdiff.add_argument("snapshot_b", help="new snapshot (.json or ledger.jsonl@N)")
-
     pcheck = perf_sub.add_parser(
         "check",
-        help="gate stage timings against a baseline under budgets",
+        help="gate a perfbench result against its [perf.<workload>.*] budgets",
         description=(
-            "Measures a fresh per-stage decode breakdown (or loads one "
-            "with --current) and fails if any stage exceeds "
-            "baseline * ratio + slack_ms, or its max_ms cap.  Exit 0 "
-            "pass, 1 regression, 2 usage error."
+            "Reads RESULT, the saved stdout of `python3 perfbench/run.py "
+            "--workload NAME ... --trace 1`, whose last line is the result "
+            "object.  Fails if the run is not correct, if any session "
+            "failed, or if a metric breaks a min/max bound of "
+            "[perf.NAME.\"<metric>\"] (a budgeted metric that is missing "
+            "fails too).  Exit 0 pass, 1 regression, 2 usage error."
         ),
     )
-    pcheck.add_argument("--baseline", default="BENCH_decode.json",
-                        help="baseline snapshot (.json or ledger.jsonl@N)")
+    pcheck.add_argument("result", help="file holding perfbench stdout")
+    pcheck.add_argument("--workload", required=True,
+                        help="perfbench workload whose budgets apply")
     pcheck.add_argument("--budget", default="budgets.toml",
                         help="budgets file (.toml or .json)")
-    pcheck.add_argument("--current", default=None,
-                        help="snapshot to check instead of measuring live")
-    pcheck.add_argument("--repeats", type=int, default=3,
-                        help="best-of repeats for the live measurement")
 
     ana = sub.add_parser(
         "analyze",
@@ -825,12 +813,10 @@ def _cmd_quality(args: argparse.Namespace) -> int:
 
 def _cmd_quality_report(args: argparse.Namespace) -> int:
     from . import telemetry
+    from .telemetry.budgets import check_budgets, format_check, load_budgets
     from .telemetry.quality import (
         build_quality_report,
-        check_quality,
-        format_quality_check,
         format_quality_report,
-        load_quality_budgets,
         write_quality_report,
     )
 
@@ -847,7 +833,7 @@ def _cmd_quality_report(args: argparse.Namespace) -> int:
 
     if args.check:
         try:
-            budgets = load_quality_budgets(args.budget)
+            budgets = load_budgets(args.budget, "quality")
         except (OSError, ValueError) as exc:
             print(f"quality report: {exc}", file=sys.stderr)
             return 2
@@ -855,8 +841,8 @@ def _cmd_quality_report(args: argparse.Namespace) -> int:
             print(f"quality report: no [quality.*] tables in {args.budget}",
                   file=sys.stderr)
             return 2
-        verdicts = check_quality(report["summary"], budgets)
-        print(format_quality_check(verdicts))
+        verdicts = check_budgets(report["summary"], budgets)
+        print(format_check(verdicts, "quality check"))
         return 0 if all(v.ok for v in verdicts) else 1
 
     print(format_quality_report(report))
@@ -866,54 +852,53 @@ def _cmd_quality_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from .telemetry.perf import (
-        check_scaling,
-        check_snapshot,
-        diff_snapshots,
-        format_check,
-        format_diff,
-        format_scaling,
-        load_budgets,
-        load_scaling_budgets,
-        measure_stage_breakdown,
-        resolve_snapshot,
-    )
+def _read_perfbench_result(path: str) -> dict[str, Any]:
+    """The result object on the last line of a saved perfbench stdout."""
+    import json
 
-    if args.perf_command == "diff":
-        try:
-            a = resolve_snapshot(args.snapshot_a)
-            b = resolve_snapshot(args.snapshot_b)
-        except (OSError, ValueError) as exc:
-            print(f"perf diff: {exc}", file=sys.stderr)
-            return 2
-        print(format_diff(diff_snapshots(a, b), args.snapshot_a, args.snapshot_b))
-        return 0
-
+    lines = Path(path).read_text().rstrip().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty, expected perfbench stdout")
     try:
-        baseline = resolve_snapshot(args.baseline)
-        budgets = load_budgets(args.budget)
-        scaling_budgets = load_scaling_budgets(args.budget)
-        if args.current is not None:
-            current = resolve_snapshot(args.current)
-        else:
-            current = measure_stage_breakdown(repeats=args.repeats)
-        verdicts = check_snapshot(current, baseline, budgets)
-        # The scaling gate is host-aware: entries record the cpu count
-        # they were measured with, and a host with fewer cores than
-        # workers is held only to the no-regression floor.  A live
-        # check carries no scaling entries, so the committed baseline's
-        # evidence is gated instead.
-        scaling_verdicts = check_scaling(current, scaling_budgets, fallback=baseline)
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: last line is not JSON ({exc.msg})") from exc
+    if not (
+        isinstance(result, dict)
+        and isinstance(result.get("correct"), bool)
+        and isinstance(result.get("failed"), int)
+        and isinstance(result.get("metrics"), dict)
+    ):
+        raise ValueError(f"{path}: last line is not a perfbench result object")
+    return result
+
+
+def _cmd_perf(args: argparse.Namespace) -> int:
+    from .telemetry.budgets import Verdict, check_budgets, format_check, load_budgets
+
+    table = f"perf.{args.workload}"
+    try:
+        budgets = load_budgets(args.budget, table)
+        result = _read_perfbench_result(args.result)
     except (OSError, ValueError) as exc:
         print(f"perf check: {exc}", file=sys.stderr)
         return 2
-    print(format_check(verdicts))
-    if scaling_verdicts:
-        print()
-        print(format_scaling(scaling_verdicts))
-    ok = all(v.ok for v in verdicts) and all(v.ok for v in scaling_verdicts)
-    return 0 if ok else 1
+    if not budgets:
+        print(f"perf check: no [{table}.*] tables in {args.budget}", file=sys.stderr)
+        return 2
+    # A malformed metric entry reads as not recorded, which fails its budget.
+    metrics = {
+        name: entry.get("value") if isinstance(entry, dict) else None
+        for name, entry in result["metrics"].items()
+    }
+    correct = result["correct"] and result["failed"] == 0
+    verdicts = [
+        Verdict("failed", result["failed"], None, 0.0, correct,
+                "" if correct else "run not correct"),
+        *check_budgets(metrics, budgets),
+    ]
+    print(format_check(verdicts, "perf check"))
+    return 0 if all(v.ok for v in verdicts) else 1
 
 
 _COMMANDS = {

@@ -1,7 +1,7 @@
 """Persistent decode service: long-lived workers, shared-memory frames.
 
 This subpackage is the fix for the parallel engine's negative scaling
-(``BENCH_decode.json`` pre-service: 4 workers at 0.38x of serial).  It
+(pre-service, 4 workers decoded at 0.38x of serial).  It
 replaces the executor-per-call pattern with:
 
 * :class:`WorkerPool` — workers spawned once (fork: warm caches), jobs

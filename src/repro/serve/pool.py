@@ -3,7 +3,7 @@
 The previous parallel engine paid a process-pool executor per *call*:
 every batch re-spawned workers with cold capture caches and pickled
 full frame arrays both ways, which is how 4 workers managed to run at
-0.38x of serial (``BENCH_decode.json``, pre-service).  This pool is the
+0.38x of serial in the pre-service decode benchmark.  This pool is the
 fix and the substrate for the decode *service*:
 
 * **workers are spawned once** (fork by default, so they inherit the

@@ -1,8 +1,7 @@
-"""Performance observatory: trace export, percentile aggregation, perf gate.
+"""Performance observatory: trace export, percentile aggregation, campaign tail.
 
 This subpackage turns the artifacts a telemetry-enabled run already
-produces (span trees, JSONL event shards, benchmark snapshots) into
-performance tooling:
+produces (span trees, JSONL event shards) into performance tooling:
 
 * :mod:`~repro.telemetry.perf.chrome_trace` — export recorded spans as
   Chrome ``trace_event`` JSON loadable in Perfetto / ``chrome://tracing``
@@ -10,8 +9,6 @@ performance tooling:
 * :mod:`~repro.telemetry.perf.aggregate` — fold per-trial span trees
   into per-stage wall/self-time p50/p95/p99 with a bit-identical,
   associative merge (``repro telemetry aggregate``);
-* :mod:`~repro.telemetry.perf.ledger` — the append-only perf ledger,
-  snapshot diffing and the budget regression gate (``repro perf``);
 * :mod:`~repro.telemetry.perf.tail` — live campaign progress from
   worker heartbeats (``repro telemetry tail``).
 
@@ -31,28 +28,6 @@ from .chrome_trace import (
     to_chrome_trace,
     validate_chrome_trace,
 )
-from .ledger import (
-    LEDGER_SCHEMA_VERSION,
-    Budget,
-    ScalingBudget,
-    ScalingVerdict,
-    StageVerdict,
-    append_record,
-    check_scaling,
-    check_snapshot,
-    diff_snapshots,
-    format_check,
-    format_diff,
-    format_scaling,
-    load_budgets,
-    load_scaling_budgets,
-    measure_stage_breakdown,
-    read_ledger,
-    resolve_snapshot,
-    snapshot_host,
-    snapshot_stage_ms,
-    stamp_snapshot,
-)
 from .tail import ScenarioProgress, collect_progress, format_progress, tail
 
 __all__ = [
@@ -66,26 +41,6 @@ __all__ = [
     "to_chrome_trace",
     "export_chrome_trace",
     "validate_chrome_trace",
-    "LEDGER_SCHEMA_VERSION",
-    "Budget",
-    "ScalingBudget",
-    "ScalingVerdict",
-    "StageVerdict",
-    "append_record",
-    "read_ledger",
-    "resolve_snapshot",
-    "snapshot_host",
-    "stamp_snapshot",
-    "snapshot_stage_ms",
-    "diff_snapshots",
-    "format_diff",
-    "load_budgets",
-    "load_scaling_budgets",
-    "check_snapshot",
-    "check_scaling",
-    "format_check",
-    "format_scaling",
-    "measure_stage_breakdown",
     "ScenarioProgress",
     "collect_progress",
     "format_progress",

@@ -1,4 +1,4 @@
-"""Channel-quality observatory: link-health indicators and the quality gate.
+"""Channel-quality observatory: link-health indicators and their summary.
 
 This module is the read/write vocabulary for every channel-quality
 indicator the pipeline records:
@@ -21,11 +21,12 @@ registry's merge discipline: folded per capture, in capture order, the
 result is bit-identical no matter how many worker processes decoded.
 
 The read side turns a metrics snapshot into a :func:`quality_summary`,
-renders it (`repro quality report`) and gates it against the
-``[quality.*]`` tables of ``budgets.toml`` (`repro quality report
---check`, exit 0 pass / 1 fail / 2 usage).  :class:`QualityFeedback`
-condenses the summary into the channel-pressure signal
-:class:`~repro.link.adaptive.AdaptiveConfigurator` consumes.
+renders it (`repro quality report`), and `repro quality report
+--check` gates it against the ``[quality.*]`` tables of
+``budgets.toml`` through :mod:`repro.telemetry.budgets`.
+:class:`QualityFeedback` condenses the summary into the
+channel-pressure signal :class:`~repro.link.adaptive.AdaptiveConfigurator`
+consumes.
 """
 
 from __future__ import annotations
@@ -53,11 +54,6 @@ __all__ = [
     "build_quality_report",
     "format_quality_report",
     "write_quality_report",
-    "QualityBudget",
-    "QualityVerdict",
-    "load_quality_budgets",
-    "check_quality",
-    "format_quality_check",
     "QualityFeedback",
 ]
 
@@ -364,120 +360,6 @@ def write_quality_report(
     json_path = out / f"{stem}.json"
     json_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return txt_path, json_path
-
-
-# -- the gate ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QualityBudget:
-    """Acceptable range for one summary indicator (min and/or max)."""
-
-    metric: str
-    min_value: float | None = None
-    max_value: float | None = None
-
-
-@dataclass(frozen=True)
-class QualityVerdict:
-    """Outcome of one indicator's budget comparison."""
-
-    metric: str
-    value: float | None
-    min_value: float | None
-    max_value: float | None
-    ok: bool
-    note: str = ""
-
-
-def load_quality_budgets(path: str | Path) -> dict[str, QualityBudget]:
-    """Parse ``[quality.<metric>]`` tables from a budgets file.
-
-    Shares the perf gate's budgets file (``budgets.toml`` /  ``.json``,
-    schema v1); files without quality tables return an empty mapping.
-    Each table needs at least one of ``min`` / ``max``.
-    """
-    from .perf.ledger import _load_budget_doc
-
-    path = Path(path)
-    doc = _load_budget_doc(path)
-    out: dict[str, QualityBudget] = {}
-    for name, entry in doc.get("quality", {}).items():
-        if not isinstance(entry, Mapping):
-            raise ValueError(f"{path}: [quality.{name}] must be a table/object")
-        unknown = set(entry) - {"min", "max"}
-        if unknown:
-            raise ValueError(f"{path}: unknown quality budget keys {sorted(unknown)}")
-        minimum = entry.get("min")
-        maximum = entry.get("max")
-        if minimum is None and maximum is None:
-            raise ValueError(f"{path}: [quality.{name}] needs a min and/or max bound")
-        out[str(name)] = QualityBudget(
-            metric=str(name),
-            min_value=float(minimum) if minimum is not None else None,
-            max_value=float(maximum) if maximum is not None else None,
-        )
-    return out
-
-
-def check_quality(
-    summary: Mapping[str, Any], budgets: Mapping[str, QualityBudget]
-) -> list[QualityVerdict]:
-    """Gate a quality summary against its budgets, one verdict per metric.
-
-    A budgeted metric the run never recorded **fails** — a gate that
-    passes because nothing was measured would hide a dead observatory.
-    """
-    verdicts: list[QualityVerdict] = []
-    for name in sorted(budgets):
-        budget = budgets[name]
-        raw = summary.get(name)
-        if raw is None:
-            verdicts.append(
-                QualityVerdict(
-                    name, None, budget.min_value, budget.max_value, False,
-                    "metric not recorded",
-                )
-            )
-            continue
-        value = float(raw)
-        ok = True
-        notes: list[str] = []
-        if budget.min_value is not None and value < budget.min_value:
-            ok = False
-            notes.append("below minimum")
-        if budget.max_value is not None and value > budget.max_value:
-            ok = False
-            notes.append("above maximum")
-        verdicts.append(
-            QualityVerdict(
-                name, value, budget.min_value, budget.max_value, ok, "; ".join(notes)
-            )
-        )
-    return verdicts
-
-
-def format_quality_check(verdicts: list[QualityVerdict]) -> str:
-    """Human-readable verdict table for :func:`check_quality`."""
-    header = f"{'metric':<28} {'value':>10} {'min':>8} {'max':>8} {'verdict':>8}"
-    lines = [header, "-" * len(header)]
-    for v in verdicts:
-        value = f"{v.value:.4f}" if v.value is not None else "-"
-        minimum = f"{v.min_value:.4f}" if v.min_value is not None else "-"
-        maximum = f"{v.max_value:.4f}" if v.max_value is not None else "-"
-        verdict = "ok" if v.ok else "FAIL"
-        suffix = f"  ({v.note})" if v.note else ""
-        lines.append(
-            f"{v.metric:<28} {value:>10} {minimum:>8} {maximum:>8} {verdict:>8}{suffix}"
-        )
-    failed = [v.metric for v in verdicts if not v.ok]
-    lines.append("")
-    lines.append(
-        "quality check: PASS"
-        if not failed
-        else f"quality check: FAIL ({', '.join(failed)})"
-    )
-    return "\n".join(lines)
 
 
 # -- adaptive feedback ------------------------------------------------------

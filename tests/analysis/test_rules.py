@@ -327,7 +327,7 @@ def test_rb004_monotonic_variants_flagged():
         def tick():
             return time.monotonic(), time.monotonic_ns(), time.perf_counter_ns()
         """,
-        relpath="repro/telemetry/perf/ledger.py",
+        relpath="repro/telemetry/perf/aggregate.py",
         select=["RB004"],
     )
     assert rules_of(violations) == ["RB004"] * 3

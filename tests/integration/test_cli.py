@@ -165,13 +165,84 @@ class TestPerformanceObservatory:
         out = capsys.readouterr().out
         assert "glare" in out and "1/4" in out and "corners=2" in out
 
-    def test_perf_check_against_committed_baseline(self, capsys):
-        # The committed BENCH_decode.json doubles as its own current
-        # snapshot: identity must always fit inside the budgets.
-        assert main(["perf", "check", "--baseline", "BENCH_decode.json",
-                     "--budget", "budgets.toml",
-                     "--current", "BENCH_decode.json"]) == 0
-        assert "PASS" in capsys.readouterr().out
+
+def _perfbench_stdout(path, metrics, *, correct=True, failed=0):
+    """Write a synthetic perfbench stdout: report lines, then the result object."""
+    import json
+
+    result = {
+        "correct": correct,
+        "attempted": 4,
+        "failed": failed,
+        "metrics": {name: {"value": value, "unit": "ms"} for name, value in metrics.items()},
+    }
+    path.write_text(
+        "workload=receive_replay seed=1 seconds=5 trace=1\n"
+        "digest receive_replay 1e788f61\n" + json.dumps(result) + "\n"
+    )
+    return path
+
+
+class TestPerfCheck:
+    """`repro perf check` on saved perfbench stdout, gated by the repo's budgets."""
+
+    @pytest.fixture(scope="class")
+    def bounds(self):
+        from repro.telemetry.budgets import load_budgets
+
+        return {name: b.max_value for name, b in
+                load_budgets("budgets.toml", "perf.receive_replay").items()}
+
+    def test_repo_budgets_bound_every_decode_stage(self, bounds):
+        stages = ("input", "brightness", "corners", "locators", "classify", "header",
+                  "tracking")
+        assert set(bounds) == {f"decoder.{s}_ms" for s in stages} | {"decoder.extract_ms_p50"}
+        assert bounds["decoder.corners_ms"] == pytest.approx(3 * 28.194 + 10)
+        assert bounds["decoder.extract_ms_p50"] == pytest.approx(2.5 * 47.203 + 20)
+
+    def test_at_the_bound_passes(self, bounds, tmp_path, capsys):
+        result = _perfbench_stdout(tmp_path / "replay.txt", {**bounds, "session_ms_p50": 9e9})
+        assert main(["perf", "check", "--workload", "receive_replay", str(result)]) == 0
+        assert "perf check: PASS" in capsys.readouterr().out
+
+    def test_stage_just_over_its_bound_fails_naming_it(self, bounds, tmp_path, capsys):
+        metrics = {**bounds, "decoder.corners_ms": bounds["decoder.corners_ms"] + 0.01}
+        result = _perfbench_stdout(tmp_path / "replay.txt", metrics)
+        assert main(["perf", "check", "--workload", "receive_replay", str(result)]) == 1
+        assert "perf check: FAIL (decoder.corners_ms)" in capsys.readouterr().out
+
+    def test_missing_budgeted_metric_fails(self, bounds, tmp_path, capsys):
+        metrics = {k: v for k, v in bounds.items() if k != "decoder.header_ms"}
+        result = _perfbench_stdout(tmp_path / "replay.txt", metrics)
+        assert main(["perf", "check", "--workload", "receive_replay", str(result)]) == 1
+        out = capsys.readouterr().out
+        assert "metric not recorded" in out and "FAIL (decoder.header_ms)" in out
+
+    @pytest.mark.parametrize("correct, failed", [(False, 0), (False, 1), (True, 1)])
+    def test_incorrect_run_fails(self, bounds, tmp_path, capsys, correct, failed):
+        result = _perfbench_stdout(tmp_path / "replay.txt", bounds,
+                                   correct=correct, failed=failed)
+        assert main(["perf", "check", "--workload", "receive_replay", str(result)]) == 1
+        assert "run not correct" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "\n", "workload=receive_replay\nperf check: PASS\n", '{"correct": true}\n'],
+    )
+    def test_unreadable_result_is_usage_error(self, tmp_path, capsys, text):
+        result = tmp_path / "replay.txt"
+        result.write_text(text)
+        assert main(["perf", "check", "--workload", "receive_replay", str(result)]) == 2
+        assert "perf check:" in capsys.readouterr().err
+
+    def test_missing_file_and_unbudgeted_workload_are_usage_errors(
+        self, bounds, tmp_path, capsys
+    ):
+        missing = tmp_path / "nowhere.txt"
+        assert main(["perf", "check", "--workload", "receive_replay", str(missing)]) == 2
+        result = _perfbench_stdout(tmp_path / "replay.txt", bounds)
+        assert main(["perf", "check", "--workload", "nonesuch", str(result)]) == 2
+        assert "no [perf.nonesuch.*] tables" in capsys.readouterr().err
 
 
 class TestTrace:

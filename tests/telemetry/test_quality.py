@@ -7,18 +7,15 @@ import pytest
 
 from repro.coding.reed_solomon import CodewordStats, RSDecodeStats
 from repro.core.palette import DATA_COLORS
+from repro.telemetry.budgets import Budget, check_budgets, format_check, load_budgets
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.quality import (
     ERASED_LABEL,
     SYMBOL_COLORS,
-    QualityBudget,
     QualityFeedback,
     build_quality_report,
-    check_quality,
     confusion_matrix,
-    format_quality_check,
     format_quality_report,
-    load_quality_budgets,
     quality_summary,
     record_confusion,
     record_round_goodput,
@@ -164,54 +161,88 @@ class TestReport:
         assert doc["summary"]["symbol_errors"] == 0
 
 
+BUDGETS_TOML = """
+schema_version = 1
+[quality.rs_margin_mean]
+min = 0.25
+[quality.symbol_error_rate]
+max = 0.05
+[perf.receive_replay."decoder.corners_ms"]
+max = 94.582
+"""
+
+
 class TestBudgetsAndGate:
     def test_load_quality_budgets(self, tmp_path):
         path = tmp_path / "budgets.toml"
-        path.write_text(
-            "schema_version = 1\n"
-            "[quality.rs_margin_mean]\nmin = 0.25\n"
-            "[quality.symbol_error_rate]\nmax = 0.05\n"
-        )
-        budgets = load_quality_budgets(path)
+        path.write_text(BUDGETS_TOML)
+        budgets = load_budgets(path, "quality")
         assert budgets["rs_margin_mean"].min_value == 0.25
         assert budgets["symbol_error_rate"].max_value == 0.05
+        # The same loader reads the perf tables, whose metric keys hold dots.
+        perf = load_budgets(path, "perf.receive_replay")
+        assert perf == {"decoder.corners_ms": Budget("decoder.corners_ms", max_value=94.582)}
+        assert load_budgets(path, "perf.transfer") == {}
+
+    def test_toml_and_json_load_identically(self, tmp_path):
+        toml_path = tmp_path / "budgets.toml"
+        toml_path.write_text(BUDGETS_TOML)
+        json_path = tmp_path / "budgets.json"
+        json_path.write_text(json.dumps({
+            "schema_version": 1,
+            "quality": {"rs_margin_mean": {"min": 0.25}, "symbol_error_rate": {"max": 0.05}},
+            "perf": {"receive_replay": {"decoder.corners_ms": {"max": 94.582}}},
+        }))
+        for table in ("quality", "perf.receive_replay"):
+            assert load_budgets(toml_path, table) == load_budgets(json_path, table)
+
+    def test_unknown_keys_and_versions_rejected(self, tmp_path):
+        path = tmp_path / "budgets.json"
+        path.write_text(json.dumps({"perf": {"transfer": {"session_ms_p50": {"maxx": 1}}}}))
+        with pytest.raises(ValueError, match="unknown perf.transfer budget keys"):
+            load_budgets(path, "perf.transfer")
+        path.write_text(json.dumps({"schema_version": 99}))
+        with pytest.raises(ValueError, match="schema_version"):
+            load_budgets(path, "quality")
+        with pytest.raises(ValueError, match=r"\.toml or \.json"):
+            load_budgets(tmp_path / "budgets.yaml", "quality")
 
     def test_repo_budgets_parse(self):
-        budgets = load_quality_budgets("budgets.toml")
+        budgets = load_budgets("budgets.toml", "quality")
         assert "rs_margin_mean" in budgets
 
     def test_budget_without_bounds_rejected(self, tmp_path):
         path = tmp_path / "budgets.toml"
         path.write_text("schema_version = 1\n[quality.rs_margin_mean]\n")
         with pytest.raises(ValueError, match="min and/or max"):
-            load_quality_budgets(path)
+            load_budgets(path, "quality")
 
     def test_unknown_budget_keys_rejected(self, tmp_path):
         path = tmp_path / "budgets.toml"
         path.write_text("schema_version = 1\n[quality.x]\nminimum = 1.0\n")
         with pytest.raises(ValueError, match="unknown quality budget keys"):
-            load_quality_budgets(path)
+            load_budgets(path, "quality")
 
     def test_gate_pass_fail_and_missing(self):
         budgets = {
-            "rs_margin_mean": QualityBudget("rs_margin_mean", min_value=0.25),
-            "symbol_error_rate": QualityBudget("symbol_error_rate", max_value=0.05),
-            "never_recorded": QualityBudget("never_recorded", min_value=0.0),
+            "rs_margin_mean": Budget("rs_margin_mean", min_value=0.25),
+            "symbol_error_rate": Budget("symbol_error_rate", max_value=0.05),
+            "never_recorded": Budget("never_recorded", min_value=0.0),
         }
         summary = {"rs_margin_mean": 0.1, "symbol_error_rate": 0.01, "never_recorded": None}
-        verdicts = {v.metric: v for v in check_quality(summary, budgets)}
+        verdicts = {v.metric: v for v in check_budgets(summary, budgets)}
         assert not verdicts["rs_margin_mean"].ok
         assert verdicts["symbol_error_rate"].ok
         assert not verdicts["never_recorded"].ok
         assert verdicts["never_recorded"].note == "metric not recorded"
-        rendered = format_quality_check(list(verdicts.values()))
+        rendered = format_check(list(verdicts.values()), "quality check")
         assert "quality check: FAIL" in rendered
 
     def test_gate_all_pass_renders_pass(self):
-        budgets = {"symbol_error_rate": QualityBudget("symbol_error_rate", max_value=0.1)}
-        verdicts = check_quality({"symbol_error_rate": 0.0}, budgets)
+        budgets = {"symbol_error_rate": Budget("symbol_error_rate", max_value=0.1)}
+        verdicts = check_budgets({"symbol_error_rate": 0.0}, budgets)
         assert all(v.ok for v in verdicts)
-        assert "quality check: PASS" in format_quality_check(verdicts)
+        assert "quality check: PASS" in format_check(verdicts, "quality check")
 
 
 class TestQualityFeedback:
