@@ -36,13 +36,12 @@ from ..coding.interleave import Interleaver
 from ..coding.reed_solomon import BlockCode, RSDecodeError
 from ..core.blur import BestCaptureSelector
 from ..core.brightness import DEFAULT_T_SAT, estimate_black_threshold
-from ..core.corners import CornerDetectionError, CornerTracker
+from ..core.corners import CornerDetectionError, CornerTracker, ring_colors, tracker_candidates
 from ..core.decoder import _COLOR_TO_SYMBOL, DecodeError, FrameResult
 from ..core.header import HEADER_BYTES, FrameHeader, HeaderError
 from ..core.locators import walk_locator_column
 from ..core.palette import Color, bytes_to_symbols, rgb_table, symbols_to_bytes
 from ..core.recognition import ColorClassifier
-from ..imaging.segmentation import component_stats, connected_components
 
 __all__ = ["CobraLayout", "CobraConfig", "CobraEncoder", "CobraDecoder", "CobraReceiver"]
 
@@ -315,34 +314,24 @@ class CobraDecoder:
     def _detect_corners(
         self, image: np.ndarray, classifier: ColorClassifier
     ) -> dict[str, CornerTracker]:
-        black = classifier.classify_pixels(image) == int(Color.BLACK)
-        labels, count = connected_components(black)
-        min_area = max(1, int((0.5 * self.min_block_px) ** 2))
-        comps = component_stats(labels, count, min_area=min_area,
-                                max_area=int((2 * self.max_block_px) ** 2))
-        angles = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        candidates = tracker_candidates(
+            classifier.black_mask(image), self.min_block_px, self.max_block_px
+        )
         found: dict[Color, list[CornerTracker]] = {}
-        for comp in comps:
-            side = 0.5 * (comp.width + comp.height)
-            if not self.min_block_px <= side <= self.max_block_px:
-                continue
-            if comp.aspect > 2.0 or comp.fill_ratio < 0.5:
-                continue
-            cx, cy = comp.centroid
-            ring = np.column_stack(
-                [cx + 1.1 * comp.width * np.cos(angles), cy + 1.1 * comp.height * np.sin(angles)]
-            )
-            ring_colors = classifier.classify_centers(image, ring)
-            for color in (Color.GREEN, Color.RED, Color.BLUE):
-                purity = float(np.mean(ring_colors == int(color)))
-                # 0.7 rather than RainBar's 0.8: chroma subsampling in
-                # the camera pipeline desaturates the blue ring (low
-                # luma) around the black center.
-                if purity < 0.7:
-                    continue
-                found.setdefault(color, []).append(
-                    CornerTracker((cx, cy), side, color, purity)
+        if len(candidates):
+            colors = ring_colors(image, classifier, candidates)
+            ring_palette = (Color.GREEN, Color.RED, Color.BLUE)
+            purity = np.stack([np.mean(colors == int(c), axis=1) for c in ring_palette], axis=1)
+            # 0.7 rather than RainBar's 0.8: chroma subsampling in the
+            # camera pipeline desaturates the blue ring (low luma)
+            # around the black center.
+            for i, j in zip(*np.nonzero(purity >= 0.7)):
+                cx, cy = candidates.centroid[i]
+                tracker = CornerTracker(
+                    (float(cx), float(cy)), float(candidates.side[i]), ring_palette[j],
+                    float(purity[i, j]),
                 )
+                found.setdefault(ring_palette[j], []).append(tracker)
 
         greens = sorted(found.get(Color.GREEN, []), key=lambda t: -t.purity)[:2]
         if len(greens) < 2 or Color.RED not in found or Color.BLUE not in found:
@@ -376,6 +365,7 @@ class CobraDecoder:
         from the tracker center to the border first.
         """
         layout = self.config.layout
+        black = classifier.black_mask(image)
         block = float(np.mean([c.block_size for c in corners.values()]))
         centers = {k: np.array(v.center) for k, v in corners.items()}
 
@@ -396,9 +386,7 @@ class CobraDecoder:
             step_along = (b - a) / np.linalg.norm(b - a)
             cells = layout.trb_cells[border]
             count = len(cells)
-            walk = walk_locator_column(
-                image, classifier, start, step_along * 2.0 * block, count, block
-            )
+            walk = walk_locator_column(black, start, step_along * 2.0 * block, count, block)
             out[border] = walk.positions
         return out
 

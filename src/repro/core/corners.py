@@ -10,10 +10,10 @@ Detection strategy (the fast-scan of COBRA Section 4.5, recast on a
 component labeling): classify the capture's dark pixels with the
 estimated T_v, label connected black components, keep square-ish solid
 blobs of plausible block size, and test the color purity of a sample
-ring at ~1.1 block radius around each candidate's centroid.  The green
-and red candidates with the purest rings are the CTs; the candidate
-geometry also yields the first estimate of the captured block size
-(the paper's BST).
+ring at ~1.1 block radius around each candidate's centroid (all rings
+are classified in one batch).  The green and red candidates with the
+purest rings are the CTs; the candidate geometry also yields the first
+estimate of the captured block size (the paper's BST).
 """
 
 from __future__ import annotations
@@ -22,11 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..imaging.segmentation import component_stats, connected_components
+from ..imaging.segmentation import ComponentTable, component_stats, connected_components
 from .palette import Color
 from .recognition import ColorClassifier
 
-__all__ = ["CornerTracker", "CornerDetection", "CornerDetectionError", "detect_corner_trackers"]
+__all__ = [
+    "CornerTracker",
+    "CornerDetection",
+    "CornerDetectionError",
+    "detect_corner_trackers",
+    "ring_colors",
+    "tracker_candidates",
+]
 
 _RING_SAMPLES = 16
 _RING_PURITY = 0.8
@@ -82,14 +89,51 @@ class CornerDetection:
         return perpendicular * self.block_size
 
 
+def tracker_candidates(
+    black: np.ndarray, min_block_px: float, max_block_px: float
+) -> ComponentTable:
+    """Square-ish solid black components of plausible block size."""
+    labels, count = connected_components(black)
+    min_area = max(1, int((0.5 * min_block_px) ** 2))
+    max_area = int((2.0 * max_block_px) ** 2)
+    table = component_stats(labels, count, min_area=min_area, max_area=max_area)
+    keep = (table.side >= min_block_px) & (table.side <= max_block_px)
+    keep &= (table.aspect <= _MAX_ASPECT) & (table.fill_ratio >= _MIN_FILL)
+    return table[keep]
+
+
+def ring_colors(
+    image: np.ndarray, classifier: ColorClassifier, candidates: ComponentTable
+) -> np.ndarray:
+    """Colors of the ``(M, 16)`` sample rings around *candidates*.
+
+    Elliptical ring at ~1.1 block radius: foreshortening squeezes a
+    tracker along one axis, so each axis uses its own measured extent.
+    All rings are classified in one batch.
+    """
+    angles = np.linspace(0.0, 2.0 * np.pi, _RING_SAMPLES, endpoint=False)
+    radius_x = (1.1 * candidates.width)[:, np.newaxis]
+    radius_y = (1.1 * candidates.height)[:, np.newaxis]
+    ring = np.stack(
+        [
+            candidates.centroid[:, :1] + radius_x * np.cos(angles),
+            candidates.centroid[:, 1:] + radius_y * np.sin(angles),
+        ],
+        axis=-1,
+    )
+    return classifier.classify_centers(image, ring.reshape(-1, 2)).reshape(-1, _RING_SAMPLES)
+
+
 def detect_corner_trackers(
     image: np.ndarray,
     classifier: ColorClassifier,
+    black: np.ndarray,
     min_block_px: float = 3.0,
     max_block_px: float = 40.0,
 ) -> CornerDetection:
     """Find the two corner trackers of a captured frame.
 
+    *black* is the capture's ``classifier.black_mask(image)``.
     ``min_block_px``/``max_block_px`` bound the plausible captured block
     size (the paper's B_min/B_max, scaled by the capture geometry) and
     filter the black-component candidates.
@@ -97,40 +141,23 @@ def detect_corner_trackers(
     Raises :exc:`CornerDetectionError` when either tracker is missing —
     the caller counts the capture as undecodable.
     """
-    image = np.asarray(image, dtype=np.float64)
-    black_mask = classifier.black_mask(image)
-    labels, count = connected_components(black_mask)
-    min_area = max(1, int((0.5 * min_block_px) ** 2))
-    max_area = int((2.0 * max_block_px) ** 2)
-    candidates = component_stats(labels, count, min_area=min_area, max_area=max_area)
-
+    candidates = tracker_candidates(black, min_block_px, max_block_px)
     best: dict[Color, CornerTracker] = {}
-    angles = np.linspace(0.0, 2.0 * np.pi, _RING_SAMPLES, endpoint=False)
-    for comp in candidates:
-        side = 0.5 * (comp.width + comp.height)
-        if not min_block_px <= side <= max_block_px:
-            continue
-        if comp.aspect > _MAX_ASPECT or comp.fill_ratio < _MIN_FILL:
-            continue
-        cx, cy = comp.centroid
-        # Elliptical ring: foreshortening squeezes the tracker along one
-        # axis, so each axis uses its own measured extent.
-        radius_x = 1.1 * comp.width
-        radius_y = 1.1 * comp.height
-        ring = np.column_stack(
-            [cx + radius_x * np.cos(angles), cy + radius_y * np.sin(angles)]
-        )
-        ring_colors = classifier.classify_centers(image, ring)
+    if len(candidates):
+        colors = ring_colors(image, classifier, candidates)
         for color in (Color.GREEN, Color.RED):
-            purity = float(np.mean(ring_colors == int(color)))
-            if purity < _RING_PURITY:
-                continue
-            tracker = CornerTracker(
-                center=(cx, cy), block_size=side, ring_color=color, purity=purity
-            )
-            incumbent = best.get(color)
-            if incumbent is None or purity > incumbent.purity:
-                best[color] = tracker
+            purity = np.mean(colors == int(color), axis=1)
+            # argmax takes the first maximum: the purest ring wins and
+            # the lowest label wins a tie.
+            i = int(np.argmax(purity))
+            if purity[i] >= _RING_PURITY:
+                cx, cy = candidates.centroid[i]
+                best[color] = CornerTracker(
+                    center=(float(cx), float(cy)),
+                    block_size=float(candidates.side[i]),
+                    ring_color=color,
+                    purity=float(purity[i]),
+                )
 
     if Color.GREEN not in best or Color.RED not in best:
         missing = [c.name for c in (Color.GREEN, Color.RED) if c not in best]

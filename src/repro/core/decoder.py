@@ -386,15 +386,18 @@ class FrameDecoder:
         )
 
         with stage("corners"):
+            # One black mask serves corners and locators: both only ask
+            # which pixels classify as black.
+            black = classifier.black_mask(image)
             try:
                 corners = detect_corner_trackers(
-                    image, classifier, self.min_block_px, self.max_block_px
+                    image, classifier, black, self.min_block_px, self.max_block_px
                 )
             except CornerDetectionError as exc:
                 raise DecodeError(str(exc), stage="corners") from exc
 
         with stage("locators"):
-            localizer = self._localize(image, classifier, corners)
+            localizer = self._localize(black, corners)
             centers = localizer.cell_centers(layout.data_cells)
             if not self.use_middle_locator:
                 centers = localizer.two_point_centers_naive(layout.data_cells)
@@ -549,23 +552,18 @@ class FrameDecoder:
 
     # -- internals ---------------------------------------------------------
 
-    def _localize(
-        self,
-        image: np.ndarray,
-        classifier: ColorClassifier,
-        corners: CornerDetection,
-    ) -> BlockLocalizer:
+    def _localize(self, black: np.ndarray, corners: CornerDetection) -> BlockLocalizer:
         layout = self.config.layout
         count = len(list(layout.locator_rows))
         step = corners.row_step() * 2.0
         block = corners.block_size
 
         left = walk_locator_column(
-            image, classifier, np.array(corners.left.center), step, count, block,
+            black, np.array(corners.left.center), step, count, block,
             column=layout.left_locator_col, start_row=layout.ct_center_row,
         )
         right = walk_locator_column(
-            image, classifier, np.array(corners.right.center), step, count, block,
+            black, np.array(corners.right.center), step, count, block,
             column=layout.right_locator_col, start_row=layout.ct_center_row,
         )
 
@@ -578,14 +576,14 @@ class FrameDecoder:
         midpoint = self._middle_seed(corners, left, right)
         try:
             first_mid = find_first_middle_locator(
-                image, classifier, midpoint, block, self.min_block_px, self.max_block_px
+                black, midpoint, block, self.min_block_px, self.max_block_px
             )
         except LocatorError as exc:
             if self.use_middle_locator:
                 raise DecodeError(str(exc), stage="locators") from exc
             first_mid = midpoint  # ablation path tolerates a missing middle
         middle = walk_locator_column(
-            image, classifier, first_mid, step, count, block,
+            black, first_mid, step, count, block,
             column=layout.middle_locator_col, start_row=layout.ct_center_row,
         )
 
@@ -651,38 +649,6 @@ class FrameDecoder:
             # 0x00); a real sender always advertises a non-zero rate.
             raise DecodeError("header implausible: display rate 0", stage="header")
         return header
-
-    def _read_header(
-        self,
-        image: np.ndarray,
-        classifier: ColorClassifier,
-        localizer: BlockLocalizer,
-    ) -> FrameHeader:
-        layout = self.config.layout
-        centers = localizer.cell_centers(layout.header_cells)
-        colors = classifier.classify_centers(image, centers)
-        return self._parse_header(_COLOR_TO_SYMBOL[colors])
-
-    def _read_tracking_bars(
-        self,
-        image: np.ndarray,
-        classifier: ColorClassifier,
-        localizer: BlockLocalizer,
-        header: FrameHeader,
-    ) -> np.ndarray:
-        """Per-row frame assignment from the left/right tracking bars."""
-        layout = self.config.layout
-        if not self.use_tracking_bars:
-            # Ablation A3: a receiver without frame synchronization
-            # assumes every captured row belongs to the header's frame —
-            # exactly what COBRA does, and what fails once f_d > f_c/2.
-            return np.zeros(layout.grid_rows, dtype=np.int64)
-        rows = np.arange(layout.grid_rows)
-        left_centers = localizer.column_centers(rows, 0)
-        right_centers = localizer.column_centers(rows, layout.grid_cols - 1)
-        left_sym = _COLOR_TO_SYMBOL[classifier.classify_centers(image, left_centers)]
-        right_sym = _COLOR_TO_SYMBOL[classifier.classify_centers(image, right_centers)]
-        return _assign_rows(left_sym, right_sym, header.tracking_indicator)
 
     # -- batch decoding ----------------------------------------------------
 

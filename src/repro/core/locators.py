@@ -25,8 +25,6 @@ import numpy as np
 
 from .. import telemetry
 from ..imaging.segmentation import component_stats, connected_components
-from .palette import Color
-from .recognition import ColorClassifier
 
 __all__ = [
     "LocatorColumn",
@@ -74,21 +72,21 @@ class LocatorColumn:
 
 
 def correct_location(
-    image: np.ndarray,
-    classifier: ColorClassifier,
+    black: np.ndarray,
     point: np.ndarray,
     block_size: float,
 ) -> np.ndarray | None:
     """The paper's location-correction algorithm for one locator.
 
-    Iterates: collect pixels inside a square window of edge ``block_size``
-    centered at the estimate, re-center on the mean of the black pixels,
-    repeat until movement falls below a twentieth of a pixel.  Returns
-    the converged center, or None when the window holds (almost) no
-    black pixels — e.g. the estimate fell onto a data block.
+    *black* is the capture's black-pixel mask
+    (``ColorClassifier.black_mask``).  Iterates: collect the black
+    pixels inside a square window of edge ``block_size`` centered at the
+    estimate, re-center on their mean, repeat until movement falls
+    below a twentieth of a pixel.  Returns the converged center, or
+    None when the window holds (almost) no black pixels — e.g. the
+    estimate fell onto a data block.
     """
-    image = np.asarray(image, dtype=np.float64)
-    height, width = image.shape[:2]
+    height, width = black.shape
     half = max(block_size * 0.75, 1.5)
     point = np.asarray(point, dtype=np.float64).copy()
     if not np.all(np.isfinite(point)) or not np.isfinite(half):
@@ -105,11 +103,9 @@ def correct_location(
         y0, y1 = max(y0, 0), min(y1, height)
         if x1 - x0 < 2 or y1 - y0 < 2:
             return None
-        window = image[y0:y1, x0:x1]
-        black = classifier.classify_pixels(window) == int(Color.BLACK)
-        if int(black.sum()) < _MIN_BLACK_PIXELS:
+        ys, xs = np.nonzero(black[y0:y1, x0:x1])
+        if len(xs) < _MIN_BLACK_PIXELS:
             return None
-        ys, xs = np.nonzero(black)
         new_point = np.array([x0 + xs.mean(), y0 + ys.mean()])
         if np.linalg.norm(new_point - point) < _CONVERGENCE_PX:
             return new_point
@@ -118,8 +114,7 @@ def correct_location(
 
 
 def walk_locator_column(
-    image: np.ndarray,
-    classifier: ColorClassifier,
+    black: np.ndarray,
     start: np.ndarray,
     initial_step: np.ndarray,
     count: int,
@@ -129,17 +124,18 @@ def walk_locator_column(
 ) -> LocatorColumn:
     """Progressively localize *count* locators from *start* downward.
 
-    *initial_step* is the displacement to the next locator (two block
-    heights along the frame's downward direction).  After each corrected
-    locator the step is re-estimated from the last two positions, so the
-    walk follows perspective convergence.  A failed correction falls back
+    *black* is the capture's black-pixel mask.  *initial_step* is the
+    displacement to the next locator (two block heights along the
+    frame's downward direction).  After each corrected locator the step
+    is re-estimated from the last two positions, so the walk follows
+    perspective convergence.  A failed correction falls back
     to dead reckoning for that locator and keeps walking.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     with telemetry.span("locators.walk", column=column):
         column_result = _walk_locator_column(
-            image, classifier, start, initial_step, count, block_size, column, start_row
+            black, start, initial_step, count, block_size, column, start_row
         )
     registry = telemetry.registry()
     if registry:
@@ -149,8 +145,7 @@ def walk_locator_column(
 
 
 def _walk_locator_column(
-    image: np.ndarray,
-    classifier: ColorClassifier,
+    black: np.ndarray,
     start: np.ndarray,
     initial_step: np.ndarray,
     count: int,
@@ -161,7 +156,7 @@ def _walk_locator_column(
     positions = np.zeros((count, 2))
     refined = np.zeros(count, dtype=bool)
 
-    first = correct_location(image, classifier, np.asarray(start, dtype=np.float64), block_size)
+    first = correct_location(black, np.asarray(start, dtype=np.float64), block_size)
     if first is None:
         first = np.asarray(start, dtype=np.float64)
     else:
@@ -171,7 +166,7 @@ def _walk_locator_column(
     step = np.asarray(initial_step, dtype=np.float64).copy()
     for i in range(1, count):
         predicted = positions[i - 1] + step
-        corrected = correct_location(image, classifier, predicted, block_size)
+        corrected = correct_location(black, predicted, block_size)
         if corrected is None:
             positions[i] = predicted
         else:
@@ -184,8 +179,7 @@ def _walk_locator_column(
 
 
 def find_first_middle_locator(
-    image: np.ndarray,
-    classifier: ColorClassifier,
+    black: np.ndarray,
     midpoint: np.ndarray,
     block_size: float,
     min_block_px: float,
@@ -193,11 +187,12 @@ def find_first_middle_locator(
 ) -> np.ndarray:
     """Locate the first middle-column locator near *midpoint* (Fig. 8).
 
-    Searches the square window of edge ``3 * block_size`` centered on
-    the midpoint of the two CT centers for a black component whose
-    horizontal and vertical extents both lie in ``[min_block_px,
-    max_block_px]`` (the paper's four-direction run test, realized on a
-    component labeling, which rejects the same noise points).  The
+    *black* is the capture's black-pixel mask.  Searches the square
+    window of edge ``3 * block_size`` centered on the midpoint of the
+    two CT centers for a black component whose horizontal and vertical
+    extents both lie in ``[min_block_px, max_block_px]`` (the paper's
+    four-direction run test, realized on a component labeling, which
+    rejects the same noise points).  The
     accepted component nearest the midpoint is refined with
     :func:`correct_location`.
 
@@ -205,20 +200,18 @@ def find_first_middle_locator(
     """
     with telemetry.span("locators.first_middle"):
         return _find_first_middle_locator(
-            image, classifier, midpoint, block_size, min_block_px, max_block_px
+            black, midpoint, block_size, min_block_px, max_block_px
         )
 
 
 def _find_first_middle_locator(
-    image: np.ndarray,
-    classifier: ColorClassifier,
+    black: np.ndarray,
     midpoint: np.ndarray,
     block_size: float,
     min_block_px: float,
     max_block_px: float,
 ) -> np.ndarray:
-    image = np.asarray(image, dtype=np.float64)
-    height, width = image.shape[:2]
+    height, width = black.shape
     midpoint = np.asarray(midpoint, dtype=np.float64)
     if not np.all(np.isfinite(midpoint)) or not np.isfinite(block_size):
         raise LocatorError("middle-locator seed is not finite")
@@ -230,24 +223,20 @@ def _find_first_middle_locator(
     if x1 - x0 < 2 or y1 - y0 < 2:
         raise LocatorError("middle-locator search window off image")
 
-    window = image[y0:y1, x0:x1]
-    black = classifier.classify_pixels(window) == int(Color.BLACK)
-    labels, count = connected_components(black)
-    best: np.ndarray | None = None
-    best_dist = np.inf
-    for comp in component_stats(labels, count, min_area=_MIN_BLACK_PIXELS):
-        # Four-direction run test: both extents must look like one block.
-        # The window may clip the component; allow half the minimum.
-        if not (0.5 * min_block_px <= comp.width <= max_block_px):
-            continue
-        if not (0.5 * min_block_px <= comp.height <= max_block_px):
-            continue
-        center = np.array([x0 + comp.centroid[0], y0 + comp.centroid[1]])
-        dist = float(np.linalg.norm(center - midpoint))
-        if dist < best_dist:
-            best, best_dist = center, dist
-    if best is None:
+    labels, count = connected_components(black[y0:y1, x0:x1])
+    comps = component_stats(labels, count, min_area=_MIN_BLACK_PIXELS)
+    # Four-direction run test: both extents must look like one block.
+    # The window may clip the component; allow half the minimum.
+    lo = 0.5 * min_block_px
+    keep = (comps.width >= lo) & (comps.width <= max_block_px)
+    keep &= (comps.height >= lo) & (comps.height <= max_block_px)
+    centers = np.array([x0, y0]) + comps.centroid[keep]
+    if len(centers) == 0:
         raise LocatorError("no middle locator found near the CT midpoint")
+    # argmin takes the first minimum: the nearest component wins and the
+    # lowest label wins a tie.
+    dists = [float(np.linalg.norm(center - midpoint)) for center in centers]
+    best = centers[int(np.argmin(dists))]
 
-    corrected = correct_location(image, classifier, best, block_size)
+    corrected = correct_location(black, best, block_size)
     return corrected if corrected is not None else best

@@ -157,8 +157,10 @@ class ColorClassifier:
         In HSV mode black is decided purely by the value channel
         (``max(R, G, B) < T_v`` — the black override is applied last in
         :func:`classify_hsv`), so the mask skips the hue/saturation math
-        entirely; corner detection scans the whole capture through this
-        path.  Other modes fall back to a full classification.
+        entirely; the decoder computes it once per capture for corner
+        and locator detection.  Other modes fall back to a full
+        classification.  Classification is per pixel in both modes, so
+        a slice of the mask equals the classification of that window.
         """
         if self.mode != "hsv":
             return self.classify_pixels(image) == int(Color.BLACK)

@@ -1,9 +1,10 @@
 """Binary mask segmentation.
 
 Corner-tracker detection labels the black-pixel mask of a capture and
-inspects each component.  Labeling uses :func:`scipy.ndimage.label`
-(8-connectivity); statistics are computed vectorized with
-``np.bincount`` so a full-capture mask costs a few milliseconds.
+filters its components.  Labeling uses :func:`scipy.ndimage.label`
+(8-connectivity); statistics come back as a table of per-component
+arrays, computed with ``np.bincount`` and ``find_objects``, so callers
+filter on arrays and a full-capture mask costs a few milliseconds.
 """
 
 from __future__ import annotations
@@ -13,39 +14,55 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-__all__ = ["ComponentStats", "connected_components", "component_stats"]
+__all__ = ["ComponentTable", "connected_components", "component_stats"]
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=np.int64)
 
 
 @dataclass(frozen=True)
-class ComponentStats:
-    """Geometry of one connected component of a binary mask."""
+class ComponentTable:
+    """Geometry of the connected components of a binary mask, as arrays.
 
-    label: int
-    area: int
-    centroid: tuple[float, float]  # (x, y)
-    bbox: tuple[int, int, int, int]  # (x0, y0, x1, y1), inclusive
+    Entry ``i`` describes component ``label[i]``; rows are in label
+    order.  Indexing with a boolean mask or index array selects rows.
+    """
+
+    label: np.ndarray  # (N,) int64
+    area: np.ndarray  # (N,) int64
+    centroid: np.ndarray  # (N, 2) float64, (x, y)
+    bbox: np.ndarray  # (N, 4) int64, (x0, y0, x1, y1), inclusive
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    def __getitem__(self, rows: np.ndarray) -> ComponentTable:
+        return ComponentTable(
+            self.label[rows], self.area[rows], self.centroid[rows], self.bbox[rows]
+        )
 
     @property
-    def width(self) -> int:
-        return self.bbox[2] - self.bbox[0] + 1
+    def width(self) -> np.ndarray:
+        return self.bbox[:, 2] - self.bbox[:, 0] + 1
 
     @property
-    def height(self) -> int:
-        return self.bbox[3] - self.bbox[1] + 1
+    def height(self) -> np.ndarray:
+        return self.bbox[:, 3] - self.bbox[:, 1] + 1
 
     @property
-    def fill_ratio(self) -> float:
+    def side(self) -> np.ndarray:
+        """Mean of width and height — the side of a square-ish blob."""
+        return 0.5 * (self.width + self.height)
+
+    @property
+    def fill_ratio(self) -> np.ndarray:
         """Area over bbox area — near 1.0 for solid squares."""
-        return self.area / float(self.width * self.height)
+        return self.area / (self.width * self.height).astype(np.float64)
 
     @property
-    def aspect(self) -> float:
+    def aspect(self) -> np.ndarray:
         """Long side over short side — near 1.0 for squares."""
-        long_side = max(self.width, self.height)
-        short_side = max(min(self.width, self.height), 1)
-        return long_side / short_side
+        width, height = self.width, self.height
+        return np.maximum(width, height) / np.maximum(np.minimum(width, height), 1)
 
 
 _COORD_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -78,45 +95,32 @@ def component_stats(
     count: int,
     min_area: int = 1,
     max_area: int | None = None,
-) -> list[ComponentStats]:
+) -> ComponentTable:
     """Per-component area, centroid and bounding box, area-filtered.
 
-    Vectorized: one ``bincount`` for areas and coordinate sums, one pass
-    of grouped min/max for the boxes.
+    Vectorized: one ``bincount`` for areas and coordinate sums, and
+    ``find_objects`` for the boxes of the components that pass the
+    area filter.
     """
-    if count == 0:
-        return []
     flat = labels.ravel()
-    areas = np.bincount(flat, minlength=count + 1)
+    areas = np.bincount(flat, minlength=count + 1)[1 : count + 1]
+    keep = areas >= max(min_area, 1)
+    if max_area is not None:
+        keep &= areas <= max_area
+    rows = np.flatnonzero(keep)
+    area = areas[rows]
 
     # Bounding boxes from ndimage's C pass; centroids from weighted
     # bincounts over the flat label image (row/column index arrays are
     # implicit in the flat offset, so no nonzero() scatter is needed).
     boxes = ndimage.find_objects(labels, max_label=count)
+    bbox = np.array(
+        [(boxes[i][1].start, boxes[i][0].start, boxes[i][1].stop - 1, boxes[i][0].stop - 1)
+         for i in rows],
+        dtype=np.int64,
+    ).reshape(-1, 4)
     xs_flat, ys_flat = _flat_coords(labels.shape)
-    sum_x = np.bincount(flat, weights=xs_flat, minlength=count + 1)
-    sum_y = np.bincount(flat, weights=ys_flat, minlength=count + 1)
-
-    out = []
-    for label in range(1, count + 1):
-        area = int(areas[label])
-        if area < min_area or (max_area is not None and area > max_area):
-            continue
-        box = boxes[label - 1]
-        if box is None:
-            continue
-        row_slice, col_slice = box
-        out.append(
-            ComponentStats(
-                label=label,
-                area=area,
-                centroid=(float(sum_x[label] / area), float(sum_y[label] / area)),
-                bbox=(
-                    int(col_slice.start),
-                    int(row_slice.start),
-                    int(col_slice.stop - 1),
-                    int(row_slice.stop - 1),
-                ),
-            )
-        )
-    return out
+    sum_x = np.bincount(flat, weights=xs_flat, minlength=count + 1)[1:][rows]
+    sum_y = np.bincount(flat, weights=ys_flat, minlength=count + 1)[1:][rows]
+    centroid = np.column_stack([sum_x / area, sum_y / area])
+    return ComponentTable(rows + 1, area, centroid, bbox)

@@ -1,18 +1,32 @@
-"""Corner tracker detection and progressive locator localization."""
+"""Corner tracker detection and progressive locator localization.
+
+Locators work on the capture's black mask.  ``_reference_correct_location``
+keeps the image-and-classifier form of the correction loop verbatim, as
+the oracle the mask form must match exactly.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.brightness import estimate_black_threshold
-from repro.core.corners import CornerDetectionError, detect_corner_trackers
+from repro.core.corners import (
+    CornerDetectionError,
+    detect_corner_trackers,
+    ring_colors,
+    tracker_candidates,
+)
 from repro.core.encoder import FrameCodecConfig, FrameEncoder
 from repro.core.layout import FrameLayout
 from repro.core.locators import (
+    _CONVERGENCE_PX,
+    _MAX_CORRECTION_ITERS,
+    _MIN_BLACK_PIXELS,
     LocatorError,
     correct_location,
     find_first_middle_locator,
     walk_locator_column,
 )
+from repro.core.palette import Color
 from repro.core.recognition import ColorClassifier
 from repro.imaging.filters import gaussian_blur
 from repro.imaging.geometry import PinholeSetup, apply_homography, warp_perspective
@@ -33,13 +47,48 @@ def classifier():
     return ColorClassifier(t_value=0.4)
 
 
+@pytest.fixture(scope="module")
+def black(frame_image, classifier):
+    return classifier.black_mask(frame_image)
+
+
+def _reference_correct_location(image, classifier, point, block_size):
+    """The image-path correction loop, kept verbatim as the oracle."""
+    image = np.asarray(image, dtype=np.float64)
+    height, width = image.shape[:2]
+    half = max(block_size * 0.75, 1.5)
+    point = np.asarray(point, dtype=np.float64).copy()
+    if not np.all(np.isfinite(point)) or not np.isfinite(half):
+        return None
+
+    for __ in range(_MAX_CORRECTION_ITERS):
+        x0 = int(np.floor(point[0] - half))
+        x1 = int(np.ceil(point[0] + half)) + 1
+        y0 = int(np.floor(point[1] - half))
+        y1 = int(np.ceil(point[1] + half)) + 1
+        x0, x1 = max(x0, 0), min(x1, width)
+        y0, y1 = max(y0, 0), min(y1, height)
+        if x1 - x0 < 2 or y1 - y0 < 2:
+            return None
+        window = image[y0:y1, x0:x1]
+        black = classifier.classify_pixels(window) == int(Color.BLACK)
+        if int(black.sum()) < _MIN_BLACK_PIXELS:
+            return None
+        ys, xs = np.nonzero(black)
+        new_point = np.array([x0 + xs.mean(), y0 + ys.mean()])
+        if np.linalg.norm(new_point - point) < _CONVERGENCE_PX:
+            return new_point
+        point = new_point
+    return point
+
+
 def truth_point(layout, setup, row, col):
     return apply_homography(setup.homography(), np.array(layout.cell_center_px(row, col)))
 
 
 class TestCornerDetection:
-    def test_pristine_frame(self, config, frame_image, classifier):
-        det = detect_corner_trackers(frame_image, classifier)
+    def test_pristine_frame(self, config, frame_image, classifier, black):
+        det = detect_corner_trackers(frame_image, classifier, black)
         layout = config.layout
         expect_left = layout.cell_center_px(2, layout.left_locator_col)
         expect_right = layout.cell_center_px(2, layout.right_locator_col)
@@ -56,7 +105,7 @@ class TestCornerDetection:
         cap = warp_perspective(frame_image, setup.homography(), (480, 800), fill=0.1)
         est = estimate_black_threshold(cap)
         clf = ColorClassifier(t_value=est.t_value)
-        det = detect_corner_trackers(cap, clf)
+        det = detect_corner_trackers(cap, clf, clf.black_mask(cap))
         layout = config.layout
         assert np.allclose(
             det.left.center, truth_point(layout, setup, 2, 2), atol=1.5
@@ -68,67 +117,108 @@ class TestCornerDetection:
     def test_missing_trackers_raise(self, classifier):
         blank = np.ones((100, 200, 3)) * 0.5
         with pytest.raises(CornerDetectionError):
-            detect_corner_trackers(blank, classifier)
+            detect_corner_trackers(blank, classifier, classifier.black_mask(blank))
 
-    def test_row_step_points_down(self, frame_image, classifier):
-        det = detect_corner_trackers(frame_image, classifier)
+    def test_row_step_points_down(self, frame_image, classifier, black):
+        det = detect_corner_trackers(frame_image, classifier, black)
         step = det.row_step()
         assert step[1] > 0  # downward in image coordinates
         assert abs(step[0]) < abs(step[1])
 
-    def test_column_step_spacing(self, config, frame_image, classifier):
-        det = detect_corner_trackers(frame_image, classifier)
+    def test_column_step_spacing(self, config, frame_image, classifier, black):
+        det = detect_corner_trackers(frame_image, classifier, black)
         cols_between = config.layout.right_locator_col - config.layout.left_locator_col
         step = det.column_step(cols_between)
         assert step[0] == pytest.approx(12, abs=0.5)
 
+    def test_equal_purity_tie_goes_to_lower_label(self, classifier):
+        # Two identical green trackers on one row, plus a red one: both
+        # green rings are fully pure, so the first-labeled (left) wins.
+        img = np.ones((60, 200, 3))
+        for x, ring in ((30, (0.0, 1.0, 0.0)), (90, (0.0, 1.0, 0.0)), (150, (1.0, 0.0, 0.0))):
+            img[18:42, x - 12 : x + 12] = ring
+            img[26:34, x - 4 : x + 4] = 0.0
+        black = classifier.black_mask(img)
+        candidates = tracker_candidates(black, 3.0, 40.0)
+        greens = np.mean(ring_colors(img, classifier, candidates) == int(Color.GREEN), axis=1)
+        assert greens.tolist() == [1.0, 1.0, 0.0]
+        det = detect_corner_trackers(img, classifier, black)
+        assert det.left.center == (29.5, 29.5)
+        assert det.right.center == (149.5, 29.5)
+
 
 class TestLocationCorrection:
-    def test_converges_to_block_center(self, frame_image, classifier, config):
+    @pytest.mark.parametrize("mode", ["hsv", "rgb"])
+    @pytest.mark.parametrize("sigma", [0.0, 1.5])
+    def test_mask_matches_image_path(self, frame_image, config, mode, sigma):
+        image = gaussian_blur(frame_image, sigma) if sigma else frame_image
+        clf = ColorClassifier(t_value=0.4, mode=mode)
+        mask = clf.black_mask(image)
+        layout = config.layout
+        height, width = mask.shape
+        starts = [
+            np.array(layout.cell_center_px(row, col))
+            for row in range(0, layout.grid_rows, 3)
+            for col in range(0, layout.grid_cols, 5)
+        ]
+        rng = np.random.default_rng(4)
+        starts += list(rng.uniform([-20.0, -20.0], [width + 20.0, height + 20.0], (40, 2)))
+        converged = 0
+        for start in starts:
+            expected = _reference_correct_location(image, clf, start, 12.0)
+            got = correct_location(mask, start, 12.0)
+            if expected is None:
+                assert got is None
+            else:
+                assert got is not None and got.tobytes() == expected.tobytes()
+                converged += 1
+        assert converged > 10
+
+    def test_converges_to_block_center(self, black, config):
         layout = config.layout
         true = np.array(layout.cell_center_px(4, layout.left_locator_col))
         # Start up to 5 px off in both axes.
         for offset in [(3, -4), (-5, 2), (0, 5)]:
-            corrected = correct_location(frame_image, classifier, true + offset, 12.0)
+            corrected = correct_location(black, true + offset, 12.0)
             assert corrected is not None
             assert np.allclose(corrected, true, atol=0.8)
 
-    def test_returns_none_on_non_black_region(self, frame_image, classifier, config):
+    def test_returns_none_on_non_black_region(self, black, config):
         layout = config.layout
         data_cell = np.array(layout.cell_center_px(7, 10))
-        assert correct_location(frame_image, classifier, data_cell, 12.0) is None
+        assert correct_location(black, data_cell, 12.0) is None
 
-    def test_none_off_image(self, frame_image, classifier):
-        assert correct_location(frame_image, classifier, np.array([-50.0, -50.0]), 12.0) is None
+    def test_none_off_image(self, black):
+        assert correct_location(black, np.array([-50.0, -50.0]), 12.0) is None
 
     def test_survives_blur(self, frame_image, classifier, config):
         layout = config.layout
         blurred = gaussian_blur(frame_image, 1.5)
         true = np.array(layout.cell_center_px(4, layout.left_locator_col))
-        corrected = correct_location(blurred, classifier, true + [2, 2], 12.0)
+        corrected = correct_location(classifier.black_mask(blurred), true + [2, 2], 12.0)
         assert corrected is not None
         assert np.allclose(corrected, true, atol=1.5)
 
 
 class TestColumnWalk:
-    def test_walks_whole_column(self, frame_image, classifier, config):
+    def test_walks_whole_column(self, black, config):
         layout = config.layout
         count = len(list(layout.locator_rows))
         start = np.array(layout.cell_center_px(2, layout.left_locator_col))
         column = walk_locator_column(
-            frame_image, classifier, start, np.array([0.0, 24.0]), count, 12.0
+            black, start, np.array([0.0, 24.0]), count, 12.0
         )
         assert column.refinement_rate == 1.0
         for i, row in enumerate(layout.locator_rows):
             true = layout.cell_center_px(row, layout.left_locator_col)
             assert np.allclose(column.positions[i], true, atol=0.8), f"row {row}"
 
-    def test_rows_metadata(self, frame_image, classifier, config):
+    def test_rows_metadata(self, black, config):
         layout = config.layout
         count = len(list(layout.locator_rows))
         start = np.array(layout.cell_center_px(2, layout.left_locator_col))
         column = walk_locator_column(
-            frame_image, classifier, start, np.array([0.0, 24.0]), count, 12.0, start_row=2
+            black, start, np.array([0.0, 24.0]), count, 12.0, start_row=2
         )
         assert column.rows.tolist() == list(layout.locator_rows)
         assert np.allclose(column.bottom, column.positions[-1])
@@ -141,24 +231,26 @@ class TestColumnWalk:
         img[int(y) - 8 : int(y) + 9, int(x) - 8 : int(x) + 9] = [1.0, 1.0, 1.0]
         count = len(list(layout.locator_rows))
         start = np.array(layout.cell_center_px(2, layout.left_locator_col))
-        column = walk_locator_column(img, classifier, start, np.array([0.0, 24.0]), count, 12.0)
+        column = walk_locator_column(
+            classifier.black_mask(img), start, np.array([0.0, 24.0]), count, 12.0
+        )
         assert not column.refined[2]  # row 6 is the third locator
         assert column.refined[3]  # the next one is found again
         true_last = layout.cell_center_px(layout.last_locator_row, layout.left_locator_col)
         assert np.allclose(column.positions[-1], true_last, atol=1.0)
 
-    def test_count_validation(self, frame_image, classifier):
+    def test_count_validation(self, black):
         with pytest.raises(ValueError):
-            walk_locator_column(frame_image, classifier, np.zeros(2), np.zeros(2), 0, 12.0)
+            walk_locator_column(black, np.zeros(2), np.zeros(2), 0, 12.0)
 
 
 class TestMiddleLocator:
-    def test_found_at_midpoint(self, frame_image, classifier, config):
+    def test_found_at_midpoint(self, black, config):
         layout = config.layout
         left = np.array(layout.cell_center_px(2, layout.left_locator_col))
         right = np.array(layout.cell_center_px(2, layout.right_locator_col))
         found = find_first_middle_locator(
-            frame_image, classifier, 0.5 * (left + right), 12.0, 3.0, 40.0
+            black, 0.5 * (left + right), 12.0, 3.0, 40.0
         )
         true = layout.cell_center_px(2, layout.middle_locator_col)
         assert np.allclose(found, true, atol=1.0)
@@ -167,7 +259,7 @@ class TestMiddleLocator:
         blank = np.ones((200, 300, 3))
         with pytest.raises(LocatorError):
             find_first_middle_locator(
-                blank, classifier, np.array([150.0, 100.0]), 12.0, 3.0, 40.0
+                classifier.black_mask(blank), np.array([150.0, 100.0]), 12.0, 3.0, 40.0
             )
 
     def test_rejects_noise_points(self, classifier, config):
@@ -179,7 +271,7 @@ class TestMiddleLocator:
         x, y = 162.0, 104.0
         img[int(y) - 6 : int(y) + 7, int(x) - 6 : int(x) + 7] = 0.0  # real block
         found = find_first_middle_locator(
-            img, classifier, np.array([150.0, 100.0]), 12.0, 5.0, 40.0
+            classifier.black_mask(img), np.array([150.0, 100.0]), 12.0, 5.0, 40.0
         )
         assert np.allclose(found, [x, y], atol=1.0)
 
@@ -187,5 +279,5 @@ class TestMiddleLocator:
         img = np.ones((50, 50, 3))
         with pytest.raises(LocatorError):
             find_first_middle_locator(
-                img, classifier, np.array([500.0, 500.0]), 12.0, 3.0, 40.0
+                classifier.black_mask(img), np.array([500.0, 500.0]), 12.0, 3.0, 40.0
             )
