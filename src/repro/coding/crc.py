@@ -3,34 +3,33 @@
 The RainBar header protects every 16-bit field with an 8-bit CRC
 (Fig. 5), and each frame payload carries a CRC-16 checksum used to decide
 whether a decoded frame is accepted or NACKed for retransmission
-(Section III-A).  Both are table-driven implementations.
+(Section III-A).  Both are table-driven implementations; the tables
+are tuples of Python ints, so each byte costs one plain lookup.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = ["Crc8", "Crc16", "crc8", "crc16"]
 
 
-def _build_table_8(poly: int) -> np.ndarray:
-    table = np.zeros(256, dtype=np.uint8)
+def _build_table_8(poly: int) -> tuple[int, ...]:
+    table: list[int] = []
     for byte in range(256):
         crc = byte
         for __ in range(8):
             crc = ((crc << 1) ^ poly) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
-        table[byte] = crc
-    return table
+        table.append(crc)
+    return tuple(table)
 
 
-def _build_table_16(poly: int) -> np.ndarray:
-    table = np.zeros(256, dtype=np.uint16)
+def _build_table_16(poly: int) -> tuple[int, ...]:
+    table: list[int] = []
     for byte in range(256):
         crc = byte << 8
         for __ in range(8):
             crc = ((crc << 1) ^ poly) & 0xFFFF if crc & 0x8000 else (crc << 1) & 0xFFFF
-        table[byte] = crc
-    return table
+        table.append(crc)
+    return tuple(table)
 
 
 class Crc8:
@@ -42,9 +41,10 @@ class Crc8:
         self._table = _build_table_8(poly)
 
     def compute(self, data: bytes | bytearray) -> int:
+        table = self._table
         crc = self.init
         for byte in bytes(data):
-            crc = int(self._table[(crc ^ byte) & 0xFF])
+            crc = table[(crc ^ byte) & 0xFF]
         return crc
 
     def verify(self, data: bytes | bytearray, expected: int) -> bool:
@@ -60,9 +60,10 @@ class Crc16:
         self._table = _build_table_16(poly)
 
     def compute(self, data: bytes | bytearray) -> int:
+        table = self._table
         crc = self.init
         for byte in bytes(data):
-            crc = ((crc << 8) & 0xFFFF) ^ int(self._table[((crc >> 8) ^ byte) & 0xFF])
+            crc = ((crc << 8) & 0xFFFF) ^ table[((crc >> 8) ^ byte) & 0xFF]
         return crc
 
     def verify(self, data: bytes | bytearray, expected: int) -> bool:

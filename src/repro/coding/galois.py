@@ -26,8 +26,6 @@ __all__ = [
     "poly_mul",
     "poly_divmod",
     "poly_eval",
-    "poly_scale",
-    "poly_deriv_odd",
     "poly_strip",
 ]
 
@@ -140,11 +138,6 @@ def poly_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def poly_scale(p: np.ndarray, s: int) -> np.ndarray:
-    """Multiply every coefficient of *p* by scalar *s*."""
-    return np.asarray(gf_mul(np.asarray(p, dtype=np.int64), s), dtype=np.int64)
-
-
 def poly_divmod(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Polynomial division: returns ``(quotient, remainder)``.
 
@@ -173,20 +166,3 @@ def poly_eval(p: np.ndarray, x: int) -> int:
     for coeff in np.asarray(p, dtype=np.int64):
         acc = gf_mul(acc, x) ^ int(coeff)
     return int(acc)
-
-
-def poly_deriv_odd(p: np.ndarray) -> np.ndarray:
-    """Formal derivative over GF(2^m): even-power terms vanish.
-
-    For p(x) = sum c_i x^i the derivative is sum over odd i of c_i
-    x^(i-1); used by Forney's algorithm.
-    """
-    p = np.asarray(p, dtype=np.int64)
-    n = len(p)
-    out = []
-    for idx, coeff in enumerate(p[:-1]):
-        power = n - 1 - idx
-        out.append(coeff if power % 2 == 1 else 0)
-    if not out:
-        return np.zeros(1, dtype=np.int64)
-    return poly_strip(np.asarray(out, dtype=np.int64))

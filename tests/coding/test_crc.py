@@ -48,12 +48,28 @@ class TestErrorDetection:
 
 
 class TestIncrementalConsistency:
-    @given(st.binary(max_size=32), st.binary(max_size=32))
-    def test_concatenation_changes_crc(self, a, b):
-        # Not a mathematical identity, but appending data must not be a
-        # no-op unless b is empty.
-        if b:
-            assert crc16(a + b) != crc16(a) or crc16(b) == crc16(b"")
+    @given(
+        st.binary(min_size=2, max_size=64),
+        st.integers(1, 16),
+        st.integers(0, 2**14 - 1),
+        st.integers(0, 2**16),
+    )
+    def test_crc16_detects_every_burst_up_to_16_bits(self, data, length, middle, offset):
+        # A degree-16 generator with a nonzero constant term leaves no
+        # burst of at most 16 bits undetected in a same-length message.
+        burst = 1 | (1 << (length - 1)) | ((middle << 1) & ((1 << (length - 1)) - 1))
+        shift = offset % (8 * len(data) - length + 1)
+        value = int.from_bytes(data, "big") ^ (burst << shift)
+        assert crc16(value.to_bytes(len(data), "big")) != crc16(data)
+
+    def test_appending_need_not_change_crc(self):
+        # Appending is not covered by any CRC guarantee: this non-empty
+        # suffix (whose own CRC differs from the empty string's) leaves
+        # the CRC of the prefix unchanged.
+        a = b'e"\x80\xee\xbcU{\xc9@\x87'
+        b = b"u6q\n\x9e\xea%\xd1a2"
+        assert crc16(a + b) == crc16(a) == 0x10AA
+        assert crc16(b) == 0x92D3 != crc16(b"")
 
     def test_custom_polynomial(self):
         other = Crc8(poly=0x31)  # CRC-8/MAXIM basis polynomial

@@ -196,10 +196,14 @@ class TestPerfCheck:
     def test_repo_budgets_bound_every_decode_stage(self, bounds):
         stages = ("input", "brightness", "corners", "locators", "classify", "header",
                   "tracking")
-        assert set(bounds) == {f"decoder.{s}_ms" for s in stages} | {"decoder.extract_ms_p50"}
+        assert set(bounds) == {f"decoder.{s}_ms" for s in stages} | {
+            "decoder.extract_ms_p50",
+            "coding.assemble_ms_per_frame",
+        }
         assert bounds["decoder.corners_ms"] == pytest.approx(3 * 15.86 + 10)
         assert bounds["decoder.locators_ms"] == pytest.approx(3 * 3.92 + 10)
         assert bounds["decoder.extract_ms_p50"] == pytest.approx(2.5 * 25.71 + 20)
+        assert bounds["coding.assemble_ms_per_frame"] == pytest.approx(3 * 0.306 + 10)
 
     def test_at_the_bound_passes(self, bounds, tmp_path, capsys):
         result = _perfbench_stdout(tmp_path / "replay.txt", {**bounds, "session_ms_p50": 9e9})
