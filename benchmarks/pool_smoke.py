@@ -1,11 +1,13 @@
-"""Decode-service smoke check: bit-identical pooled decode, no shm leaks.
+"""Decode-service smoke check: bit-identical pooled decode, no leaks.
 
 CI's ``pool-smoke`` job runs this against the golden corpus: a
-2-worker ``decode_stream`` through the persistent shared-memory pool
-must produce field-for-field the same results as the serial decoder,
-and after ``close_shared_pools()`` no ``SharedMemory`` segment may
-remain in ``/dev/shm``.  Exit code 0 on success, 1 with a message on
-any violation — cheap enough to run on every push.
+2-worker ``decode_stream`` of the fixtures' uint8 captures through the
+persistent worker pool (each batch pickled onto its job queue) must
+produce field-for-field the same results as the serial decoder, and
+after ``close_shared_pools()`` no worker may be alive and no new entry
+(a queue semaphore or a shared-memory segment) may remain in
+``/dev/shm``.  Exit code 0 on success, 1 with a message on any
+violation — cheap enough to run on every push.
 
 Run from the repo root::
 
@@ -28,8 +30,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 # the smoke would not exercise the pooled path at all.
 os.environ.setdefault("REPRO_POOL_OVERSUBSCRIBE", "1")
 
-import numpy as np  # noqa: E402
-
 from repro.core.decoder import FrameDecoder  # noqa: E402
 from repro.core.encoder import FrameCodecConfig  # noqa: E402
 from repro.core.layout import FrameLayout  # noqa: E402
@@ -48,15 +48,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=2, help="pooled worker count")
     args = parser.parse_args(argv)
 
-    shm_before = set(glob.glob("/dev/shm/psm_*"))
+    shm_before = set(glob.glob("/dev/shm/*"))
 
     # Must match tests/fixtures/regen_corpus.py's GRID.
     layout = FrameLayout(grid_rows=24, grid_cols=44, block_px=8)
     decoder = FrameDecoder(FrameCodecConfig(layout=layout, display_rate=10))
-    images = [
-        read_png(path).astype(np.float64) / 255.0
-        for path in sorted(CORPUS_DIR.glob("*.png"))
-    ]
+    images = [read_png(path) for path in sorted(CORPUS_DIR.glob("*.png"))]
     if not images:
         print(f"pool smoke: no corpus fixtures under {CORPUS_DIR}", file=sys.stderr)
         return 1
@@ -75,9 +72,9 @@ def main(argv: list[str] | None = None) -> int:
     close_shared_pools()
     if any(p.is_alive() for p in worker_processes):
         failures.append("worker processes outlived close_shared_pools()")
-    leaked = set(glob.glob("/dev/shm/psm_*")) - shm_before
+    leaked = set(glob.glob("/dev/shm/*")) - shm_before
     if leaked:
-        failures.append(f"leaked SharedMemory segments: {sorted(leaked)}")
+        failures.append(f"leaked /dev/shm entries: {sorted(leaked)}")
 
     if failures:
         for failure in failures:
@@ -87,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"pool smoke OK: {decoded}/{len(images)} fixtures decoded, "
         f"{args.workers}-worker output bit-identical to serial, "
-        f"{pool.processes} worker process(es) reaped, no shm leaks"
+        f"{pool.processes} worker process(es) reaped, no /dev/shm leaks"
     )
     return 0
 

@@ -4,10 +4,11 @@ CI's ``trace-smoke`` job runs the whole trace lifecycle through the
 CLI entry points: ``repro trace record`` writes a tiny simulated
 session, ``repro trace info --check`` walks every chunk (checksums,
 counts, timing), and ``repro trace decode`` replays it serially and
-with 2 workers through the shared-memory pool — the two decode-outcome
-JSON files must be byte-identical.  Afterwards no ``SharedMemory``
-segment may remain in ``/dev/shm`` and no stray files may remain
-outside the scratch directory.  Exit 0 on success, 1 with a message on
+with 2 workers through the worker pool — the two decode-outcome JSON
+files must be byte-identical.  The trace must hold ``uint8`` frames,
+the samples the camera writes.  Afterwards no new entry (a queue
+semaphore or a shared-memory segment) may remain in ``/dev/shm`` and
+no stray files may remain outside the scratch directory.  Exit 0 on success, 1 with a message on
 any violation — cheap enough to run on every push.
 
 Run from the repo root::
@@ -32,6 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 os.environ.setdefault("REPRO_POOL_OVERSUBSCRIBE", "1")
 
 from repro.cli import main as repro_main  # noqa: E402
+from repro.io.trace import TraceReader  # noqa: E402
 from repro.serve import close_shared_pools  # noqa: E402
 
 
@@ -40,7 +42,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--workers", type=int, default=2, help="pooled worker count")
     args = parser.parse_args(argv)
 
-    shm_before = set(glob.glob("/dev/shm/psm_*"))
+    shm_before = set(glob.glob("/dev/shm/*"))
     failures: list[str] = []
 
     with tempfile.TemporaryDirectory(prefix="trace_smoke_") as scratch_str:
@@ -57,6 +59,9 @@ def main(argv: "list[str] | None" = None) -> int:
             return 1
         if repro_main(["trace", "info", str(trace), "--check"]) != 0:
             failures.append("`trace info --check` failed on a fresh trace")
+        frame_dtype = TraceReader(trace).frame_dtype
+        if frame_dtype != "uint8":
+            failures.append(f"trace frames are {frame_dtype}, not uint8")
         if repro_main(["trace", "decode", str(trace),
                        "--json", str(serial_json)]) != 0:
             failures.append("serial `trace decode` failed")
@@ -76,9 +81,9 @@ def main(argv: "list[str] | None" = None) -> int:
         if stray:
             failures.append(f"stray temp files left behind: {sorted(map(str, stray))}")
 
-    leaked = set(glob.glob("/dev/shm/psm_*")) - shm_before
+    leaked = set(glob.glob("/dev/shm/*")) - shm_before
     if leaked:
-        failures.append(f"leaked SharedMemory segments: {sorted(leaked)}")
+        failures.append(f"leaked /dev/shm entries: {sorted(leaked)}")
 
     if failures:
         for failure in failures:
@@ -87,7 +92,7 @@ def main(argv: "list[str] | None" = None) -> int:
     print(
         f"trace smoke OK: record -> info --check -> decode, "
         f"{args.workers}-worker replay bit-identical to serial, "
-        "no shm leaks, no stray temp files"
+        "uint8 frames, no /dev/shm leaks, no stray temp files"
     )
     return 0
 

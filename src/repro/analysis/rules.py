@@ -609,9 +609,10 @@ def _is_acquisition(call: ast.Call) -> bool:
 class RB007ResourceLifecycle(Rule):
     """SharedMemory/open/NamedTemporaryFile must be released on all paths.
 
-    Grounded in :mod:`repro.serve.shm`: a leaked ``SharedMemory``
-    segment outlives the process and pollutes ``/dev/shm`` for every
-    later run.  An acquisition is clean when its result is
+    A leaked ``SharedMemory`` segment outlives the process and pollutes
+    ``/dev/shm`` for every later run; a leaked file handle holds its
+    descriptor until garbage collection.  An acquisition is clean when
+    its result is
 
     * used as a context manager (``with open(...) as f``),
     * released under ``try/finally`` (``finally: f.close()``),

@@ -42,6 +42,7 @@ from ..core.header import HEADER_BYTES, FrameHeader, HeaderError
 from ..core.locators import walk_locator_column
 from ..core.palette import Color, bytes_to_symbols, rgb_table, symbols_to_bytes
 from ..core.recognition import ColorClassifier
+from ..imaging.color import normalize_frame
 
 __all__ = ["CobraLayout", "CobraConfig", "CobraEncoder", "CobraDecoder", "CobraReceiver"]
 
@@ -295,7 +296,7 @@ class CobraDecoder:
 
     def decode_capture(self, image: np.ndarray) -> FrameResult:
         """Decode one capture as one frame (COBRA cannot split mixes)."""
-        image = np.asarray(image, dtype=np.float64)
+        image = normalize_frame(image)
         layout = self.config.layout
 
         est = estimate_black_threshold(image)
@@ -487,6 +488,7 @@ class CobraReceiver:
 
     def offer(self, image: np.ndarray) -> None:
         """Register one capture (header pre-read to key blur assessment)."""
+        image = normalize_frame(image)
         try:
             extraction_seq = self._peek_sequence(image)
         except DecodeError:

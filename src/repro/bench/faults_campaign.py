@@ -71,6 +71,9 @@ class FaultTrialResult:
     frames_failed: int
     captures: int
     captures_dropped: int
+    #: 1 when the session returned bytes that differ from those sent
+    #: (a wrong payload reported as delivered), else 0.
+    undetected_errors: int = 0
     drop_reasons: dict = field(default_factory=dict)
     #: Deterministic telemetry snapshot of the trial (no timing metrics),
     #: as produced by :meth:`repro.telemetry.MetricsRegistry.snapshot`.
@@ -93,6 +96,7 @@ class ScenarioSummary:
     frames_failed: int = 0
     captures: int = 0
     captures_dropped: int = 0
+    undetected_errors: int = 0
     drop_reasons: dict = field(default_factory=dict)
     #: Merged per-trial telemetry snapshots (fold order = job order, so
     #: the merge is bit-identical across worker counts).
@@ -122,6 +126,7 @@ class ScenarioSummary:
         self.frames_failed += trial.frames_failed
         self.captures += trial.captures
         self.captures_dropped += trial.captures_dropped
+        self.undetected_errors += trial.undetected_errors
         for stage, count in trial.drop_reasons.items():
             self.drop_reasons[stage] = self.drop_reasons.get(stage, 0) + count
         if trial.metrics:
@@ -203,6 +208,7 @@ def run_fault_trial(
         scenario=scenario,
         seed=seed,
         delivered=recovered == payload,
+        undetected_errors=int(recovered is not None and recovered != payload),
         rounds=stats.rounds,
         frames_total=stats.frames_total,
         frames_sent=stats.frames_sent,
@@ -287,7 +293,7 @@ def format_table(summaries: list[ScenarioSummary]) -> str:
     """Human-readable per-fault loss/recovery table."""
     header = (
         f"{'scenario':<20} {'deliv':>7} {'retx-rec':>8} {'cap-loss':>8} "
-        f"{'frm-fail':>8} {'overhead':>8}  drop stages"
+        f"{'frm-fail':>8} {'overhead':>8} {'undet':>5}  drop stages"
     )
     lines = [header, "-" * len(header)]
     for s in summaries:
@@ -295,7 +301,8 @@ def format_table(summaries: list[ScenarioSummary]) -> str:
         lines.append(
             f"{s.scenario:<20} {s.delivered:>3}/{s.trials:<3} "
             f"{s.recovered_by_retransmission:>8} {s.capture_loss_rate:>7.1%} "
-            f"{s.frames_failed:>8} {s.retransmission_overhead:>7.1%}  {reasons}"
+            f"{s.frames_failed:>8} {s.retransmission_overhead:>7.1%} "
+            f"{s.undetected_errors:>5}  {reasons}"
         )
     return "\n".join(lines)
 
@@ -315,6 +322,7 @@ def campaign_to_json(trials: list[FaultTrialResult], summaries: list[ScenarioSum
                 "frames_failed": s.frames_failed,
                 "captures": s.captures,
                 "captures_dropped": s.captures_dropped,
+                "undetected_errors": s.undetected_errors,
                 "drop_reasons": dict(sorted(s.drop_reasons.items())),
                 "failure_stages": dict(sorted(s.failure_stages.items())),
                 "quality": quality_summary(s.metrics),
@@ -332,6 +340,7 @@ def campaign_to_json(trials: list[FaultTrialResult], summaries: list[ScenarioSum
                 "frames_failed": t.frames_failed,
                 "captures": t.captures,
                 "captures_dropped": t.captures_dropped,
+                "undetected_errors": t.undetected_errors,
                 "drop_reasons": dict(sorted(t.drop_reasons.items())),
             }
             for t in trials

@@ -7,7 +7,7 @@
            -> pinhole projection at (distance, view angle [+ jitter])
            -> lens blur / distortion + motion blur (optics, mobility)
            -> ambient light, vignette, shot & read noise (environment)
-           -> captured sensor images
+           -> color pipeline, then 8-bit samples (uint8 captures)
 
 It replaces the physical testbed of the paper: two Galaxy S4 phones on
 a desk mount at distance d and view angle v_a, under an illumination
@@ -24,7 +24,7 @@ import numpy as np
 from .. import telemetry
 from ..imaging.filters import motion_blur
 from ..imaging.geometry import PinholeSetup, warp_perspective
-from ..imaging.sensor import CameraPipeline
+from ..imaging.sensor import CameraPipeline, quantize_8bit
 from .camera import CameraTiming, compose_rolling_shutter
 from .environment import EnvironmentProfile, indoor
 from .mobility import MobilityModel, tripod
@@ -63,7 +63,11 @@ class LinkConfig:
 
 @dataclass(frozen=True)
 class Capture:
-    """One captured image and its capture start time."""
+    """One captured image and its capture start time.
+
+    ``image`` holds a recorded video frame's 8-bit samples (uint8,
+    (H, W, 3)) when it comes from :class:`ScreenCameraLink`.
+    """
 
     time: float
     image: np.ndarray
@@ -75,9 +79,10 @@ class ScreenCameraLink:
     *faults* attaches a :class:`~repro.faults.plan.FaultPlan` to the
     receive chain: shutter jitter inside the rolling-shutter composer,
     pre/post-optics impairments inside the lens model, sensor-stage
-    impairments on the finished capture, and stream-stage drops and
-    duplicates in :meth:`capture_stream`.  (Emission-stage faults live
-    on the :class:`~repro.channel.screen.FrameSchedule`.)
+    impairments after the color pipeline and before 8-bit quantization,
+    and stream-stage drops and duplicates in :meth:`capture_stream`.
+    (Emission-stage faults live on the
+    :class:`~repro.channel.screen.FrameSchedule`.)
     """
 
     def __init__(
@@ -151,7 +156,7 @@ class ScreenCameraLink:
             sensor = cfg.pipeline.apply(sensor, self._wb_gains)
         if self.faults is not None:
             sensor = self.faults.apply_image("sensor", sensor, capture_index)
-        return Capture(time=start_time, image=sensor)
+        return Capture(time=start_time, image=quantize_8bit(sensor))
 
     def capture_stream(
         self,

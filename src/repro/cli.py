@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Runs one NACK/retransmission transfer session per (fault "
             "scenario, seed) pair and writes per-fault frame-loss and "
             "recovery tables.  Counters are bit-identical for any "
-            "--workers value."
+            "--workers value.  Exits 1 when any session returned bytes "
+            "that differ from those sent (undetected errors)."
         ),
     )
     camp.add_argument("--seeds", type=int, default=8, help="seeds per scenario")
@@ -502,6 +503,11 @@ def _cmd_faults_campaign(args: argparse.Namespace) -> int:
     if args.out != "-":
         txt, js = write_campaign_results(args.out, trials, summaries)
         print(f"\nwrote {txt} and {js}")
+    undetected = sum(s.undetected_errors for s in summaries)
+    if undetected:
+        # The link promises exact bytes or a reported failure.
+        print(f"{undetected} session(s) returned wrong bytes", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -19,6 +19,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..imaging.color import normalize_frame
+
 if TYPE_CHECKING:
     from .decoder import CaptureExtraction, FrameDecoder
 
@@ -63,7 +65,7 @@ def geometry_overlay(
     """
     if extraction is None:
         extraction = decoder.extract(image)
-    overlay = np.asarray(image, dtype=np.float64).copy()
+    overlay = normalize_frame(image).copy()
     if overlay.ndim == 2:
         overlay = np.stack([overlay] * 3, axis=-1)
 

@@ -30,6 +30,7 @@ import numpy as np
 from .. import telemetry
 from ..coding.crc import crc16
 from ..coding.reed_solomon import RSDecodeError, RSDecodeStats
+from ..imaging.color import normalize_frame
 from ..telemetry import quality as quality_metrics
 from ..telemetry.events import EventSink
 from ..telemetry.metrics import (
@@ -350,9 +351,9 @@ class FrameDecoder:
     ) -> CaptureExtraction:
         with stage("input"):
             try:
-                image = np.asarray(image, dtype=np.float64)
+                image = normalize_frame(image)
             except TypeError as exc:
-                # np.asarray turns non-numeric input (an exhausted
+                # normalize_frame turns non-numeric input (an exhausted
                 # iterator, an empty generator of frames, objects) into
                 # an object array whose float conversion raises
                 # TypeError — which is not in _UNEXPECTED_ERRORS, so
@@ -522,7 +523,7 @@ class FrameDecoder:
                 # it was blurry?), but the capture may be arbitrarily
                 # corrupted — degrade to NaN instead of raising.
                 try:
-                    return float(sharpness_score(np.asarray(img, dtype=np.float64)))
+                    return float(sharpness_score(normalize_frame(img)))
                 except _UNEXPECTED_ERRORS + (TypeError,):
                     return nan
 
@@ -670,8 +671,9 @@ class FrameDecoder:
         convention of :mod:`repro.serve` — ``None`` reads the
         environment, ``1`` decodes serially in-process, and ``N > 1``
         fans captures over the process-wide persistent
-        :func:`repro.serve.shared_pool` (frames travel via shared
-        memory), the paper's 1-vs-4-threads comparison (Section IV-D).
+        :func:`repro.serve.shared_pool` (each batch of frames is pickled
+        onto its job queue), the paper's 1-vs-4-threads comparison
+        (Section IV-D).
         When the pool would cap to a single process (1-core host
         without ``REPRO_POOL_OVERSUBSCRIBE``) the stream decodes
         serially too — one process buys no parallelism, only the
@@ -746,11 +748,10 @@ class FrameDecoder:
         or an open :class:`~repro.io.trace.TraceReader`; ``workers``,
         ``chunksize`` and ``service`` mean what they mean for
         :meth:`decode_stream`.  Frames stream chunk by chunk — a long
-        session never loads fully into memory.  uint8 traces are
-        restored to float images in [0, 1]
-        (:func:`repro.io.trace.normalize_frame`); float traces replay
-        bit-identically, so results match decoding the original
-        in-memory captures for any worker count.
+        session never loads fully into memory.  Frames reach the
+        decoder with the dtype the trace stored, exactly like the
+        in-memory captures, so results match decoding those captures
+        for any worker count.
 
         Conformance violations (truncated chunks, index disagreement,
         non-finite timing) raise :class:`~repro.io.trace.
@@ -766,24 +767,7 @@ class FrameDecoder:
         # Run-shape metadata, not channel quality: timing-flagged so a
         # replay's deterministic snapshot equals the live-decode one.
         telemetry.registry().counter("decode.trace_replays", timing=True).inc()
-        return self.decode_stream(
-            _TraceImages(reader), workers, chunksize=chunksize, service=service
-        )
-
-
-class _TraceImages:
-    """A trace's frames as decoder-ready images: streamed, but sized."""
-
-    def __init__(self, reader: Any):
-        self._reader = reader
-
-    def __len__(self) -> int:
-        return len(self._reader)
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        from ..io.trace import normalize_frame
-
-        return (normalize_frame(frame.image) for frame in self._reader)
+        return self.decode_stream(reader, workers, chunksize=chunksize, service=service)
 
 
 def _batched(items: Iterable[Any], size: int) -> Iterator[list[Any]]:
@@ -877,13 +861,13 @@ def decode_batch(
     """The per-capture decode loop (module level => picklable).
 
     :meth:`FrameDecoder.decode_stream` runs it in-process over a whole
-    stream and pool workers run it per job, over zero-copy
-    shared-memory views (or inline copies).  Undecodable captures map
-    to ``None``.  With ``with_metrics=True`` each capture decodes under
-    a private registry and the return value is ``(results,
-    per_capture_snapshots)``: the caller folds the snapshots in capture
-    order, which keeps merged quality metrics bit-identical to the
-    serial path for any worker count.
+    stream and pool workers run it per job, over the batch pickled
+    with the job.  Undecodable captures map to ``None``.  With
+    ``with_metrics=True`` each capture decodes under a private registry
+    and the return value is ``(results, per_capture_snapshots)``: the
+    caller folds the snapshots in capture order, which keeps merged
+    quality metrics bit-identical to the serial path for any worker
+    count.
     """
     if not with_metrics:
         return [_decode_one_or_none(decoder, frame) for frame in frames]

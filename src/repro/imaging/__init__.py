@@ -5,7 +5,7 @@ filtering, projective geometry, sub-pixel sampling, noise and quality
 metrics — implemented directly on NumPy arrays.
 """
 
-from .color import hsv_to_rgb, luminance, rgb_to_hsv, to_float, to_uint8
+from .color import hsv_to_rgb, luminance, normalize_frame, rgb_to_hsv, to_float, to_uint8
 from .filters import (
     box_blur,
     convolve_separable,
@@ -38,6 +38,7 @@ __all__ = [
     "luminance",
     "to_float",
     "to_uint8",
+    "normalize_frame",
     "convolve_separable",
     "mean_filter",
     "box_blur",

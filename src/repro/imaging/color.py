@@ -23,6 +23,7 @@ __all__ = [
     "hsv_to_rgb",
     "to_float",
     "to_uint8",
+    "normalize_frame",
     "luminance",
 ]
 
@@ -42,6 +43,19 @@ def to_float(image: np.ndarray) -> np.ndarray:
 def to_uint8(image: np.ndarray) -> np.ndarray:
     """Return *image* (float in ``[0, 1]``) as a uint8 array in ``[0, 255]``."""
     return (np.clip(image, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+
+
+def normalize_frame(image: np.ndarray) -> np.ndarray:
+    """Map a capture to the float64 image in [0, 1] every decoder reads.
+
+    Captures are 8-bit (a recorded video's samples) and divide by 255;
+    any other input converts to float64 unchanged, so synthetic float
+    images decode as given.  Non-numeric input raises ``TypeError``.
+    """
+    image = np.asarray(image)
+    if image.dtype == np.uint8:
+        return image / 255.0
+    return np.asarray(image, dtype=np.float64)
 
 
 def rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:

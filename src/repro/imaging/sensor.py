@@ -185,13 +185,14 @@ def white_balance_shift(image: np.ndarray, gains: tuple[float, float, float]) ->
 
 
 def quantize_8bit(image: np.ndarray) -> np.ndarray:
-    """Round to 8-bit levels — the recorded video's sample depth."""
-    image = np.asarray(image, dtype=np.float64)
+    """Round to 8-bit samples — the recorded video's sample depth.
+
+    Rounds half to even (``np.round``), so ``quantize_8bit(x) / 255``
+    is the nearest 8-bit level of ``clip(x, 0, 1)``.
+    """
     out = np.clip(image, 0.0, 1.0)
     out *= 255.0
-    np.round(out, out=out)
-    out /= 255.0
-    return out
+    return np.round(out, out=out).astype(np.uint8)
 
 
 class CameraPipeline:
@@ -200,6 +201,9 @@ class CameraPipeline:
     Parameters mirror a mid-2010s phone camera recording video:
     ``chroma_factor=2`` (4:2:0), ``chroma_blur`` around 0.7 px, and a
     white-balance gain error of a few percent re-sampled per session.
+    The output is still float; the link quantizes it with
+    :func:`quantize_8bit` after any sensor-stage fault, as an ISP
+    applies exposure before it writes 8-bit samples.
     """
 
     def __init__(
@@ -207,12 +211,10 @@ class CameraPipeline:
         chroma_factor: int = 2,
         chroma_blur: float = 0.7,
         wb_error: float = 0.04,
-        quantize: bool = True,
     ):
         self.chroma_factor = chroma_factor
         self.chroma_blur = chroma_blur
         self.wb_error = wb_error
-        self.quantize = quantize
 
     def sample_gains(self, rng: np.random.Generator) -> tuple[float, float, float]:
         """Draw this session's white-balance gain error."""
@@ -224,7 +226,4 @@ class CameraPipeline:
     def apply(self, image: np.ndarray, gains: tuple[float, float, float]) -> np.ndarray:
         """Run the pipeline on one capture."""
         out = white_balance_shift(image, gains)
-        out = chroma_subsample(out, self.chroma_factor, self.chroma_blur)
-        if self.quantize:
-            out = quantize_8bit(out)
-        return out
+        return chroma_subsample(out, self.chroma_factor, self.chroma_blur)

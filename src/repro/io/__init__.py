@@ -26,7 +26,6 @@ from .trace import (
     TraceMetadata,
     TraceReader,
     TraceWriter,
-    normalize_frame,
     read_trace,
     trace_info,
     write_trace,
@@ -46,7 +45,6 @@ __all__ = [
     "TraceFrame",
     "TraceWriter",
     "TraceReader",
-    "normalize_frame",
     "write_trace",
     "read_trace",
     "trace_info",

@@ -155,22 +155,24 @@ def load_frame_stream(path: str | Path, config: FrameCodecConfig | None = None) 
 
 
 def save_captures(path: str | Path, captures: "Sequence[Capture]") -> None:
-    """Archive a capture session (images + times) as .npz (uint8)."""
+    """Archive a capture session (images + times) as .npz.
+
+    Images are stored as they are (uint8 for simulator captures), so
+    :func:`load_captures` returns the same bytes.
+    """
     if not captures:
         raise ValueError("no captures to save")
-    images = np.stack(
-        [(np.clip(c.image, 0, 1) * 255.0 + 0.5).astype(np.uint8) for c in captures]
-    )
+    images = np.stack([c.image for c in captures])
     times = np.array([c.time for c in captures])
     np.savez_compressed(Path(path), images=images, times=times)
 
 
 def load_captures(path: str | Path) -> "list[Capture]":
-    """Load a session saved by :func:`save_captures` (floats restored)."""
+    """Load a session saved by :func:`save_captures`, dtype as stored."""
     from ..channel.link import Capture
 
     with np.load(Path(path), allow_pickle=False) as data:
         return [
-            Capture(time=float(t), image=img.astype(np.float64) / 255.0)
+            Capture(time=float(t), image=img)
             for t, img in zip(data["times"], data["images"])
         ]

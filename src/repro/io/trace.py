@@ -444,31 +444,13 @@ class TraceReader:
     def captures(self) -> "list[Capture]":
         """The whole trace as :class:`~repro.channel.link.Capture` objects.
 
-        uint8 frames are restored to float images in [0, 1] (the
-        convention of :func:`repro.io.load_captures`); float frames are
-        passed through bit-identically.
+        Frames keep the dtype the trace stored (uint8 for simulator
+        captures); every decoder normalizes its input.
         """
         from ..channel.link import Capture
 
         images, times = self.read_all()
-        return [
-            Capture(time=float(t), image=normalize_frame(img))
-            for t, img in zip(times, images)
-        ]
-
-
-def normalize_frame(image: np.ndarray) -> np.ndarray:
-    """Map a stored frame to the float image the decode pipeline expects.
-
-    Traces preserve the producer's dtype; the decoder works on floats
-    in [0, 1].  Integer-quantized frames (a recorded video, the golden
-    corpus PNG pixels) divide by 255 — the same convention as
-    ``load_captures`` — while float frames pass through untouched so
-    simulator exports replay bit-identically.
-    """
-    if image.dtype == np.uint8:
-        return image.astype(np.float64) / 255.0
-    return image
+        return [Capture(time=float(t), image=img) for t, img in zip(times, images)]
 
 
 def write_trace(

@@ -1,4 +1,4 @@
-"""Persistent decode service: long-lived workers, shared-memory frames.
+"""Persistent decode service: long-lived workers, batched frames.
 
 This subpackage is the fix for the parallel engine's negative scaling
 (pre-service, 4 workers decoded at 0.38x of serial).  It
@@ -7,9 +7,8 @@ replaces the executor-per-call pattern with:
 * :class:`WorkerPool` — workers spawned once (fork: warm caches), jobs
   over a bounded queue with back-pressure, results re-ordered to
   submission order (bit-identical to serial), processes capped at the
-  host's schedulable cores unless explicitly oversubscribed;
-* :mod:`~repro.serve.shm` — frames travel through generation-stamped
-  shared-memory ring slots, zero-copy on the worker side;
+  host's schedulable cores unless explicitly oversubscribed; a job's
+  frames are pickled onto the queue with it;
 * :class:`DecodeService` — batched/async decode API
   (``submit -> Future``, context-manager lifecycle); whole streams and
   traces run on its pool via ``FrameDecoder.decode_stream(...,
@@ -34,7 +33,6 @@ from .pool import (
     shared_pool,
 )
 from .service import DecodeService
-from .shm import FrameRef, FrameRing, RingReader, StaleFrameError, inline_ref
 
 __all__ = [
     "WORKERS_ENV",
@@ -51,9 +49,4 @@ __all__ = [
     "shared_pool",
     "close_shared_pools",
     "DecodeService",
-    "FrameRef",
-    "FrameRing",
-    "RingReader",
-    "StaleFrameError",
-    "inline_ref",
 ]

@@ -11,9 +11,11 @@ fix and the substrate for the decode *service*:
   ``multiprocessing.Queue`` — submitting past ``queue_depth`` blocks,
   which is the back-pressure that keeps a fast producer from buffering
   unbounded frames;
-* **frames travel via shared memory** (:mod:`repro.serve.shm`): one
-  copy into a ring slot on submit, a zero-copy ``np.frombuffer`` view
-  on the worker, explicit slot reclamation when the result returns;
+* **a job is pickled when it is submitted**, frames included (a
+  480x800 uint8 capture pickles and unpickles in about a millisecond,
+  against tens of milliseconds to decode it), so the
+  caller may reuse its arrays as soon as :meth:`WorkerPool.submit`
+  returns and an unpicklable job fails there, not in a feeder thread;
 * **results return by job id** and are re-ordered to submission order,
   so pooled output is bit-identical to a serial run of the same jobs —
   the invariant every determinism suite in this repo asserts;
@@ -30,9 +32,8 @@ fix and the substrate for the decode *service*:
 Worker crashes are detected by a collector thread watching process
 liveness: pending futures fail with :class:`WorkerCrashError` instead
 of hanging forever.  ``close()`` drains gracefully, terminates
-stragglers after a timeout, fails abandoned futures, and unlinks every
-shared-memory segment; a finalizer covers pools that are never closed
-explicitly.
+stragglers after a timeout and fails abandoned futures; a finalizer
+covers pools that are never closed explicitly.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
+import pickle
 import queue as queue_mod
 import threading
 import traceback
@@ -48,10 +50,7 @@ import weakref
 from concurrent.futures import Future
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
 from .. import telemetry
-from .shm import FrameRef, FrameRing, RingReader, inline_ref
 
 __all__ = [
     "WORKERS_ENV",
@@ -79,10 +78,6 @@ OVERSUBSCRIBE_ENV = "REPRO_POOL_OVERSUBSCRIBE"
 START_METHOD_ENV = "REPRO_POOL_START"
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
-
-#: Default shared-memory slot capacity; the ring is sized up to the
-#: first staged frame when that is larger.
-DEFAULT_SLOT_BYTES = 8 << 20
 
 
 class PoolClosedError(RuntimeError):
@@ -187,21 +182,15 @@ def _worker_main(
     """Worker loop: jobs in, results out, until the ``None`` sentinel."""
     if initializer is not None:
         initializer(*initargs)
-    reader = RingReader()
     worker = multiprocessing.current_process().name
     while True:
         item = jobs.get()
         if item is None:
             break
-        job_id, fn, kwargs, refs = item
+        job_id, job = item
         try:
-            if refs is None:
-                out = fn(**kwargs)
-            else:
-                frames = [reader.view(ref) for ref in refs]
-                out = fn(frames, **kwargs)
-                del frames  # drop shm views before the slot is reclaimed
-            results.put((job_id, True, out, worker))
+            fn, kwargs = pickle.loads(job)
+            results.put((job_id, True, fn(**kwargs), worker))
         except Exception as exc:
             results.put(
                 (
@@ -211,35 +200,25 @@ def _worker_main(
                     worker,
                 )
             )
-    reader.close()
 
 
-def _finalize_pool(
-    ring_box: list[FrameRing],
-    workers: list[Any],
-) -> None:
+def _finalize_pool(workers: list[Any]) -> None:
     """Last-resort cleanup for pools never closed explicitly."""
-    for ring in ring_box:
-        ring.close(unlink=True)
-    del ring_box[:]
     for process in workers:
         if process.is_alive():
             process.terminate()
 
 
 class WorkerPool:
-    """Persistent process pool with shared-memory frame transport.
+    """Persistent process pool fed over a bounded job queue.
 
     ``workers`` follows :func:`resolve_workers`; the number of spawned
     *processes* is additionally capped at :func:`available_cpus` unless
     ``oversubscribe`` (see module docstring).  ``queue_depth`` bounds
-    the in-flight job queue (back-pressure); ``ring_slots`` /
-    ``slot_bytes`` size the shared-memory frame ring, which is created
-    lazily on the first frame-carrying submit.
+    the in-flight job queue (back-pressure).
 
     Use as a context manager, or call :meth:`close` explicitly; both
-    guarantee no worker process and no shared-memory segment outlives
-    the pool.
+    guarantee no worker process outlives the pool.
     """
 
     def __init__(
@@ -247,8 +226,6 @@ class WorkerPool:
         workers: Optional[int] = None,
         *,
         queue_depth: Optional[int] = None,
-        ring_slots: Optional[int] = None,
-        slot_bytes: Optional[int] = None,
         initializer: Optional[Callable[..., None]] = None,
         initargs: tuple[Any, ...] = (),
         start_method: Optional[str] = None,
@@ -264,8 +241,6 @@ class WorkerPool:
                 else min(self.requested, available_cpus())
             )
         self.queue_depth = int(queue_depth) if queue_depth else 2 * self.processes
-        self._ring_slots = int(ring_slots) if ring_slots else max(4, 2 * self.processes)
-        self._slot_bytes = int(slot_bytes) if slot_bytes else 0  # 0: size on first frame
 
         method = start_method or os.environ.get(START_METHOD_ENV, "").strip()
         if not method:
@@ -274,17 +249,6 @@ class WorkerPool:
             )
         ctx = multiprocessing.get_context(method)
         self.start_method = method
-        if method == "fork":
-            # Start the parent's resource tracker *before* forking, so
-            # every worker inherits it.  A worker that forks first would
-            # lazily spawn a private tracker on attach, and that tracker
-            # would try to "clean up" the owner's ring at worker exit.
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.ensure_running()
-            except Exception:  # pragma: no cover - platform-dependent
-                pass
         self._jobs: Any = ctx.Queue(self.queue_depth)
         self._results: Any = ctx.Queue()
         self._workers = [
@@ -300,18 +264,12 @@ class WorkerPool:
             process.start()
 
         self._lock = threading.Lock()
-        self._slot_cond = threading.Condition()
         self._pending: dict[int, "Future[Any]"] = {}
-        self._job_slots: dict[int, list[int]] = {}
-        self._slots_in_flight = 0
-        self._ring_box: list[FrameRing] = []
         self._next_job = 0
         self._closed = False
         self._broken: Optional[str] = None
         self._stop_collector = False
-        self._finalizer = weakref.finalize(
-            self, _finalize_pool, self._ring_box, self._workers
-        )
+        self._finalizer = weakref.finalize(self, _finalize_pool, self._workers)
         self._collector = threading.Thread(
             target=self._collect, daemon=True, name="repro-pool-collector"
         )
@@ -333,92 +291,49 @@ class WorkerPool:
         with self._lock:
             return len(self._pending)
 
-    @property
-    def ring(self) -> Optional[FrameRing]:
-        return self._ring_box[0] if self._ring_box else None
-
-    @property
-    def ring_occupancy(self) -> int:
-        """Shared-memory frame slots currently held by in-flight jobs."""
-        return self._slots_in_flight
-
     def _record_health(self) -> None:
-        """Pool-health gauges for the live metrics registry, if any.
+        """Pool-health gauge for the live metrics registry, if any.
 
         All pool-health metrics are flagged ``timing=True``: queue depth
-        and slot occupancy are scheduling artifacts that depend on the
-        worker count and host load, so they must never leak into
-        deterministic (``include_timing=False``) snapshots — they are
-        for ``metrics.json`` / ``repro telemetry report`` only.
+        is a scheduling artifact that depends on the worker count and
+        host load, so it must never leak into deterministic
+        (``include_timing=False``) snapshots — it is for
+        ``metrics.json`` / ``repro telemetry report`` only.
         """
         registry = telemetry.registry()
-        if not registry:
-            return
-        registry.gauge("serve.pool.pending_jobs", timing=True).set(self.pending_jobs)
-        registry.gauge("serve.pool.ring_occupancy", timing=True).set(
-            self._slots_in_flight
-        )
-        registry.gauge("serve.pool.ring_slots", timing=True).set(self._ring_slots)
+        if registry:
+            registry.gauge("serve.pool.pending_jobs", timing=True).set(self.pending_jobs)
 
     # -- submission ------------------------------------------------------
 
-    def submit(
-        self,
-        fn: Callable[..., Any],
-        /,
-        *,
-        frames: Optional[Sequence[np.ndarray]] = None,
-        **kwargs: Any,
-    ) -> "Future[Any]":
-        """Queue ``fn(**kwargs)`` (or ``fn(frames, **kwargs)``) on a worker.
+    def submit(self, fn: Callable[..., Any], /, **kwargs: Any) -> "Future[Any]":
+        """Queue ``fn(**kwargs)`` on a worker.
 
-        ``frames`` is a sequence of ``ndarray`` payloads staged through
-        the shared-memory ring; the worker receives zero-copy views as
-        the first positional argument.  Blocks when the job queue is at
+        The job is pickled before this returns, so array arguments may
+        be reused at once.  Blocks when the job queue is at
         ``queue_depth`` (back-pressure).  Returns a
         :class:`~concurrent.futures.Future` resolving to the job's
         return value, raising :class:`JobFailedError` /
         :class:`WorkerCrashError` on failure.
-
-        A single batch with more frames than the ring has slots cannot
-        deadlock — the overflow ships as pickled inline payloads — but
-        that serializes the full frame bytes through the job queue.
-        Prefer :meth:`map_ordered` (or chunked submits) for batches
-        larger than ``ring_slots``.
         """
         self._check_usable()
-        refs: Optional[list[FrameRef]] = None
-        slots: list[int] = []
-        if frames is not None:
-            refs = []
-            try:
-                for array in frames:
-                    ref = self._stage(np.asarray(array), held_by_self=len(slots))
-                    refs.append(ref)
-                    if not ref.inline:
-                        slots.append(ref.slot)
-            except BaseException:
-                self._release_slots(slots)
-                raise
+        job = pickle.dumps((fn, kwargs), protocol=pickle.HIGHEST_PROTOCOL)
         future: "Future[Any]" = Future()
         with self._lock:
             job_id = self._next_job
             self._next_job += 1
             self._pending[job_id] = future
-            self._job_slots[job_id] = slots
         try:
             self._check_usable()
             while True:
                 try:
-                    self._jobs.put((job_id, fn, dict(kwargs), refs), timeout=0.1)
+                    self._jobs.put((job_id, job), timeout=0.1)
                     break
                 except queue_mod.Full:
                     self._check_usable()
         except BaseException:
             with self._lock:
                 self._pending.pop(job_id, None)
-                self._job_slots.pop(job_id, None)
-            self._release_slots(slots)
             raise
         registry = telemetry.registry()
         if registry:
@@ -477,8 +392,7 @@ class WorkerPool:
 
         Lets workers drain what is already queued (sentinels go to the
         back of the queue), terminates anything still alive after
-        *timeout*, fails abandoned futures, and unlinks the
-        shared-memory ring.
+        *timeout*, and fails abandoned futures.
         """
         with self._lock:
             if self._closed:
@@ -510,16 +424,9 @@ class WorkerPool:
         with self._lock:
             abandoned = list(self._pending.values())
             self._pending.clear()
-            self._job_slots.clear()
         for future in abandoned:
             if not future.done():
                 future.set_exception(failure)
-        with self._slot_cond:
-            for ring in self._ring_box:
-                ring.close(unlink=True)
-            del self._ring_box[:]
-            self._slots_in_flight = 0
-            self._slot_cond.notify_all()
         for q in (self._jobs, self._results):
             try:
                 q.close()
@@ -542,50 +449,8 @@ class WorkerPool:
         if self._closed:
             raise PoolClosedError("cannot submit to a closed pool")
 
-    def _stage(self, array: np.ndarray, held_by_self: int) -> FrameRef:
-        """Stage one frame into the ring, blocking for a free slot.
-
-        Falls back to an inline ref when the frame cannot fit a slot or
-        when waiting could never succeed (every in-flight slot is held
-        by the submit currently staging) — degraded throughput, never a
-        deadlock.
-        """
-        with self._slot_cond:
-            ring = self._ring_box[0] if self._ring_box else None
-            if ring is None:
-                if self._closed:
-                    raise PoolClosedError("cannot stage frames on a closed pool")
-                slot_bytes = max(self._slot_bytes or DEFAULT_SLOT_BYTES, array.nbytes)
-                ring = FrameRing(self._ring_slots, slot_bytes)
-                self._ring_box.append(ring)
-            if not ring.fits(array.nbytes):
-                return inline_ref(array)
-            while True:
-                self._check_usable()
-                slot = ring.try_acquire()
-                if slot is not None:
-                    self._slots_in_flight += 1
-                    break
-                if self._slots_in_flight <= held_by_self:
-                    # Nothing outside this submit holds a slot; waiting
-                    # would deadlock.  Ship the frame inline instead.
-                    return inline_ref(array)
-                self._slot_cond.wait(timeout=0.1)
-            return ring.write(slot, array)
-
-    def _release_slots(self, slots: Sequence[int]) -> None:
-        if not slots:
-            return
-        with self._slot_cond:
-            ring = self._ring_box[0] if self._ring_box else None
-            if ring is not None:
-                for slot in slots:
-                    ring.release(slot)
-            self._slots_in_flight -= len(slots)
-            self._slot_cond.notify_all()
-
     def _collect(self) -> None:
-        """Result drain loop: resolve futures, reclaim slots, watch crashes."""
+        """Result drain loop: resolve futures, watch crashes."""
         while True:
             try:
                 item = self._results.get(timeout=0.1)
@@ -610,8 +475,6 @@ class WorkerPool:
             worker = str(rest[0]) if rest else "unknown"
             with self._lock:
                 future = self._pending.pop(job_id, None)
-                slots = self._job_slots.pop(job_id, [])
-            self._release_slots(slots)
             registry = telemetry.registry()
             if registry:
                 registry.counter(
@@ -631,13 +494,10 @@ class WorkerPool:
         with self._lock:
             abandoned = list(self._pending.values())
             self._pending.clear()
-            self._job_slots.clear()
         error = WorkerCrashError(message)
         for future in abandoned:
             if not future.done():
                 future.set_exception(error)
-        with self._slot_cond:
-            self._slot_cond.notify_all()
 
 
 # -- process-wide shared pools ----------------------------------------------

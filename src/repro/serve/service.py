@@ -7,17 +7,17 @@ screen-camera link that keeps producing captures while decode runs
 elsewhere:
 
 * :meth:`submit` — hand over a *batch* of frames, get a
-  :class:`~concurrent.futures.Future` back immediately; the frames are
-  staged into shared memory up front, so the caller may reuse or drop
-  its arrays right away;
+  :class:`~concurrent.futures.Future` back immediately; the batch is
+  pickled up front, so the caller may reuse or drop its arrays right
+  away;
 * whole streams and traces decode on the service's pool through
   ``decoder.decode_stream(captures, service=svc)`` and
   ``decoder.decode_trace(path, service=svc)``, chunked by
   :attr:`DecodeService.chunksize`;
 * ``close``/``join`` and context-manager lifecycle: when the service
-  *owns* its pool, closing the service tears the workers and every
-  shared-memory segment down; a service wrapping a shared pool leaves
-  the pool running for the next caller.
+  *owns* its pool, closing the service tears the workers down; a
+  service wrapping a shared pool leaves the pool running for the next
+  caller.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ class DecodeService:
     ----------
     decoder:
         The :class:`FrameDecoder` applied to every frame.  It is
-        pickled once per submitted batch (it is a small config object;
-        the frames are what travel through shared memory).
+        pickled with every submitted batch (it is a small config
+        object; the frames are most of the bytes).
     workers:
         Requested concurrency, resolved like everywhere else
         (explicit > ``REPRO_WORKERS`` > cores).  Ignored when *pool*
@@ -55,7 +55,7 @@ class DecodeService:
         Default frames-per-job when ``decode_stream``/``decode_trace``
         run on this service; ``None`` picks ~4 chunks per requested
         worker.
-    queue_depth, ring_slots, slot_bytes:
+    queue_depth:
         Forwarded to the private :class:`WorkerPool` (ignored with an
         external *pool*).
     """
@@ -68,20 +68,13 @@ class DecodeService:
         pool: Optional[WorkerPool] = None,
         chunksize: Optional[int] = None,
         queue_depth: Optional[int] = None,
-        ring_slots: Optional[int] = None,
-        slot_bytes: Optional[int] = None,
     ):
         self.decoder = decoder
         if pool is not None:
             self._pool = pool
             self._owns_pool = False
         else:
-            self._pool = WorkerPool(
-                workers,
-                queue_depth=queue_depth,
-                ring_slots=ring_slots,
-                slot_bytes=slot_bytes,
-            )
+            self._pool = WorkerPool(workers, queue_depth=queue_depth)
             self._owns_pool = True
         self.chunksize = chunksize
 
@@ -108,9 +101,9 @@ class DecodeService:
     ) -> Future[Any]:
         """Queue one batch of frames; resolves to per-frame results.
 
-        Frames are copied into shared-memory slots *before* this call
-        returns (blocking for slot/queue capacity — that is the
-        back-pressure), so the caller's arrays are free to be reused.
+        The batch is pickled *before* this call returns (blocking for
+        queue capacity — that is the back-pressure), so the caller's
+        arrays are free to be reused.
         With ``with_metrics=True`` the future resolves to ``(results,
         per_capture_snapshots)`` instead (see :func:`decode_batch`).
         """

@@ -8,8 +8,8 @@ directory — ``trace.json``, ``metrics.json`` and the
   name, aggregated over the whole trace tree);
 * a decode failure-stage breakdown (from the
   ``decode.failures{stage=...}`` counter family);
-* pool health (job-queue depth and shm frame-ring occupancy gauges plus
-  per-worker completion counters from the ``serve.pool.*`` family);
+* pool health (the job-queue depth gauge plus per-worker completion
+  counters from the ``serve.pool.*`` family);
 * event counts by type.
 
 ``build_report`` returns a plain dict; ``format_report`` renders the

@@ -84,7 +84,7 @@ def test_rb007_accepts_finally_release():
 
 def test_rb007_accepts_ownership_transfer():
     # Returning, storing on self, and passing to an adopter all move
-    # ownership out of the local scope (the idioms repro.serve.shm uses).
+    # ownership out of the local scope.
     violations = check(
         """
         from multiprocessing import shared_memory

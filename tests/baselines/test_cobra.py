@@ -13,6 +13,7 @@ from repro.baselines.cobra import (
 from repro.channel.link import LinkConfig, ScreenCameraLink
 from repro.channel.screen import FrameSchedule
 from repro.core.decoder import DecodeError
+from repro.imaging.color import normalize_frame
 from repro.imaging.filters import gaussian_blur
 
 
@@ -128,7 +129,7 @@ class TestReceiver:
         sched = FrameSchedule([frame.render()], display_rate=10)
         link = ScreenCameraLink(LinkConfig(), rng=np.random.default_rng(3))
         sharp = link.capture_at(sched, 0.01).image
-        blurry = gaussian_blur(sharp, 2.5)
+        blurry = gaussian_blur(normalize_frame(sharp), 2.5)
         receiver = CobraReceiver(CobraDecoder(config))
         receiver.offer(blurry)
         receiver.offer(sharp)

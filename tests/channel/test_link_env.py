@@ -91,8 +91,10 @@ class TestScreenCameraLink:
     def test_capture_shape_and_range(self, frame_image):
         link = ScreenCameraLink(LinkConfig(), rng=np.random.default_rng(0))
         cap = link.capture_at(self._schedule(frame_image), 0.01)
+        # Captures are the 8-bit samples of a recorded video.
         assert cap.image.shape == (*link.config.sensor_size, 3)
-        assert cap.image.min() >= 0.0 and cap.image.max() <= 1.0
+        assert cap.image.dtype == np.uint8
+        assert cap.image.min() < cap.image.max()
 
     def test_capture_stream_cadence(self, frame_image):
         images = [frame_image] * 5
@@ -107,7 +109,7 @@ class TestScreenCameraLink:
         near = ScreenCameraLink(LinkConfig(distance_cm=10), rng=np.random.default_rng(2))
         far = ScreenCameraLink(LinkConfig(distance_cm=20), rng=np.random.default_rng(2))
         sched = self._schedule(frame_image)
-        bright = lambda cap: float((cap.image.mean(axis=2) > 0.3).sum())  # noqa: E731
+        bright = lambda cap: float((cap.image.mean(axis=2) > 0.3 * 255).sum())  # noqa: E731
         assert bright(far.capture_at(sched, 0.0)) < bright(near.capture_at(sched, 0.0))
 
     def test_deterministic_given_rng(self, frame_image):

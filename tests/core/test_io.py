@@ -75,17 +75,20 @@ class TestFrameStreamArchive:
 
 class TestCaptureArchive:
     def test_roundtrip(self, tmp_path):
+        # Captures are uint8; the archive keeps every byte and the dtype.
         rng = np.random.default_rng(1)
         captures = [
-            Capture(time=0.1 * i, image=rng.random((12, 16, 3))) for i in range(3)
+            Capture(time=0.1 * i, image=rng.integers(0, 256, (12, 16, 3), dtype=np.uint8))
+            for i in range(3)
         ]
         path = tmp_path / "session.npz"
         save_captures(path, captures)
         loaded = load_captures(path)
         assert len(loaded) == 3
         for a, b in zip(captures, loaded):
-            assert b.time == pytest.approx(a.time)
-            assert np.abs(a.image - b.image).max() < 1 / 254
+            assert b.time == a.time
+            assert b.image.dtype == np.uint8
+            assert np.array_equal(a.image, b.image)
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):

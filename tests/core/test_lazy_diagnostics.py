@@ -13,6 +13,7 @@ from repro.channel.link import ScreenCameraLink
 from repro.channel.screen import FrameSchedule
 from repro.core import decoder as decoder_mod
 from repro.core.decoder import DecodeDiagnostics, FrameDecoder
+from repro.imaging.color import normalize_frame
 from repro.telemetry import MetricsRegistry, Tracer
 
 
@@ -80,7 +81,7 @@ class TestDecoderLaziness:
         assert "diagnostics" not in extraction.diagnostics.stage_ms
         value = extraction.diagnostics.sharpness
         assert calls == [1]
-        assert value == real(np.asarray(cap.image, dtype=np.float64))
+        assert value == real(normalize_frame(cap.image))
 
     def test_sharpness_eager_with_telemetry(self, capture, monkeypatch):
         config, cap = capture

@@ -133,3 +133,42 @@ class TestCampaignDeterminismSlow:
         assert campaign_to_json(serial, summarize(serial)) == campaign_to_json(
             parallel, summarize(parallel)
         )
+
+
+class TestUndetectedErrors:
+    """A session that returns wrong bytes is counted, never "delivered"."""
+
+    @pytest.fixture
+    def corrupting_session(self, monkeypatch):
+        transmit = TransferSession.transmit
+
+        def flip_first_bit(session, payload, max_rounds=3):
+            recovered, stats = transmit(session, payload, max_rounds=max_rounds)
+            if recovered is not None:
+                recovered = bytes([recovered[0] ^ 1]) + recovered[1:]
+            return recovered, stats
+
+        monkeypatch.setattr(TransferSession, "transmit", flip_first_bit)
+
+    def test_clean_trial_has_none(self):
+        from repro.bench.faults_campaign import run_fault_trial
+
+        trial = run_fault_trial("clean", seed=0, num_frames=1, max_rounds=1)
+        assert trial.delivered and trial.undetected_errors == 0
+
+    def test_wrong_bytes_are_counted(self, corrupting_session):
+        from repro.bench.faults_campaign import format_table, run_fault_trial, summarize
+
+        trial = run_fault_trial("clean", seed=0, num_frames=1, max_rounds=1)
+        assert not trial.delivered and trial.undetected_errors == 1
+        (summary,) = summarize([trial, trial])
+        assert summary.undetected_errors == 2
+        assert "undet" in format_table([summary])
+
+    def test_campaign_cli_exits_1(self, corrupting_session, capsys):
+        from repro.cli import main
+
+        argv = ["faults-campaign", "--seeds", "1", "--workers", "1", "--scenarios",
+                "clean", "--frames", "1", "--max-rounds", "1", "--out", "-"]
+        assert main(argv) == 1
+        assert "returned wrong bytes" in capsys.readouterr().err

@@ -6,11 +6,10 @@ Run from the repository root:
 
 Each fixture is one captured image (8-bit PNG) of the small campaign
 geometry plus its expected decode outcome in ``expected.json``, and —
-since the capture-trace wire format landed — the same quantized
-capture as a one-frame trace under ``corpus/traces/<name>.rbtrace/``
-(decoding the trace is bit-identical to decoding the PNG: the trace
-stores the identical uint8 pixels, and the replay path divides by 255
-exactly as the golden test does).  The
+since the capture-trace wire format landed — the same uint8 capture
+as a one-frame trace under ``corpus/traces/<name>.rbtrace/`` (decoding
+the trace is bit-identical to decoding the PNG: both hold the capture's
+own uint8 samples, and every decoder divides them by 255).  The
 builder is fully deterministic — seeds are fixed, every random draw
 comes from a named generator — so regenerating on an unchanged decoder
 reproduces the corpus byte for byte.  Regenerate (and review the diff
@@ -94,9 +93,7 @@ def render_fixture(case: dict) -> np.ndarray:
     capture = link.capture_at(
         schedule, start_time=case["time"] / DISPLAY_RATE, capture_index=0
     )
-    # Quantize exactly as write_png will, so the decode expectation is
-    # computed on the same pixels a reader of the PNG sees.
-    return (np.clip(capture.image, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+    return capture.image
 
 
 def hash_name(name: str) -> int:
@@ -106,11 +103,11 @@ def hash_name(name: str) -> int:
 
 
 def expected_outcome(image_u8: np.ndarray) -> dict:
-    """Decode one quantized capture and record the golden outcome."""
+    """Decode one uint8 capture and record the golden outcome."""
     from repro.core.decoder import FrameDecoder
 
     decoder = FrameDecoder(_codec())
-    extraction, diagnostics = decoder.extract_diagnosed(image_u8.astype(np.float64) / 255.0)
+    extraction, diagnostics = decoder.extract_diagnosed(image_u8)
     if extraction is None:
         assert diagnostics.failure is not None
         return {
@@ -130,9 +127,9 @@ def expected_outcome(image_u8: np.ndarray) -> dict:
 def write_fixture_trace(case: dict, image_u8: np.ndarray, out_dir: Path) -> None:
     """Store one fixture as a one-frame capture trace (schema v1).
 
-    The trace carries the *identical* quantized uint8 pixels the PNG
-    does, so replay-decoding it is bit-identical to the golden PNG
-    path.  ``git_rev`` is deliberately left empty: the corpus must
+    The trace carries the *identical* uint8 pixels the PNG does, so
+    replay-decoding it is bit-identical to the golden PNG path.
+    ``git_rev`` is deliberately left empty: the corpus must
     regenerate byte-for-byte on an unchanged decoder, and a baked-in
     revision would churn on every commit.
     """

@@ -186,13 +186,24 @@ class TestWhiteBalanceAndQuantize:
     def test_quantize_levels(self):
         img = np.array([[[0.5001, 0.5001, 0.5001]]])
         out = quantize_8bit(img)
-        assert out[0, 0, 0] == pytest.approx(128 / 255)
+        assert out.dtype == np.uint8
+        assert out[0, 0, 0] == 128
 
     def test_quantize_idempotent(self):
         rng = np.random.default_rng(3)
         img = rng.random((8, 8, 3))
         once = quantize_8bit(img)
-        assert np.array_equal(quantize_8bit(once), once)
+        assert np.array_equal(quantize_8bit(once / 255.0), once)
+
+    def test_quantize_matches_float_levels(self):
+        # uint8 / 255 is bit for bit the float quantization captures
+        # used to carry: clip, scale, round half to even, divide.
+        rng = np.random.default_rng(5)
+        img = rng.uniform(-0.2, 1.2, (16, 16, 3))
+        levels = np.round(np.clip(img, 0.0, 1.0) * 255.0) / 255.0
+        assert np.array_equal(quantize_8bit(img) / 255.0, levels)
+        # Exact ties go to the even level (a +0.5 floor would give 127).
+        assert quantize_8bit(np.array([126.5 / 255.0]))[0] == 126
 
 
 class TestCameraPipeline:

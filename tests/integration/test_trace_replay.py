@@ -21,7 +21,8 @@ from repro.core.decoder import FrameDecoder
 from repro.core.encoder import FrameCodecConfig
 from repro.core.layout import FrameLayout
 from repro.io import read_png
-from repro.io.trace import TraceMetadata, TraceReader, TraceWriter, normalize_frame
+from repro.imaging.color import normalize_frame
+from repro.io.trace import TraceMetadata, TraceReader, TraceWriter
 from repro.serve import OVERSUBSCRIBE_ENV, DecodeService, WorkerPool, close_shared_pools
 
 CORPUS_DIR = Path(__file__).parent.parent / "fixtures" / "corpus"
@@ -108,7 +109,7 @@ def test_combined_trace_serial_replay_matches_live(combined_trace):
 
 @pytest.mark.parametrize("workers", [2, 4])
 def test_combined_trace_pooled_replay_bit_identical(combined_trace, workers):
-    """decode_trace across the shm pool == serial == live, per worker count."""
+    """decode_trace across the worker pool == serial == live, per worker count."""
     path, names = combined_trace
     decoder = _decoder()
     live = decoder.decode_stream([_png_image(n) for n in names])

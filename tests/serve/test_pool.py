@@ -1,9 +1,10 @@
-"""WorkerPool lifecycle, shared-memory hygiene, and failure semantics.
+"""WorkerPool lifecycle, ``/dev/shm`` hygiene, and failure semantics.
 
 The decode service's contract is blunt: no worker process and no
-``SharedMemory`` segment outlives ``close()``, a crashed worker fails
-its jobs loudly instead of hanging, and submitting past the queue
-bound blocks (back-pressure) rather than buffering unbounded frames.
+``/dev/shm`` entry outlives ``close()``, a crashed worker fails its
+jobs loudly instead of hanging, a job is pickled at submit (so the
+caller may reuse its arrays), and submitting past the queue bound
+blocks (back-pressure) rather than buffering unbounded frames.
 Every test here is timeout-guarded — a hang is itself the failure mode
 under test.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import glob
 import os
+import pickle
 import threading
 import time
 
@@ -19,24 +21,21 @@ import numpy as np
 import pytest
 
 from repro.serve import (
-    FrameRing,
     JobFailedError,
     PoolClosedError,
-    RingReader,
-    StaleFrameError,
     WorkerCrashError,
     WorkerPool,
     available_cpus,
     close_shared_pools,
     default_chunksize,
-    inline_ref,
     resolve_workers,
     shared_pool,
 )
 
 
 def _shm_segments() -> set[str]:
-    return set(glob.glob("/dev/shm/psm_*"))
+    # Shared-memory segments and named semaphores both live here.
+    return set(glob.glob("/dev/shm/*"))
 
 
 # -- module-level job functions (must be picklable) -------------------------
@@ -81,19 +80,28 @@ class TestExecution:
         with WorkerPool(2) as pool:
             assert pool.map_ordered(_square, []) == []
 
-    def test_frames_travel_via_shared_memory(self):
-        with WorkerPool(2, slot_bytes=1 << 16) as pool:
+    def test_array_kwargs_roundtrip(self):
+        with WorkerPool(2) as pool:
             a = np.arange(100, dtype=np.float64).reshape(10, 10)
-            b = np.ones((4, 4), dtype=np.uint8)
+            b = np.ones((480, 800, 3), dtype=np.uint8)
             got = pool.submit(_frame_total, frames=[a, b], offset=0.5).result(30)
             assert got == [float(a.sum()) + 0.5, float(b.sum()) + 0.5]
-            assert pool.ring is not None  # the ring really was used
 
-    def test_oversized_frame_falls_back_inline(self):
-        with WorkerPool(1, slot_bytes=64) as pool:
-            big = np.arange(1000, dtype=np.float64)
-            got = pool.submit(_frame_total, frames=[big], offset=0.0).result(30)
-            assert got == [float(big.sum())]
+    def test_job_is_pickled_at_submit(self):
+        with WorkerPool(1) as pool:
+            blocker = pool.submit(_sleep_then, x=0, duration=0.3)
+            frame = np.ones(16, dtype=np.uint8)
+            future = pool.submit(_frame_total, frames=[frame], offset=0.0)
+            frame.fill(0)  # the queued job already holds its own bytes
+            assert blocker.result(30) == 0
+            assert future.result(30) == [16.0]
+
+    def test_unpicklable_job_fails_at_submit(self):
+        with WorkerPool(1) as pool:
+            with pytest.raises((pickle.PicklingError, AttributeError)):
+                pool.submit(lambda: None)  # repro: noqa RB009
+            assert pool.pending_jobs == 0
+            assert pool.submit(_square, x=4).result(30) == 16
 
     def test_processes_capped_at_available_cores(self):
         with WorkerPool(available_cpus() + 3) as pool:
@@ -111,7 +119,7 @@ class TestExecution:
 class TestLifecycle:
     def test_close_terminates_workers_and_unlinks_shm(self):
         before = _shm_segments()
-        pool = WorkerPool(2, slot_bytes=1 << 16)
+        pool = WorkerPool(2)
         frame = np.zeros((8, 8), dtype=np.float64)
         assert pool.submit(_frame_total, frames=[frame], offset=1.0).result(30) == [1.0]
         workers = list(pool._workers)
@@ -136,7 +144,7 @@ class TestLifecycle:
     def test_context_manager_closes_on_exception(self):
         before = _shm_segments()
         with pytest.raises(RuntimeError, match="boom"):
-            with WorkerPool(1, slot_bytes=1 << 12) as pool:
+            with WorkerPool(1) as pool:
                 frame = np.zeros(4, dtype=np.float64)
                 pool.submit(_frame_total, frames=[frame], offset=0.0).result(30)
                 raise RuntimeError("boom")
@@ -218,70 +226,6 @@ class TestBackPressure:
             assert submitted.wait(30), "submit never unblocked"
             thread.join(30)
             assert queued.result(30) == 1
-
-    def test_frame_ring_blocks_until_slots_free(self):
-        # 1 worker, roomy queue, but only the minimum 4 ring slots:
-        # staging a 5th frame while the first job still holds its slot
-        # must wait for reclamation, not crash or duplicate slots.
-        with WorkerPool(1, ring_slots=4, slot_bytes=1 << 12, queue_depth=16) as pool:
-            frame = np.ones(16, dtype=np.float64)
-            futures = [
-                pool.submit(_frame_total, frames=[frame], offset=float(i))
-                for i in range(8)
-            ]
-            assert [f.result(30) for f in futures] == [[16.0 + i] for i in range(8)]
-
-
-# -- shm primitives ----------------------------------------------------------
-
-
-class TestShmPrimitives:
-    def test_ring_roundtrip_zero_copy(self):
-        ring = FrameRing(slots=2, slot_bytes=1 << 12)
-        reader = RingReader()
-        try:
-            arr = np.arange(64, dtype=np.float32).reshape(8, 8)
-            slot = ring.try_acquire()
-            ref = ring.write(slot, arr)
-            view = reader.view(ref)
-            np.testing.assert_array_equal(view, arr)
-            assert view.dtype == arr.dtype and view.shape == arr.shape
-            del view
-        finally:
-            reader.close()
-            ring.close()
-
-    def test_stale_generation_detected(self):
-        ring = FrameRing(slots=1, slot_bytes=1 << 12)
-        reader = RingReader()
-        try:
-            slot = ring.try_acquire()
-            old_ref = ring.write(slot, np.zeros(4, dtype=np.float64))
-            ring.release(slot)
-            slot = ring.try_acquire()
-            ring.write(slot, np.ones(4, dtype=np.float64))
-            with pytest.raises(StaleFrameError):
-                reader.view(old_ref)
-        finally:
-            reader.close()
-            ring.close()
-
-    def test_ring_unlinks_segment_on_close(self):
-        before = _shm_segments()
-        ring = FrameRing(slots=1, slot_bytes=1 << 12)
-        assert _shm_segments() != before
-        ring.close()
-        assert _shm_segments() == before
-        ring.close()  # idempotent
-
-    def test_inline_ref_roundtrip(self):
-        arr = np.arange(12, dtype=np.int32).reshape(3, 4)
-        ref = inline_ref(arr)
-        assert ref.inline
-        view = RingReader().view(ref)
-        np.testing.assert_array_equal(view, arr)
-        view[0, 0] = 99  # inline views are private, writable copies
-        assert arr[0, 0] == 0
 
 
 # -- worker resolution -------------------------------------------------------

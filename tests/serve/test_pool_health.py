@@ -1,4 +1,4 @@
-"""Pool-health telemetry: queue/ring gauges and per-worker counters.
+"""Pool-health telemetry: the queue gauge and per-worker counters.
 
 All pool-health metrics are timing-flagged: they describe *this* run's
 scheduling (which worker got which job, how deep the queue was), so
@@ -43,18 +43,14 @@ class TestPoolHealth:
         # Worker identity comes from the spawned process names.
         assert all("repro-pool-" in key for key in worker_counts)
 
-    def test_ring_gauges_present(self, live_telemetry):
+    def test_pending_jobs_gauge_present(self, live_telemetry):
         with WorkerPool(2) as pool:
             future = pool.submit(_double, x=21)
             assert future.result(30) == 42
             pool.join(30)
         gauges = live_telemetry.snapshot()["gauges"]
-        assert "serve.pool.pending_jobs" in gauges
-        assert "serve.pool.ring_occupancy" in gauges
-        assert "serve.pool.ring_slots" in gauges
-        # Drained pool: nothing pending, nothing staged.
+        # Drained pool: nothing pending.
         assert gauges["serve.pool.pending_jobs"] == 0
-        assert gauges["serve.pool.ring_occupancy"] == 0
 
     def test_health_metrics_are_timing_flagged(self, live_telemetry):
         with WorkerPool(2) as pool:

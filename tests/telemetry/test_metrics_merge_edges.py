@@ -126,7 +126,7 @@ class TestTimingMerge:
 
     def test_timing_gauges_hidden_too(self):
         donor = MetricsRegistry()
-        donor.gauge("serve.pool.ring_occupancy").set(2.0)
+        donor.gauge("serve.pool.pending_jobs").set(2.0)
         receiver = MetricsRegistry().merge_snapshot(donor.snapshot(), timing=True)
         assert receiver.snapshot(include_timing=False)["gauges"] == {}
-        assert receiver.snapshot()["gauges"] == {"serve.pool.ring_occupancy": 2.0}
+        assert receiver.snapshot()["gauges"] == {"serve.pool.pending_jobs": 2.0}
