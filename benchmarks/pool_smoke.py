@@ -1,12 +1,11 @@
-"""Decode-service smoke check: bit-identical pooled decode, no leaks.
+"""Pooled-decode smoke check: bit-identical pooled decode, no leaks.
 
 CI's ``pool-smoke`` job runs this against the golden corpus: a
 2-worker ``decode_stream`` of the fixtures' uint8 captures through the
-persistent worker pool (each batch pickled onto its job queue) must
-produce field-for-field the same results as the serial decoder, and
-after ``close_shared_pools()`` no worker may be alive and no new entry
-(a queue semaphore or a shared-memory segment) may remain in
-``/dev/shm``.  Exit code 0 on success, 1 with a message on any
+persistent process pool must produce field-for-field the same results
+as the serial decoder, and after ``close_shared_pools()`` no worker
+process may be alive and no new entry (a queue semaphore or a
+shared-memory segment) may remain in ``/dev/shm``.  Exit code 0 on success, 1 with a message on any
 violation — cheap enough to run on every push.
 
 Run from the repo root::
@@ -19,22 +18,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import glob
-import os
+import multiprocessing
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-# Force real worker processes even on a 1-core runner: without this the
-# dispatcher (correctly) skips the pool at one effective process, and
-# the smoke would not exercise the pooled path at all.
-os.environ.setdefault("REPRO_POOL_OVERSUBSCRIBE", "1")
-
 from repro.core.decoder import FrameDecoder  # noqa: E402
 from repro.core.encoder import FrameCodecConfig  # noqa: E402
 from repro.core.layout import FrameLayout  # noqa: E402
 from repro.io import read_png  # noqa: E402
-from repro.serve import close_shared_pools, shared_pool  # noqa: E402
+from repro.serve import close_shared_pools  # noqa: E402
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "corpus"
 
@@ -60,8 +54,7 @@ def main(argv: list[str] | None = None) -> int:
 
     serial = decoder.decode_stream(images, workers=1)
     pooled = decoder.decode_stream(images, workers=args.workers)
-    pool = shared_pool(args.workers)
-    worker_processes = list(pool._workers)
+    worker_processes = len(multiprocessing.active_children())
 
     failures = []
     if _comparable(pooled) != _comparable(serial):
@@ -70,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
         failures.append("corpus produced no successful decodes (fixtures broken?)")
 
     close_shared_pools()
-    if any(p.is_alive() for p in worker_processes):
+    if multiprocessing.active_children():
         failures.append("worker processes outlived close_shared_pools()")
     leaked = set(glob.glob("/dev/shm/*")) - shm_before
     if leaked:
@@ -84,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"pool smoke OK: {decoded}/{len(images)} fixtures decoded, "
         f"{args.workers}-worker output bit-identical to serial, "
-        f"{pool.processes} worker process(es) reaped, no /dev/shm leaks"
+        f"{worker_processes} worker process(es) reaped, no /dev/shm leaks"
     )
     return 0
 

@@ -4,7 +4,7 @@ CI's ``trace-smoke`` job runs the whole trace lifecycle through the
 CLI entry points: ``repro trace record`` writes a tiny simulated
 session, ``repro trace info --check`` walks every chunk (checksums,
 counts, timing), and ``repro trace decode`` replays it serially and
-with 2 workers through the worker pool — the two decode-outcome JSON
+with 2 workers through the process pool — the two decode-outcome JSON
 files must be byte-identical.  The trace must hold ``uint8`` frames,
 the samples the camera writes.  Afterwards no new entry (a queue
 semaphore or a shared-memory segment) may remain in ``/dev/shm`` and
@@ -20,17 +20,11 @@ from __future__ import annotations
 
 import argparse
 import glob
-import os
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-# Force real worker processes even on a 1-core runner: without this the
-# dispatcher (correctly) skips the pool at one effective process, and
-# the smoke would not exercise the pooled replay path at all.
-os.environ.setdefault("REPRO_POOL_OVERSUBSCRIBE", "1")
 
 from repro.cli import main as repro_main  # noqa: E402
 from repro.io.trace import TraceReader  # noqa: E402

@@ -43,9 +43,6 @@ RB007     Resource lifecycle: ``SharedMemory`` / ``open`` /
 RB008     CLI exit-code contract: ``cli.py`` / ``__main__.py`` handler
           functions return ints through the 0/1/2 funnel; raw
           ``sys.exit(expr)`` is banned outside ``sys.exit(main())``.
-RB009     Pool-boundary picklability: callables submitted to
-          ``WorkerPool.submit`` / ``map_ordered`` must be module-level
-          — lambdas and closures break under the spawn start method.
 RB010     Schema-version hygiene: writers of versioned artifacts stamp
           documents from a single ``*_SCHEMA_VERSION`` constant, never
           an inline literal.

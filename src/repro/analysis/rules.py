@@ -1,4 +1,4 @@
-"""The RB001–RB004 and RB007–RB010 per-file rule classes.
+"""The RB001–RB004, RB007, RB008 and RB010 per-file rule classes.
 
 Every rule subclasses :class:`Rule` and implements :meth:`Rule.check`,
 receiving the parsed module and a :class:`RuleContext` describing where
@@ -31,7 +31,6 @@ __all__ = [
     "RB004TelemetryHygiene",
     "RB007ResourceLifecycle",
     "RB008CliExitContract",
-    "RB009PoolBoundary",
     "RB010SchemaVersionHygiene",
     "RULES",
     "Rule",
@@ -911,120 +910,6 @@ class RB008CliExitContract(Rule):
         return False
 
 
-class RB009PoolBoundary(Rule):
-    """Callables crossing the worker-pool boundary must be module-level.
-
-    ``WorkerPool.submit``/``map_ordered`` pickle the callable into the
-    worker process; under the spawn start method a lambda or closure
-    fails at submit time on some platforms and silently works on
-    others (fork).  Only provable violations are flagged: a lambda
-    literal, a name bound to a lambda, or a function defined inside an
-    enclosing function.  Names the rule cannot resolve (parameters,
-    imports, attributes) pass — spawn-safety for those is the call
-    site's reviewable claim.
-    """
-
-    id = "RB009"
-    title = "non-picklable callable submitted to the pool"
-
-    _SUBMIT_METHODS = frozenset({"submit", "map_ordered"})
-
-    def check(self, tree: ast.Module, ctx: RuleContext) -> list[Violation]:
-        out: list[Violation] = []
-        module_names = self._module_level_names(tree)
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            local = self._local_callables(node)
-            for call in _iter_calls(node):
-                self._check_call(call, ctx, module_names, local, out)
-        # Module-level submit calls (rare, e.g. scripts) get the same
-        # lambda check with no locals in scope.
-        for call in self._top_level_calls(tree):
-            self._check_call(call, ctx, module_names, {}, out)
-        return out
-
-    def _check_call(
-        self,
-        call: ast.Call,
-        ctx: RuleContext,
-        module_names: set[str],
-        local: dict[str, str],
-        out: list[Violation],
-    ) -> None:
-        if not (
-            isinstance(call.func, ast.Attribute)
-            and call.func.attr in self._SUBMIT_METHODS
-            and call.args
-        ):
-            return
-        candidate = call.args[0]
-        if isinstance(candidate, ast.Lambda):
-            out.append(
-                self.violation(
-                    ctx,
-                    candidate,
-                    "lambda submitted across the pool boundary cannot be "
-                    "pickled under spawn; use a module-level function",
-                )
-            )
-        elif isinstance(candidate, ast.Name) and candidate.id not in module_names:
-            kind = local.get(candidate.id)
-            if kind is not None:
-                out.append(
-                    self.violation(
-                        ctx,
-                        candidate,
-                        f"`{candidate.id}` is a {kind} submitted across the "
-                        "pool boundary; only module-level callables survive "
-                        "pickling under spawn",
-                    )
-                )
-
-    @staticmethod
-    def _module_level_names(tree: ast.Module) -> set[str]:
-        names: set[str] = set()
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names.add(stmt.name)
-            elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                for alias in stmt.names:
-                    names.add((alias.asname or alias.name).split(".")[0])
-            elif isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-        return names
-
-    @staticmethod
-    def _local_callables(
-        func: "ast.FunctionDef | ast.AsyncFunctionDef",
-    ) -> dict[str, str]:
-        """Names that are nested functions or lambda bindings in *func*."""
-        local: dict[str, str] = {}
-        for node in ast.walk(func):
-            if node is func:
-                continue
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                local[node.name] = "nested function (closure)"
-            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        local[target.id] = "lambda binding"
-        return local
-
-    @staticmethod
-    def _top_level_calls(tree: ast.Module) -> Iterator[ast.Call]:
-        skip: set[int] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for sub in ast.walk(node):
-                    skip.add(id(sub))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and id(node) not in skip:
-                yield node
-
-
 #: Dict keys whose value names a wire-format schema version (RB010).
 _SCHEMA_KEYS = frozenset({"version", "schema_version"})
 
@@ -1092,6 +977,5 @@ RULES: Sequence[Rule] = (
     RB004TelemetryHygiene(),
     RB007ResourceLifecycle(),
     RB008CliExitContract(),
-    RB009PoolBoundary(),
     RB010SchemaVersionHygiene(),
 )

@@ -264,8 +264,8 @@ def run_campaign(
 ) -> list[FaultTrialResult]:
     """Run the (scenario x seed) matrix; results in job order.
 
-    Jobs fan across the persistent shared worker pool
-    (:func:`repro.serve.shared_pool` via ``run_trials_parallel``), so
+    Jobs fan across the persistent process pool of
+    :func:`repro.serve.map_ordered` (via ``run_trials_parallel``), so
     back-to-back campaigns in one process reuse warm workers;
     *chunksize* groups consecutive (scenario, seed) jobs per IPC
     message without changing result order.

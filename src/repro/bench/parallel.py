@@ -14,12 +14,10 @@ worker processes:
   the ``REPRO_WORKERS`` environment variable, then the available cores
   (env/default values are clamped to the cores this process may
   actually schedule on — see :func:`repro.serve.resolve_workers`).
-  ``workers <= 1`` (or a single job) falls back to plain in-process
-  execution with no pool, no pickling, no subprocesses.
-* **Pool**: jobs run on the process-wide persistent
-  :func:`repro.serve.shared_pool` — spawned once, reused by every
-  batch, which is what fixed the old engine's negative scaling (4
-  workers at 0.38x serial when every call re-paid spawn + pickling).
+  Where only one process would run, the jobs run in-process with no
+  pool, no pickling, no subprocesses.
+* **Pool**: jobs run through :func:`repro.serve.map_ordered` on a
+  persistent process pool, spawned once and reused by every batch.
 
 The job functions (``run_rainbar_trial`` etc.) and their kwargs must be
 picklable — true for every config dataclass in this repo.
@@ -27,15 +25,9 @@ picklable — true for every config dataclass in this repo.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from ..serve.pool import (
-    WORKERS_ENV,
-    default_chunksize,
-    effective_processes,
-    resolve_workers,
-    shared_pool,
-)
+from ..serve.pool import WORKERS_ENV, default_chunksize, map_ordered, resolve_workers
 
 if TYPE_CHECKING:
     from .runner import TrialResult
@@ -46,11 +38,6 @@ __all__ = [
     "run_trials_parallel",
     "sweep",
 ]
-
-
-def _call_job(job: tuple[Callable[..., Any], dict]) -> Any:
-    fn, kwargs = job
-    return fn(**kwargs)
 
 
 def run_trials_parallel(
@@ -64,23 +51,16 @@ def run_trials_parallel(
 
     Results come back in job order regardless of completion order, so
     ``average_trials(run_trials_parallel(...))`` pools exactly the same
-    counters as the serial loop it replaces.  With ``workers <= 1`` (or
-    one job) no pool is touched at all.  ``chunksize`` groups
+    counters as the serial loop it replaces.  ``chunksize`` groups
     consecutive jobs into one IPC message (default: ~4 chunks per
     worker); grouping is by contiguous runs, so result order is
     unchanged.
     """
-    job_list = [(trial_fn, dict(kwargs)) for kwargs in jobs]
+    job_list = list(jobs)
     workers = resolve_workers(workers)
-    if workers <= 1 or len(job_list) <= 1 or effective_processes(workers) <= 1:
-        # A pool capped to one process is IPC with no parallelism;
-        # run in-process instead (bit-identical — jobs carry seeds).
-        return [_call_job(job) for job in job_list]
     if chunksize is None:
         chunksize = default_chunksize(len(job_list), workers)
-    return shared_pool(workers).map_ordered(
-        trial_fn, [kwargs for _, kwargs in job_list], chunksize=chunksize
-    )
+    return list(map_ordered(trial_fn, job_list, workers=workers, chunksize=chunksize))
 
 
 def sweep(

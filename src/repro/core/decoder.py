@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
-from typing import Any, Callable, ContextManager, Iterable, Iterator, Sized
+from typing import Any, Callable, ContextManager, Iterable, Sized
 
 import numpy as np
 
@@ -62,7 +61,6 @@ __all__ = [
     "FrameResult",
     "FrameDecoder",
     "assemble_frame",
-    "decode_batch",
 ]
 
 #: Color index -> 2-bit symbol; black and out-of-alphabet map to -1 (erasure).
@@ -350,6 +348,8 @@ class FrameDecoder:
         root: Span,
     ) -> CaptureExtraction:
         with stage("input"):
+            # An 8-bit capture divided by 255 is always finite.
+            check_finite = getattr(image, "dtype", None) != np.uint8
             try:
                 image = normalize_frame(image)
             except TypeError as exc:
@@ -370,7 +370,7 @@ class FrameDecoder:
                     f"{image.shape}",
                     stage="input",
                 )
-            if not np.all(np.isfinite(image)):
+            if check_finite and not np.all(np.isfinite(image)):
                 # Corrupted sensor rows (e.g. injected scanline faults)
                 # may carry NaN/inf; treat them as black rather than
                 # letting non-finite values poison every later stage.
@@ -659,7 +659,6 @@ class FrameDecoder:
         workers: int | None = None,
         *,
         chunksize: int | None = None,
-        service: Any = None,
     ) -> list[FrameResult | None]:
         """Decode a batch of captures, optionally fanning across processes.
 
@@ -670,67 +669,38 @@ class FrameDecoder:
         matches the input.  ``workers`` follows the ``REPRO_WORKERS``
         convention of :mod:`repro.serve` — ``None`` reads the
         environment, ``1`` decodes serially in-process, and ``N > 1``
-        fans captures over the process-wide persistent
-        :func:`repro.serve.shared_pool` (each batch of frames is pickled
-        onto its job queue), the paper's 1-vs-4-threads comparison
-        (Section IV-D).
-        When the pool would cap to a single process (1-core host
-        without ``REPRO_POOL_OVERSUBSCRIBE``) the stream decodes
-        serially too — one process buys no parallelism, only the
-        frame-copy tax.  Pass an existing :class:`repro.serve.
-        DecodeService` as *service* to run on its pool instead (its
-        decoder is ignored — ``self`` decodes).  ``chunksize`` sets
-        frames-per-job: explicit, else ``service.chunksize``, else
-        :func:`repro.serve.default_chunksize`.
+        fans captures over :func:`repro.serve.map_ordered`'s persistent
+        executor, the paper's 1-vs-4-threads comparison (Section IV-D);
+        where only one process would run, the stream decodes
+        in-process.  ``chunksize`` sets captures per message (default
+        :func:`repro.serve.default_chunksize`).
 
-        Jobs are submitted as frames arrive, so a pool's back-pressure
-        bounds how far a streaming source runs ahead of the workers,
-        and submission order fixes result order: the output is
-        bit-identical to the serial decode for any worker count or
-        chunk size.
+        Each capture is one job, so the output — merged metrics
+        included — is bit-identical to the serial decode for any worker
+        count or chunk size.
         """
-        from ..serve import (
-            WorkerPool,
-            default_chunksize,
-            effective_processes,
-            resolve_workers,
-            shared_pool,
-        )
+        from ..serve import default_chunksize, map_ordered, resolve_workers
 
         if not isinstance(captures, Sized):
             captures = list(captures)
-        images = (getattr(c, "image", c) for c in captures)
+        workers = resolve_workers(workers)
+        if chunksize is None:
+            chunksize = default_chunksize(len(captures), workers)
         registry = telemetry.registry()
         collect = bool(registry)
-        pool: WorkerPool | None = None
-        if service is not None:
-            pool = service.pool
-            chunksize = service.chunksize if chunksize is None else chunksize
-        else:
-            workers = resolve_workers(workers)
-            if workers > 1 and len(captures) > 1 and effective_processes(workers) > 1:
-                pool = shared_pool(workers)
-        payloads: Iterable[Any]
-        if pool is None:
-            payloads = [decode_batch(images, decoder=self, with_metrics=collect)]
-        else:
-            if chunksize is None:
-                chunksize = default_chunksize(len(captures), pool.requested)
-            futures = [
-                pool.submit(
-                    decode_batch, frames=batch, decoder=self, with_metrics=collect
-                )
-                for batch in _batched(images, max(1, int(chunksize)))
-            ]
-            payloads = (future.result() for future in futures)
+        jobs = (
+            {"image": getattr(c, "image", c), "decoder": self, "with_metrics": collect}
+            for c in captures
+        )
         out: list[FrameResult | None] = []
-        for payload in payloads:
-            results, captured = payload if collect else (payload, ())
-            # Folding per capture, in submission order, keeps the merged
+        for result, captured in map_ordered(
+            _decode_job, jobs, workers=workers, chunksize=chunksize
+        ):
+            # Folding per capture, in job order, keeps the merged
             # metrics bit-identical to the serial decode.
-            for det, timing in captured:
-                _fold_capture_metrics(registry, det, timing)
-            out.extend(results)
+            if captured is not None:
+                _fold_capture_metrics(registry, *captured)
+            out.append(result)
         return out
 
     def decode_trace(
@@ -739,19 +709,17 @@ class FrameDecoder:
         workers: int | None = None,
         *,
         chunksize: int | None = None,
-        service: Any = None,
         verify: bool = True,
     ) -> list[FrameResult | None]:
         """Replay a recorded capture trace through :meth:`decode_stream`.
 
         *trace* is a trace directory path (see :mod:`repro.io.trace`)
-        or an open :class:`~repro.io.trace.TraceReader`; ``workers``,
-        ``chunksize`` and ``service`` mean what they mean for
-        :meth:`decode_stream`.  Frames stream chunk by chunk — a long
-        session never loads fully into memory.  Frames reach the
-        decoder with the dtype the trace stored, exactly like the
-        in-memory captures, so results match decoding those captures
-        for any worker count.
+        or an open :class:`~repro.io.trace.TraceReader`; ``workers``
+        and ``chunksize`` mean what they mean for :meth:`decode_stream`.
+        Frames stream chunk by chunk — a long session never loads fully
+        into memory.  Frames reach the decoder with the dtype the trace
+        stored, exactly like the in-memory captures, so results match
+        decoding those captures for any worker count.
 
         Conformance violations (truncated chunks, index disagreement,
         non-finite timing) raise :class:`~repro.io.trace.
@@ -767,14 +735,7 @@ class FrameDecoder:
         # Run-shape metadata, not channel quality: timing-flagged so a
         # replay's deterministic snapshot equals the live-decode one.
         telemetry.registry().counter("decode.trace_replays", timing=True).inc()
-        return self.decode_stream(reader, workers, chunksize=chunksize, service=service)
-
-
-def _batched(items: Iterable[Any], size: int) -> Iterator[list[Any]]:
-    """Consecutive runs of *size* items, pulled from *items* lazily."""
-    iterator = iter(items)
-    while batch := list(islice(iterator, size)):
-        yield batch
+        return self.decode_stream(reader, workers, chunksize=chunksize)
 
 
 def _assign_rows(
@@ -806,27 +767,32 @@ def _assign_rows(
 
 
 def _decode_one_or_none(decoder: FrameDecoder, image: np.ndarray) -> FrameResult | None:
-    """Process-pool-safe single-capture decode (module level => picklable)."""
     try:
         return decoder.decode_capture(image)
     except DecodeError:
         return None
 
 
-def _decode_one_collected(
-    decoder: FrameDecoder, image: np.ndarray
-) -> tuple[FrameResult | None, dict[str, Any], dict[str, Any]]:
-    """Decode one capture into a private registry (module level => picklable).
+#: One capture's collected metrics: (deterministic, timing-only) snapshots.
+CaptureMetrics = tuple[dict[str, Any], dict[str, Any]]
 
-    Returns ``(result, deterministic_snapshot, timing_only_snapshot)``.
-    The per-capture snapshot is the worker-count-independent fold unit
-    for quality metrics: both the serial path and the pooled workers
-    collect each capture into a fresh registry and the caller folds the
-    snapshots in capture order, so the merged result — float histogram
-    sums included — is bit-identical no matter how captures were
-    chunked across processes.  Tracing and event emission stay on the
-    ambient collectors.
+
+def _decode_job(
+    image: np.ndarray, decoder: FrameDecoder, with_metrics: bool
+) -> tuple[FrameResult | None, CaptureMetrics | None]:
+    """One capture's decode job (module level => picklable).
+
+    Undecodable captures map to ``None``.  With ``with_metrics=True``
+    the capture decodes into a fresh private registry whose snapshots
+    come back with the result.  The per-capture snapshot is the
+    worker-count-independent fold unit for quality metrics: serial and
+    pooled decodes alike fold the snapshots in capture order, so the
+    merged result — float histogram sums included — is bit-identical
+    no matter how captures were chunked across processes.  Tracing and
+    event emission stay on the ambient collectors.
     """
+    if not with_metrics:
+        return _decode_one_or_none(decoder, image), None
     local = MetricsRegistry()
     ambient_sink = telemetry.sink()
     with telemetry.scoped(
@@ -845,39 +811,7 @@ def _decode_one_collected(
         }
         for section, entries in full.items()
     }
-    return result, det, timing
-
-
-#: One capture's collected metrics: (deterministic, timing-only) snapshots.
-CaptureMetrics = tuple[dict[str, Any], dict[str, Any]]
-
-
-def decode_batch(
-    frames: Iterable[np.ndarray],
-    *,
-    decoder: FrameDecoder,
-    with_metrics: bool = False,
-) -> list[FrameResult | None] | tuple[list[FrameResult | None], list[CaptureMetrics]]:
-    """The per-capture decode loop (module level => picklable).
-
-    :meth:`FrameDecoder.decode_stream` runs it in-process over a whole
-    stream and pool workers run it per job, over the batch pickled
-    with the job.  Undecodable captures map to ``None``.  With
-    ``with_metrics=True`` each capture decodes under a private registry
-    and the return value is ``(results, per_capture_snapshots)``: the
-    caller folds the snapshots in capture order, which keeps merged
-    quality metrics bit-identical to the serial path for any worker
-    count.
-    """
-    if not with_metrics:
-        return [_decode_one_or_none(decoder, frame) for frame in frames]
-    results: list[FrameResult | None] = []
-    captures: list[CaptureMetrics] = []
-    for frame in frames:
-        result, det, timing = _decode_one_collected(decoder, frame)
-        results.append(result)
-        captures.append((det, timing))
-    return results, captures
+    return result, (det, timing)
 
 
 def _fold_capture_metrics(

@@ -8,7 +8,7 @@ directory — ``trace.json``, ``metrics.json`` and the
   name, aggregated over the whole trace tree);
 * a decode failure-stage breakdown (from the
   ``decode.failures{stage=...}`` counter family);
-* pool health (the job-queue depth gauge plus per-worker completion
+* pool health (the jobs-in-flight gauge plus per-worker completion
   counters from the ``serve.pool.*`` family);
 * event counts by type.
 

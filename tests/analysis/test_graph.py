@@ -43,8 +43,8 @@ def rb006(modules):
 def test_upward_eager_import_is_flagged():
     graph, violations = rb006(
         {
-            "repro/core/bad.py": "from repro.serve.pool import WorkerPool\n",
-            "repro/serve/pool.py": "class WorkerPool:\n    pass\n",
+            "repro/core/bad.py": "from repro.serve.pool import Executor\n",
+            "repro/serve/pool.py": "class Executor:\n    pass\n",
         }
     )
     (violation,) = violations
@@ -70,10 +70,10 @@ def test_lazy_function_scoped_import_is_exempt():
         {
             "repro/core/ok.py": """
                 def render():
-                    from repro.serve.pool import WorkerPool
-                    return WorkerPool
+                    from repro.serve.pool import Executor
+                    return Executor
                 """,
-            "repro/serve/pool.py": "class WorkerPool:\n    pass\n",
+            "repro/serve/pool.py": "class Executor:\n    pass\n",
         }
     )
     assert violations == []
@@ -87,12 +87,12 @@ def test_type_checking_import_is_exempt():
                 from typing import TYPE_CHECKING
 
                 if TYPE_CHECKING:
-                    from repro.serve.pool import WorkerPool
+                    from repro.serve.pool import Executor
 
-                def f(pool: "WorkerPool"):
+                def f(pool: "Executor"):
                     return pool
                 """,
-            "repro/serve/pool.py": "class WorkerPool:\n    pass\n",
+            "repro/serve/pool.py": "class Executor:\n    pass\n",
         }
     )
     assert violations == []

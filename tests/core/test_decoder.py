@@ -142,6 +142,19 @@ class TestFailureModes:
         assert diagnostics.failure is not None
         assert diagnostics.failure.stage == "input"
 
+    def test_float_nan_row_decodes_like_a_zero_row(self, config, frame):
+        # Non-8-bit captures may carry NaN rows (corrupted sensor
+        # readout); the input stage treats them as black.
+        capture = project(frame.render())
+        row = capture.shape[0] // 2
+        with_nan, zeroed = capture.copy(), capture.copy()
+        with_nan[row] = np.nan
+        zeroed[row] = 0.0
+        decoder = FrameDecoder(config)
+        expected = decoder.decode_capture(zeroed)
+        assert expected.ok
+        assert decoder.decode_capture(with_nan) == expected
+
     def test_empty_decode_stream_inputs_map_to_none(self, config):
         decoder = FrameDecoder(config)
         assert decoder.decode_stream([]) == []

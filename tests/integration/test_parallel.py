@@ -1,18 +1,23 @@
-"""Parallel trial engine: determinism and worker resolution.
+"""Parallel trial engine and pooled decode: determinism, worker resolution.
 
 The whole point of :mod:`repro.bench.parallel` is that fanning trials
 across processes changes wall-clock time and nothing else: every seed
 carries its own RNG, so pooled results must be *identical* — not
-statistically similar — to a serial run.
+statistically similar — to a serial run.  The same holds for
+``FrameDecoder.decode_stream`` on the golden corpus, at every worker
+count and chunk size.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.bench import (
     average_trials,
     layout_for_block_size,
@@ -26,15 +31,22 @@ from repro.bench.parallel import WORKERS_ENV
 from repro.channel import FrameSchedule, ScreenCameraLink
 from repro.core.decoder import FrameDecoder
 from repro.core.encoder import FrameCodecConfig, FrameEncoder
-from repro.serve import OVERSUBSCRIBE_ENV
+from repro.core.layout import FrameLayout
+from repro.io import read_png
+from repro.serve import close_shared_pools
+from repro.telemetry.metrics import MetricsRegistry
+
+CORPUS_DIR = Path(__file__).parent.parent / "fixtures" / "corpus"
 
 
-@pytest.fixture(autouse=True)
+@pytest.fixture
 def _force_pooling(monkeypatch):
     # On a 1-core host the engine (correctly) skips the pool entirely;
-    # force real worker processes so this suite keeps exercising the
-    # pooled path everywhere.
-    monkeypatch.setenv(OVERSUBSCRIBE_ENV, "1")
+    # report four cores so this suite keeps exercising real worker
+    # processes everywhere.
+    monkeypatch.setattr("repro.serve.pool.available_cpus", lambda: 4)
+    yield
+    close_shared_pools()
 
 
 def _jobs(seeds, num_frames=2):
@@ -91,6 +103,7 @@ class TestResolveWorkers:
             resolve_workers()
 
 
+@pytest.mark.usefixtures("_force_pooling")
 class TestRunTrialsParallel:
     def test_parallel_matches_serial_exactly(self):
         jobs = _jobs([1, 2, 3])
@@ -125,16 +138,13 @@ class TestRunTrialsParallel:
 
     def test_single_process_pool_degenerates_to_serial(self, monkeypatch):
         # One effective process = IPC with no parallelism: the engine
-        # must run in-process without touching a pool.
-        import repro.bench.parallel as parallel_mod
-
-        monkeypatch.delenv(OVERSUBSCRIBE_ENV, raising=False)
+        # must run in-process without creating an executor.
         monkeypatch.setattr("repro.serve.pool.available_cpus", lambda: 1)
 
-        def _no_pool(workers):
-            raise AssertionError("shared_pool must not be used at 1 process")
+        def _no_executor(*args, **kwargs):
+            raise AssertionError("no executor may be created at 1 process")
 
-        monkeypatch.setattr(parallel_mod, "shared_pool", _no_pool)
+        monkeypatch.setattr("repro.serve.pool.ProcessPoolExecutor", _no_executor)
         jobs = _jobs([1, 2, 3])
         fanned = run_trials_parallel(run_rainbar_trial, jobs, workers=4)
         serial = run_trials_parallel(run_rainbar_trial, jobs, workers=1)
@@ -142,6 +152,7 @@ class TestRunTrialsParallel:
             assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
 
+@pytest.mark.usefixtures("_force_pooling")
 class TestSweep:
     def test_sweep_matches_pointwise_serial(self):
         points = [_jobs([1, 2]), _jobs([3, 4], num_frames=1)]
@@ -154,6 +165,7 @@ class TestSweep:
             assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
 
+@pytest.mark.usefixtures("_force_pooling")
 class TestDecodeStream:
     def test_parallel_matches_serial(self):
         config = FrameCodecConfig(layout=layout_for_block_size(12), display_rate=10)
@@ -181,3 +193,43 @@ class TestDecodeStream:
         results = decoder.decode_stream([image], workers=1)
         assert len(results) == 1
         assert results[0] is not None and results[0].ok
+
+
+def _corpus_decoder() -> FrameDecoder:
+    # Must match tests/fixtures/regen_corpus.py's GRID.
+    layout = FrameLayout(grid_rows=24, grid_cols=44, block_px=8)
+    return FrameDecoder(FrameCodecConfig(layout=layout, display_rate=10))
+
+
+@pytest.fixture(scope="module")
+def corpus_stream():
+    """The golden corpus twice over, as raw uint8 captures."""
+    paths = sorted(CORPUS_DIR.glob("*.png"))
+    return [p.stem for p in paths] * 2, [read_png(p) for p in paths] * 2
+
+
+def _decode_collected(images, **kwargs):
+    """decode_stream under a private registry: (results, det snapshot)."""
+    registry = MetricsRegistry()
+    with telemetry.scoped(registry=registry):
+        results = _corpus_decoder().decode_stream(images, **kwargs)
+    comparable = [None if r is None else dataclasses.asdict(r) for r in results]
+    return comparable, registry.snapshot(include_timing=False)
+
+
+@pytest.mark.usefixtures("_force_pooling")
+@pytest.mark.parametrize(
+    "workers, chunksize",
+    [(1, None), (2, None), (4, None), (2, 1), (2, 3), (4, 4), (4, 5)],
+)
+def test_corpus_decode_stream_matches_serial(corpus_stream, workers, chunksize):
+    """Pooled corpus decode == serial: results, failure stages, metrics."""
+    names, images = corpus_stream
+    serial = _decode_collected(images, workers=1)
+    pooled = _decode_collected(images, workers=workers, chunksize=chunksize)
+    assert pooled == serial
+    # Failure stages ride in the deterministic snapshot's counters.
+    assert any(k.startswith("decode.failures{stage=") for k in serial[1]["counters"])
+    expected = json.loads((CORPUS_DIR / "expected.json").read_text())
+    for name, result in zip(names, pooled[0]):
+        assert (result is not None) == expected[name]["decodes"], name

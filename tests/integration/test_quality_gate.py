@@ -3,8 +3,8 @@
 Two contracts from the channel-quality work are pinned here. First,
 the deterministic quality snapshot (``include_timing=False``) must
 fold bit-identically no matter how the corpus is decoded — serial,
-2 workers, 4 workers, through a ``DecodeService``, or replayed from a
-recorded trace. Second, ``repro quality report`` must honour the
+2 workers, 4 workers, at any chunk size, or replayed from a recorded
+trace. Second, ``repro quality report`` must honour the
 0 / 1 / 2 exit contract (healthy / budget violation / operational
 error) against the golden corpus and ``budgets.toml``.
 """
@@ -24,7 +24,7 @@ from repro.core.encoder import FrameCodecConfig
 from repro.core.layout import FrameLayout
 from repro.io import read_png
 from repro.io.trace import TraceMetadata, TraceReader, TraceWriter
-from repro.serve import OVERSUBSCRIBE_ENV, DecodeService, close_shared_pools
+from repro.serve import close_shared_pools
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.quality import confusion_matrix, quality_summary
 
@@ -35,10 +35,12 @@ EXPECTED = json.loads((CORPUS_DIR / "expected.json").read_text())
 
 @pytest.fixture(autouse=True)
 def _force_pooling(monkeypatch):
-    # One-CPU hosts silently fall back to the serial path; force real
-    # worker processes so the fold-identity claims actually cross the
-    # pool (mirrors tests/integration/test_parallel.py).
-    monkeypatch.setenv(OVERSUBSCRIBE_ENV, "1")
+    # One-CPU hosts silently fall back to the serial path; report four
+    # cores so the fold-identity claims actually cross worker processes
+    # (mirrors tests/integration/test_parallel.py).
+    monkeypatch.setattr("repro.serve.pool.available_cpus", lambda: 4)
+    yield
+    close_shared_pools()
 
 
 def _decoder() -> FrameDecoder:
@@ -84,7 +86,7 @@ def combined_trace(tmp_path_factory, corpus_images):
 
 
 class TestFoldIdentity:
-    """serial == 2w == 4w == service == trace replay, bit for bit."""
+    """serial == 2w == 4w == any chunking == trace replay, bit for bit."""
 
     @pytest.fixture(scope="class")
     def serial(self, corpus_images):
@@ -103,28 +105,21 @@ class TestFoldIdentity:
         assert not any(k.startswith("serve.pool.") for k in snap["counters"])
         assert "decode.latency_ms" not in snap["histograms"]
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_pooled_decode_matches_serial(self, serial, corpus_images, workers):
+    @pytest.mark.parametrize(
+        "workers, chunksize",
+        [
+            pytest.param(2, None, id="2"),
+            pytest.param(4, None, id="4"),
+            pytest.param(2, 1, id="2-chunk1"),
+            pytest.param(4, 5, id="4-chunk5"),
+        ],
+    )
+    def test_pooled_decode_matches_serial(self, serial, corpus_images, workers, chunksize):
         serial_results, serial_snap = serial
         _, images = corpus_images
-        try:
-            results, snap = _collect(
-                lambda: _decoder().decode_stream(images, workers=workers)
-            )
-        finally:
-            close_shared_pools()
-        assert results == serial_results
-        assert snap == serial_snap
-
-    def test_service_decode_matches_serial(self, serial, corpus_images):
-        serial_results, serial_snap = serial
-        _, images = corpus_images
-
-        def run():
-            with DecodeService(_decoder(), workers=2) as service:
-                return _decoder().decode_stream(images, service=service)
-
-        results, snap = _collect(run)
+        results, snap = _collect(
+            lambda: _decoder().decode_stream(images, workers=workers, chunksize=chunksize)
+        )
         assert results == serial_results
         assert snap == serial_snap
 
@@ -136,12 +131,7 @@ class TestFoldIdentity:
 
     def test_pooled_trace_replay_matches_serial(self, serial, combined_trace):
         serial_results, serial_snap = serial
-        try:
-            results, snap = _collect(
-                lambda: _decoder().decode_trace(combined_trace, workers=2)
-            )
-        finally:
-            close_shared_pools()
+        results, snap = _collect(lambda: _decoder().decode_trace(combined_trace, workers=2))
         assert results == serial_results
         assert snap == serial_snap
 
@@ -252,8 +242,8 @@ class TestQualityGateCli:
     def test_pool_health_visible_in_telemetry_report(
         self, _telemetry_env, combined_trace, capsys
     ):
-        # A single-capture trace decodes serially; the multi-capture
-        # corpus actually exercises the pool and its health gauges.
+        # The multi-capture corpus exercises the pool and its health
+        # gauges.
         try:
             assert main([
                 "trace", "decode", str(combined_trace), "--grid", "24x44x8",

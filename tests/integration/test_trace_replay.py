@@ -5,13 +5,14 @@ and one-frame capture traces under ``tests/fixtures/corpus/traces/``.
 These tests pin the contract of ROADMAP item 3: replaying a recorded
 trace through :meth:`FrameDecoder.decode_trace` must be bit-identical
 to decoding the same captures in memory, for every fixture and for
-every worker count (serial, 2 workers, 4 workers via the shared pool).
+every worker count and chunk size (serial, 2 and 4 worker processes).
 Payloads, ok flags, erasure counts *and* failure stages must match.
 """
 
 from __future__ import annotations
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +24,20 @@ from repro.core.layout import FrameLayout
 from repro.io import read_png
 from repro.imaging.color import normalize_frame
 from repro.io.trace import TraceMetadata, TraceReader, TraceWriter
-from repro.serve import OVERSUBSCRIBE_ENV, DecodeService, WorkerPool, close_shared_pools
+from repro.serve import close_shared_pools
 
 CORPUS_DIR = Path(__file__).parent.parent / "fixtures" / "corpus"
 TRACES_DIR = CORPUS_DIR / "traces"
 EXPECTED = json.loads((CORPUS_DIR / "expected.json").read_text())
+
+
+@pytest.fixture
+def _force_pooling(monkeypatch):
+    # On a 1-core host replay would (correctly) decode in-process;
+    # report four cores so pooled cases cross real worker processes.
+    monkeypatch.setattr("repro.serve.pool.available_cpus", lambda: 4)
+    yield
+    close_shared_pools()
 
 
 def _decoder() -> FrameDecoder:
@@ -107,55 +117,55 @@ def test_combined_trace_serial_replay_matches_live(combined_trace):
     assert decoder.decode_trace(path) == live
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-def test_combined_trace_pooled_replay_bit_identical(combined_trace, workers):
-    """decode_trace across the worker pool == serial == live, per worker count."""
-    path, names = combined_trace
-    decoder = _decoder()
-    live = decoder.decode_stream([_png_image(n) for n in names])
-    try:
-        pooled = decoder.decode_trace(path, workers=workers)
-    finally:
-        close_shared_pools()
-    assert pooled == live
-
-
-def test_decode_trace_via_service_and_chunksize_invariance(combined_trace):
-    """decode_trace on a DecodeService, any chunking: identical results."""
-    path, names = combined_trace
-    decoder = _decoder()
-    live = decoder.decode_stream([_png_image(n) for n in names])
-    with DecodeService(decoder, workers=2) as service:
-        assert decoder.decode_trace(path, service=service) == live
-        assert decoder.decode_trace(path, service=service, chunksize=1) == live
-        assert decoder.decode_trace(path, service=service, chunksize=5) == live
-
-
-def test_pooled_replay_submits_before_the_trace_is_read(combined_trace, monkeypatch):
-    """The pooled replay streams: jobs leave before the last frame is read."""
+@pytest.mark.usefixtures("_force_pooling")
+@pytest.mark.parametrize(
+    "workers, chunksize",
+    [
+        pytest.param(2, None, id="2"),
+        pytest.param(4, None, id="4"),
+        pytest.param(1, 3, id="1-chunk3"),
+        pytest.param(2, 1, id="2-chunk1"),
+        pytest.param(2, 3, id="2-chunk3"),
+        pytest.param(4, 4, id="4-chunk4"),
+        pytest.param(4, 5, id="4-chunk5"),
+    ],
+)
+def test_combined_trace_pooled_replay_bit_identical(combined_trace, workers, chunksize):
+    """decode_trace at any worker count and chunk size == serial == live."""
     path, names = combined_trace
     decoder = _decoder()
     live = decoder.decode_stream([_png_image(n) for n in names], workers=1)
-    monkeypatch.setenv(OVERSUBSCRIBE_ENV, "1")
+    pooled = decoder.decode_trace(path, workers=workers, chunksize=chunksize)
+    assert pooled == live
+
+
+@pytest.mark.usefixtures("_force_pooling")
+def test_pooled_replay_submits_before_the_trace_is_read(combined_trace, monkeypatch):
+    """The pooled replay streams: jobs leave before the last frame is read.
+
+    Chunks leave at the requested size, so a replay never buffers the
+    whole trace before the first worker starts.
+    """
+    path, names = combined_trace
+    decoder = _decoder()
+    live = decoder.decode_stream([_png_image(n) for n in names], workers=1)
     events: list[tuple[str, int]] = []
     read_frames = TraceReader.__iter__
-    submit = WorkerPool.submit
+    submit = ProcessPoolExecutor.submit
 
     def spy_iter(reader):
         for frame in read_frames(reader):
             events.append(("frame", frame.index))
             yield frame
 
-    def spy_submit(pool, fn, /, *, frames=None, **kwargs):
-        events.append(("submit", len(frames)))
-        return submit(pool, fn, frames=frames, **kwargs)
+    def spy_submit(executor, fn, /, *args, **kwargs):
+        events.append(("submit", len(args[1])))
+        return submit(executor, fn, *args, **kwargs)
 
     monkeypatch.setattr(TraceReader, "__iter__", spy_iter)
-    monkeypatch.setattr(WorkerPool, "submit", spy_submit)
-    try:
-        pooled = decoder.decode_trace(path, workers=2, chunksize=2)
-    finally:
-        close_shared_pools()
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", spy_submit)
+    pooled = decoder.decode_trace(path, workers=2, chunksize=2)
     assert pooled == live
+    assert [n for kind, n in events if kind == "submit"] == [2, 2, 2]
     first_submit = next(i for i, (kind, _) in enumerate(events) if kind == "submit")
     assert first_submit < events.index(("frame", len(names) - 1))

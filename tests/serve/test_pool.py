@@ -1,40 +1,46 @@
-"""WorkerPool lifecycle, ``/dev/shm`` hygiene, and failure semantics.
+"""``map_ordered``: ordering, failure semantics, executor lifecycle.
 
-The decode service's contract is blunt: no worker process and no
-``/dev/shm`` entry outlives ``close()``, a crashed worker fails its
-jobs loudly instead of hanging, a job is pickled at submit (so the
-caller may reuse its arrays), and submitting past the queue bound
-blocks (back-pressure) rather than buffering unbounded frames.
-Every test here is timeout-guarded — a hang is itself the failure mode
-under test.
+The contract is blunt: results come back in job order whatever the
+chunking, a job's exception surfaces with its own type, a dead worker
+raises ``BrokenProcessPool`` instead of hanging (and the next call gets
+a fresh executor), ``close_shared_pools()`` reaps every worker, and a
+streaming job source is never pulled more than the in-flight window
+ahead of the results.  Every test that needs real worker processes
+reports two schedulable cores, so the suite exercises them on a
+one-core host too.
 """
 
 from __future__ import annotations
 
 import glob
+import multiprocessing
 import os
 import pickle
-import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from repro.serve import (
-    JobFailedError,
-    PoolClosedError,
-    WorkerCrashError,
-    WorkerPool,
     available_cpus,
     close_shared_pools,
     default_chunksize,
+    map_ordered,
     resolve_workers,
-    shared_pool,
 )
 
 
+@pytest.fixture
+def _two_cores(monkeypatch):
+    monkeypatch.setattr("repro.serve.pool.available_cpus", lambda: 2)
+    close_shared_pools()  # start without executors left by other suites
+    yield
+    close_shared_pools()
+
+
 def _shm_segments() -> set[str]:
-    # Shared-memory segments and named semaphores both live here.
+    # Queue semaphores live here.
     return set(glob.glob("/dev/shm/*"))
 
 
@@ -62,170 +68,136 @@ def _raise_value_error(message):
     raise ValueError(message)
 
 
+def _pid():
+    time.sleep(0.05)
+    return os.getpid()
+
+
 # -- basic execution --------------------------------------------------------
 
 
+@pytest.mark.usefixtures("_two_cores")
 class TestExecution:
     def test_submit_roundtrip(self):
-        with WorkerPool(2) as pool:
-            futures = [pool.submit(_square, x=i) for i in range(8)]
-            assert [f.result(30) for f in futures] == [i * i for i in range(8)]
+        out = map_ordered(_square, [{"x": i} for i in range(8)], workers=2)
+        assert list(out) == [i * i for i in range(8)]
 
     def test_map_ordered_preserves_order(self):
-        with WorkerPool(2) as pool:
-            out = pool.map_ordered(_square, [{"x": i} for i in range(10)], chunksize=3)
-        assert out == [i * i for i in range(10)]
+        jobs = [{"x": i, "duration": 0.02 * (i % 3)} for i in range(10)]
+        out = map_ordered(_sleep_then, jobs, workers=2, chunksize=3)
+        assert list(out) == list(range(10))
 
     def test_map_ordered_empty(self):
-        with WorkerPool(2) as pool:
-            assert pool.map_ordered(_square, []) == []
+        assert list(map_ordered(_square, [], workers=2)) == []
 
     def test_array_kwargs_roundtrip(self):
-        with WorkerPool(2) as pool:
-            a = np.arange(100, dtype=np.float64).reshape(10, 10)
-            b = np.ones((480, 800, 3), dtype=np.uint8)
-            got = pool.submit(_frame_total, frames=[a, b], offset=0.5).result(30)
-            assert got == [float(a.sum()) + 0.5, float(b.sum()) + 0.5]
-
-    def test_job_is_pickled_at_submit(self):
-        with WorkerPool(1) as pool:
-            blocker = pool.submit(_sleep_then, x=0, duration=0.3)
-            frame = np.ones(16, dtype=np.uint8)
-            future = pool.submit(_frame_total, frames=[frame], offset=0.0)
-            frame.fill(0)  # the queued job already holds its own bytes
-            assert blocker.result(30) == 0
-            assert future.result(30) == [16.0]
+        a = np.arange(100, dtype=np.float64).reshape(10, 10)
+        b = np.ones((480, 800, 3), dtype=np.uint8)
+        out = map_ordered(_frame_total, [{"frames": [a, b], "offset": 0.5}], workers=2)
+        assert list(out) == [[float(a.sum()) + 0.5, float(b.sum()) + 0.5]]
 
     def test_unpicklable_job_fails_at_submit(self):
-        with WorkerPool(1) as pool:
-            with pytest.raises((pickle.PicklingError, AttributeError)):
-                pool.submit(lambda: None)  # repro: noqa RB009
-            assert pool.pending_jobs == 0
-            assert pool.submit(_square, x=4).result(30) == 16
+        out = map_ordered(lambda: None, [{}], workers=2)
+        # Python 3.11 reports a function-local lambda as AttributeError
+        # ("Can't pickle local object"), a module-level one as
+        # PicklingError; either way the very first result fails.
+        with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
+            next(out)
+        # The executor itself is unharmed.
+        assert list(map_ordered(_square, [{"x": 4}], workers=2)) == [16]
 
     def test_processes_capped_at_available_cores(self):
-        with WorkerPool(available_cpus() + 3) as pool:
-            assert pool.processes == available_cpus()
-            assert pool.requested == available_cpus() + 3
+        pids = set(map_ordered(_pid, [{}] * 8, workers=available_cpus() + 3))
+        assert 1 <= len(pids) <= 2
+        assert os.getpid() not in pids
+        assert len(multiprocessing.active_children()) == 2
 
-    def test_oversubscribe_opt_in(self):
-        with WorkerPool(2, oversubscribe=True) as pool:
-            assert pool.processes == 2
+    def test_no_executor_at_one_effective_process(self, monkeypatch):
+        monkeypatch.setattr("repro.serve.pool.available_cpus", lambda: 1)
+
+        def _no_executor(*args, **kwargs):
+            raise AssertionError("no executor may be created at one process")
+
+        monkeypatch.setattr("repro.serve.pool.ProcessPoolExecutor", _no_executor)
+        out = map_ordered(_pid, [{}] * 3, workers=4)
+        assert list(out) == [os.getpid()] * 3
 
 
 # -- lifecycle and hygiene --------------------------------------------------
 
 
+@pytest.mark.usefixtures("_two_cores")
 class TestLifecycle:
     def test_close_terminates_workers_and_unlinks_shm(self):
         before = _shm_segments()
-        pool = WorkerPool(2)
         frame = np.zeros((8, 8), dtype=np.float64)
-        assert pool.submit(_frame_total, frames=[frame], offset=1.0).result(30) == [1.0]
-        workers = list(pool._workers)
-        pool.close()
-        deadline = time.monotonic() + 10
-        while any(p.is_alive() for p in workers) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not any(p.is_alive() for p in workers)
+        out = map_ordered(_frame_total, [{"frames": [frame], "offset": 1.0}], workers=2)
+        assert list(out) == [[1.0]]
+        assert multiprocessing.active_children()
+        close_shared_pools()
+        assert multiprocessing.active_children() == []
         assert _shm_segments() == before
 
     def test_close_is_idempotent(self):
-        pool = WorkerPool(1)
-        pool.close()
-        pool.close()
-
-    def test_submit_after_close_raises(self):
-        pool = WorkerPool(1)
-        pool.close()
-        with pytest.raises(PoolClosedError):
-            pool.submit(_square, x=1)
-
-    def test_context_manager_closes_on_exception(self):
-        before = _shm_segments()
-        with pytest.raises(RuntimeError, match="boom"):
-            with WorkerPool(1) as pool:
-                frame = np.zeros(4, dtype=np.float64)
-                pool.submit(_frame_total, frames=[frame], offset=0.0).result(30)
-                raise RuntimeError("boom")
-        assert pool.closed
-        assert _shm_segments() == before
-
-    def test_join_waits_then_closes(self):
-        pool = WorkerPool(1)
-        future = pool.submit(_sleep_then, x=42, duration=0.2)
-        pool.join(timeout=30)
-        assert future.result(0) == 42
-        assert pool.closed
-
-    def test_shared_pool_reused_and_closed(self):
-        first = shared_pool(2)
-        assert shared_pool(2) is first
+        assert list(map_ordered(_square, [{"x": 2}], workers=2)) == [4]
         close_shared_pools()
-        assert first.closed
-        second = shared_pool(2)
-        assert second is not first and not second.closed
         close_shared_pools()
+        assert multiprocessing.active_children() == []
+
+    def test_executor_reused_until_closed(self):
+        first = set(map_ordered(_pid, [{}] * 4, workers=2))
+        assert set(map_ordered(_pid, [{}] * 4, workers=2)) <= set(
+            p.pid for p in multiprocessing.active_children()
+        )
+        close_shared_pools()
+        second = set(map_ordered(_pid, [{}] * 4, workers=2))
+        assert not first & second
 
 
 # -- failure semantics ------------------------------------------------------
 
 
+@pytest.mark.usefixtures("_two_cores")
 class TestFailures:
     def test_job_exception_surfaces_and_pool_survives(self):
-        with WorkerPool(1) as pool:
-            failing = pool.submit(_raise_value_error, message="nope")
-            with pytest.raises(JobFailedError, match="ValueError: nope") as info:
-                failing.result(30)
-            assert "worker traceback" in str(info.value)
-            # The worker is still alive and serving.
-            assert pool.submit(_square, x=6).result(30) == 36
+        jobs = [{"message": "nope"}]
+        with pytest.raises(ValueError, match="nope") as info:
+            list(map_ordered(_raise_value_error, jobs, workers=2))
+        # The worker's own traceback rides along as the cause.
+        assert "_raise_value_error" in str(info.value.__cause__)
+        assert list(map_ordered(_square, [{"x": 6}], workers=2)) == [36]
 
     def test_worker_crash_fails_pending_jobs_not_hangs(self):
-        before = _shm_segments()
-        pool = WorkerPool(1)
-        doomed = pool.submit(_hard_exit, code=3)
-        with pytest.raises(WorkerCrashError, match="exit code 3"):
-            doomed.result(30)
-        with pytest.raises(WorkerCrashError):
-            pool.submit(_square, x=1)
-        pool.close()
-        assert _shm_segments() == before
+        jobs = [{"code": 3}, {"code": 3}]
+        with pytest.raises(BrokenProcessPool):
+            list(map_ordered(_hard_exit, jobs, workers=2))
 
-    def test_shared_pool_replaces_broken_pool(self):
-        pool = shared_pool(1)
-        with pytest.raises(WorkerCrashError):
-            pool.submit(_hard_exit, code=5).result(30)
-        replacement = shared_pool(1)
-        assert replacement is not pool
-        assert replacement.submit(_square, x=3).result(30) == 9
-        close_shared_pools()
+    def test_broken_executor_replaced_on_next_call(self):
+        with pytest.raises(BrokenProcessPool):
+            list(map_ordered(_hard_exit, [{"code": 5}], workers=2))
+        assert list(map_ordered(_square, [{"x": 3}], workers=2)) == [9]
 
 
 # -- back-pressure ----------------------------------------------------------
 
 
+@pytest.mark.usefixtures("_two_cores")
 class TestBackPressure:
-    def test_submit_blocks_at_queue_depth(self):
-        with WorkerPool(1, queue_depth=1) as pool:
-            # Occupy the single worker, then fill the single queue slot.
-            blocker = pool.submit(_sleep_then, x=0, duration=1.0)
-            queued = pool.submit(_sleep_then, x=1, duration=0.0)
+    def test_jobs_pulled_at_most_window_ahead(self):
+        processes, chunksize = 2, 2
+        pulled = []
 
-            submitted = threading.Event()
+        def jobs():
+            for i in range(40):
+                pulled.append(i)
+                yield {"x": i, "duration": 0.2}
 
-            def overflow():
-                pool.submit(_sleep_then, x=2, duration=0.0)
-                submitted.set()
-
-            thread = threading.Thread(target=overflow, daemon=True)
-            thread.start()
-            # While the worker sleeps, the third submit must be blocked.
-            assert not submitted.wait(0.3), "submit did not apply back-pressure"
-            assert blocker.result(30) == 0
-            assert submitted.wait(30), "submit never unblocked"
-            thread.join(30)
-            assert queued.result(30) == 1
+        out = map_ordered(_sleep_then, jobs(), workers=processes, chunksize=chunksize)
+        assert next(out) == 0
+        # While the workers sleep, only the in-flight window (plus the
+        # chunk being assembled) may have been drawn from the source.
+        assert len(pulled) <= (2 * processes + 1) * chunksize
+        out.close()
 
 
 # -- worker resolution -------------------------------------------------------
