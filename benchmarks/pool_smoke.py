@@ -3,10 +3,14 @@
 CI's ``pool-smoke`` job runs this against the golden corpus: a
 2-worker ``decode_stream`` of the fixtures' uint8 captures through the
 persistent process pool must produce field-for-field the same results
-as the serial decoder, and after ``close_shared_pools()`` no worker
-process may be alive and no new entry (a queue semaphore or a
-shared-memory segment) may remain in ``/dev/shm``.  Exit code 0 on success, 1 with a message on any
-violation — cheap enough to run on every push.
+as the serial decoder, at least one worker process must have run it,
+and after ``close_shared_pools()`` no worker process may be alive and
+no new entry (a queue semaphore or a shared-memory segment) may remain
+in ``/dev/shm``.  The pool sizes itself to the cores this process may
+use, so the check reports ``--workers`` cores, as the pool tests do:
+on a one-core runner it would otherwise compare serial with serial.
+Exit code 0 on success, 1 with a message on any violation — cheap
+enough to run on every push.
 
 Run from the repo root::
 
@@ -28,7 +32,7 @@ from repro.core.decoder import FrameDecoder  # noqa: E402
 from repro.core.encoder import FrameCodecConfig  # noqa: E402
 from repro.core.layout import FrameLayout  # noqa: E402
 from repro.io import read_png  # noqa: E402
-from repro.serve import close_shared_pools  # noqa: E402
+from repro.serve import close_shared_pools, pool  # noqa: E402
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "corpus"
 
@@ -41,6 +45,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workers", type=int, default=2, help="pooled worker count")
     args = parser.parse_args(argv)
+    pool.available_cpus = lambda: args.workers
 
     shm_before = set(glob.glob("/dev/shm/*"))
 
@@ -57,6 +62,8 @@ def main(argv: list[str] | None = None) -> int:
     worker_processes = len(multiprocessing.active_children())
 
     failures = []
+    if not worker_processes:
+        failures.append(f"no worker process ran the {args.workers}-worker decode")
     if _comparable(pooled) != _comparable(serial):
         failures.append(f"{args.workers}-worker decode differs from serial")
     if not any(r is not None for r in serial):

@@ -5,11 +5,14 @@ CLI entry points: ``repro trace record`` writes a tiny simulated
 session, ``repro trace info --check`` walks every chunk (checksums,
 counts, timing), and ``repro trace decode`` replays it serially and
 with 2 workers through the process pool — the two decode-outcome JSON
-files must be byte-identical.  The trace must hold ``uint8`` frames,
-the samples the camera writes.  Afterwards no new entry (a queue
-semaphore or a shared-memory segment) may remain in ``/dev/shm`` and
-no stray files may remain outside the scratch directory.  Exit 0 on success, 1 with a message on
-any violation — cheap enough to run on every push.
+files must be byte-identical, and a worker process must have run the
+pooled replay (the pool sizes itself to the cores this process may
+use, so the check reports ``--workers`` cores, as the pool tests do).
+The trace must hold ``uint8`` frames, the samples the camera writes.
+Afterwards no new entry (a queue semaphore or a shared-memory segment)
+may remain in ``/dev/shm`` and no stray files may remain outside the
+scratch directory.  Exit 0 on success, 1 with a message on any
+violation — cheap enough to run on every push.
 
 Run from the repo root::
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import multiprocessing
 import sys
 import tempfile
 from pathlib import Path
@@ -28,13 +32,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.cli import main as repro_main  # noqa: E402
 from repro.io.trace import TraceReader  # noqa: E402
-from repro.serve import close_shared_pools  # noqa: E402
+from repro.serve import close_shared_pools, pool  # noqa: E402
 
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workers", type=int, default=2, help="pooled worker count")
     args = parser.parse_args(argv)
+    pool.available_cpus = lambda: args.workers
 
     shm_before = set(glob.glob("/dev/shm/*"))
     failures: list[str] = []
@@ -63,6 +68,8 @@ def main(argv: "list[str] | None" = None) -> int:
                        "--workers", str(args.workers),
                        "--json", str(pooled_json)]) != 0:
             failures.append(f"{args.workers}-worker `trace decode` failed")
+        if not multiprocessing.active_children():
+            failures.append(f"no worker process ran the {args.workers}-worker replay")
 
         close_shared_pools()
 

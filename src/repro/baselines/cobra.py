@@ -301,8 +301,9 @@ class CobraDecoder:
 
         est = estimate_black_threshold(image)
         classifier = ColorClassifier(t_value=est.t_value, t_sat=self.t_sat)
-        corners = self._detect_corners(image, classifier)
-        anchors = self._walk_borders(image, classifier, corners)
+        black = classifier.black_mask(image)
+        corners = self._detect_corners(image, classifier, black)
+        anchors = self._walk_borders(image, classifier, corners, black)
 
         header = self._read_header(image, classifier, corners, anchors)
         centers = self._cell_centers(layout.data_cells, anchors)
@@ -313,11 +314,15 @@ class CobraDecoder:
     # -- corner detection -------------------------------------------------
 
     def _detect_corners(
-        self, image: np.ndarray, classifier: ColorClassifier
+        self,
+        image: np.ndarray,
+        classifier: ColorClassifier,
+        black: np.ndarray | None = None,
     ) -> dict[str, CornerTracker]:
-        candidates = tracker_candidates(
-            classifier.black_mask(image), self.min_block_px, self.max_block_px
-        )
+        """The four trackers; *black* is ``classifier.black_mask(image)``."""
+        if black is None:
+            black = classifier.black_mask(image)
+        candidates = tracker_candidates(black, self.min_block_px, self.max_block_px)
         found: dict[Color, list[CornerTracker]] = {}
         if len(candidates):
             colors = ring_colors(image, classifier, candidates)
@@ -357,16 +362,19 @@ class CobraDecoder:
         image: np.ndarray,
         classifier: ColorClassifier,
         corners: dict[str, CornerTracker],
+        black: np.ndarray | None = None,
     ) -> dict[str, np.ndarray]:
         """Positions of all black TRBs on each border.
 
         Each border is walked progressively from its two adjacent
         tracker centers outward — the tracker centers give the walk
         direction and the TRB pitch (2 blocks).  The walk extrapolates
-        from the tracker center to the border first.
+        from the tracker center to the border first.  *black* is
+        ``classifier.black_mask(image)``, computed here if not given.
         """
         layout = self.config.layout
-        black = classifier.black_mask(image)
+        if black is None:
+            black = classifier.black_mask(image)
         block = float(np.mean([c.block_size for c in corners.values()]))
         centers = {k: np.array(v.center) for k, v in corners.items()}
 
@@ -500,8 +508,9 @@ class CobraReceiver:
     def _peek_sequence(self, image: np.ndarray) -> int:
         est = estimate_black_threshold(image)
         classifier = ColorClassifier(t_value=est.t_value, t_sat=self.decoder.t_sat)
-        corners = self.decoder._detect_corners(image, classifier)
-        anchors = self.decoder._walk_borders(image, classifier, corners)
+        black = classifier.black_mask(image)
+        corners = self.decoder._detect_corners(image, classifier, black)
+        anchors = self.decoder._walk_borders(image, classifier, corners, black)
         header = self.decoder._read_header(image, classifier, corners, anchors)
         return header.sequence
 

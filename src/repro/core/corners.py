@@ -22,7 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..imaging.segmentation import ComponentTable, component_stats, connected_components
+from ..imaging.segmentation import (
+    ComponentTable,
+    component_boxes,
+    connected_components,
+    measure_components,
+)
 from .palette import Color
 from .recognition import ColorClassifier
 
@@ -92,14 +97,20 @@ class CornerDetection:
 def tracker_candidates(
     black: np.ndarray, min_block_px: float, max_block_px: float
 ) -> ComponentTable:
-    """Square-ish solid black components of plausible block size."""
+    """Square-ish solid black components of plausible block size.
+
+    Box side and aspect are tested before any pixel is counted, so the
+    capture's background component (most of its black pixels) is never
+    summed.
+    """
     labels, count = connected_components(black)
     min_area = max(1, int((0.5 * min_block_px) ** 2))
     max_area = int((2.0 * max_block_px) ** 2)
-    table = component_stats(labels, count, min_area=min_area, max_area=max_area)
-    keep = (table.side >= min_block_px) & (table.side <= max_block_px)
-    keep &= (table.aspect <= _MAX_ASPECT) & (table.fill_ratio >= _MIN_FILL)
-    return table[keep]
+    boxes = component_boxes(labels, count)
+    keep = (boxes.side >= min_block_px) & (boxes.side <= max_block_px)
+    keep &= boxes.aspect <= _MAX_ASPECT
+    table = measure_components(labels, boxes[keep], min_area=min_area, max_area=max_area)
+    return table[table.fill_ratio >= _MIN_FILL]
 
 
 def ring_colors(

@@ -348,7 +348,9 @@ class FrameDecoder:
         root: Span,
     ) -> CaptureExtraction:
         with stage("input"):
-            # An 8-bit capture divided by 255 is always finite.
+            # An 8-bit capture divided by 255 is always finite, and the
+            # black mask reads it undivided (ColorClassifier.black_mask).
+            captured = image
             check_finite = getattr(image, "dtype", None) != np.uint8
             try:
                 image = normalize_frame(image)
@@ -370,11 +372,14 @@ class FrameDecoder:
                     f"{image.shape}",
                     stage="input",
                 )
-            if check_finite and not np.all(np.isfinite(image)):
-                # Corrupted sensor rows (e.g. injected scanline faults)
-                # may carry NaN/inf; treat them as black rather than
-                # letting non-finite values poison every later stage.
-                image = np.nan_to_num(image, nan=0.0, posinf=1.0, neginf=0.0)
+            if check_finite:
+                if not np.all(np.isfinite(image)):
+                    # Corrupted sensor rows (e.g. injected scanline
+                    # faults) may carry NaN/inf; treat them as black
+                    # rather than letting non-finite values poison every
+                    # later stage.
+                    image = np.nan_to_num(image, nan=0.0, posinf=1.0, neginf=0.0)
+                captured = image
         layout = self.config.layout
 
         with stage("brightness"):
@@ -389,7 +394,7 @@ class FrameDecoder:
         with stage("corners"):
             # One black mask serves corners and locators: both only ask
             # which pixels classify as black.
-            black = classifier.black_mask(image)
+            black = classifier.black_mask(captured)
             try:
                 corners = detect_corner_trackers(
                     image, classifier, black, self.min_block_px, self.max_block_px

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import telemetry
-from ..imaging.color import rgb_to_hsv
+from ..imaging.color import normalize_frame, rgb_to_hsv
 from ..imaging.interpolation import sample_bilinear
 from ..telemetry.metrics import MARGIN_BUCKETS
 from .brightness import DEFAULT_T_SAT
@@ -38,6 +38,9 @@ __all__ = [
 
 _GREEN_LO, _GREEN_HI = 60.0, 180.0
 _BLUE_HI = 300.0
+
+#: Every 8-bit sample as the float the decoder reads (``v / 255``).
+_UINT8_LEVELS = np.arange(256) / 255.0
 
 
 def classify_hsv(
@@ -158,15 +161,24 @@ class ColorClassifier:
         (``max(R, G, B) < T_v`` — the black override is applied last in
         :func:`classify_hsv`), so the mask skips the hue/saturation math
         entirely; the decoder computes it once per capture for corner
-        and locator detection.  Other modes fall back to a full
-        classification.  Classification is per pixel in both modes, so
-        a slice of the mask equals the classification of that window.
+        and locator detection.  A uint8 capture is compared with the
+        integer cutoff ``c = #{v in 0..255 : v / 255 < T_v}``: ``v / 255.0``
+        is correctly rounded and so monotone in ``v``, which makes
+        ``max(R, G, B) < c`` equal the mask of the divided image bit for
+        bit.  Other modes fall back to a full classification of the
+        divided image.  Classification is per pixel in both modes, so a
+        slice of the mask equals the classification of that window.
         """
+        image = np.asarray(image)
         if self.mode != "hsv":
-            return self.classify_pixels(image) == int(Color.BLACK)
-        image = np.asarray(image, dtype=np.float64)
+            return self.classify_pixels(normalize_frame(image)) == int(Color.BLACK)
+        if image.dtype != np.uint8:
+            image = np.asarray(image, dtype=np.float64)
+            threshold: float | int = self.t_value
+        else:
+            threshold = int(np.count_nonzero(_UINT8_LEVELS < self.t_value))
         value = np.maximum(np.maximum(image[..., 0], image[..., 1]), image[..., 2])
-        return value < self.t_value
+        return value < threshold
 
     def classify_pixels(self, pixels: np.ndarray) -> np.ndarray:
         """Color index of raw RGB pixels ``(..., 3)`` (no denoising)."""

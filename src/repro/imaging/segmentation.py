@@ -2,9 +2,12 @@
 
 Corner-tracker detection labels the black-pixel mask of a capture and
 filters its components.  Labeling uses :func:`scipy.ndimage.label`
-(8-connectivity); statistics come back as a table of per-component
-arrays, computed with ``np.bincount`` and ``find_objects``, so callers
-filter on arrays and a full-capture mask costs a few milliseconds.
+(8-connectivity).  Geometry comes back as tables of per-component
+arrays: :func:`component_boxes` takes every bounding box from one
+``find_objects`` pass, and :func:`measure_components` counts area and
+coordinate sums inside each box only.  A caller that filters on box
+geometry first therefore never touches the pixels of components it
+drops — the big background component of a capture included.
 """
 
 from __future__ import annotations
@@ -14,31 +17,34 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-__all__ = ["ComponentTable", "connected_components", "component_stats"]
+__all__ = [
+    "ComponentBoxes",
+    "ComponentTable",
+    "connected_components",
+    "component_boxes",
+    "measure_components",
+    "component_stats",
+]
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=np.int64)
 
 
 @dataclass(frozen=True)
-class ComponentTable:
-    """Geometry of the connected components of a binary mask, as arrays.
+class ComponentBoxes:
+    """Labels and bounding boxes of connected components, as arrays.
 
-    Entry ``i`` describes component ``label[i]``; rows are in label
-    order.  Indexing with a boolean mask or index array selects rows.
+    Entry ``i`` is component ``label[i]``; rows are in label order.
+    Indexing with a boolean mask or index array selects rows.
     """
 
     label: np.ndarray  # (N,) int64
-    area: np.ndarray  # (N,) int64
-    centroid: np.ndarray  # (N, 2) float64, (x, y)
     bbox: np.ndarray  # (N, 4) int64, (x0, y0, x1, y1), inclusive
 
     def __len__(self) -> int:
         return len(self.label)
 
-    def __getitem__(self, rows: np.ndarray) -> ComponentTable:
-        return ComponentTable(
-            self.label[rows], self.area[rows], self.centroid[rows], self.bbox[rows]
-        )
+    def __getitem__(self, rows: np.ndarray) -> ComponentBoxes:
+        return ComponentBoxes(self.label[rows], self.bbox[rows])
 
     @property
     def width(self) -> np.ndarray:
@@ -54,31 +60,28 @@ class ComponentTable:
         return 0.5 * (self.width + self.height)
 
     @property
-    def fill_ratio(self) -> np.ndarray:
-        """Area over bbox area — near 1.0 for solid squares."""
-        return self.area / (self.width * self.height).astype(np.float64)
-
-    @property
     def aspect(self) -> np.ndarray:
         """Long side over short side — near 1.0 for squares."""
         width, height = self.width, self.height
         return np.maximum(width, height) / np.maximum(np.minimum(width, height), 1)
 
 
-_COORD_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+@dataclass(frozen=True)
+class ComponentTable(ComponentBoxes):
+    """Boxes plus pixel count and centroid of each component."""
 
+    area: np.ndarray  # (N,) int64
+    centroid: np.ndarray  # (N, 2) float64, (x, y)
 
-def _flat_coords(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Flat per-pixel (x, y) coordinate weights for *shape*, cached."""
-    cached = _COORD_CACHE.get(shape)
-    if cached is None:
-        height, width = shape
-        xs = np.tile(np.arange(width, dtype=np.float64), height)
-        ys = np.repeat(np.arange(height, dtype=np.float64), width)
-        if len(_COORD_CACHE) > 8:
-            _COORD_CACHE.clear()
-        cached = _COORD_CACHE[shape] = (xs, ys)
-    return cached
+    def __getitem__(self, rows: np.ndarray) -> ComponentTable:
+        return ComponentTable(
+            self.label[rows], self.bbox[rows], self.area[rows], self.centroid[rows]
+        )
+
+    @property
+    def fill_ratio(self) -> np.ndarray:
+        """Area over bbox area — near 1.0 for solid squares."""
+        return self.area / (self.width * self.height).astype(np.float64)
 
 
 def connected_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
@@ -90,37 +93,62 @@ def connected_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
     return labels, int(count)
 
 
+def component_boxes(labels: np.ndarray, count: int) -> ComponentBoxes:
+    """Bounding box of every label in ``1..count`` that has pixels.
+
+    One ``find_objects`` pass; no pixel is counted.
+    """
+    boxes = ndimage.find_objects(labels, max_label=count)
+    present = [(i + 1, box) for i, box in enumerate(boxes) if box is not None]
+    label = np.array([i for i, _ in present], dtype=np.int64)
+    bbox = np.array(
+        [(cols.start, rows.start, cols.stop - 1, rows.stop - 1) for _, (rows, cols) in present],
+        dtype=np.int64,
+    ).reshape(-1, 4)
+    return ComponentBoxes(label, bbox)
+
+
+def measure_components(
+    labels: np.ndarray,
+    boxes: ComponentBoxes,
+    min_area: int = 1,
+    max_area: int | None = None,
+) -> ComponentTable:
+    """Area and centroid of each boxed component, area-filtered.
+
+    A component's area is at most its box's, so boxes smaller than
+    ``min_area`` are dropped before any pixel is counted.  The rest are
+    counted inside their own boxes only, all boxes in one vectorized
+    pass whose cost is the boxes' summed area.  The coordinate sums are of integers below 2**53, so the
+    centroids equal a full-frame sum bit for bit.
+    """
+    min_area = max(min_area, 1)
+    boxes = boxes[boxes.width * boxes.height >= min_area]
+    width = boxes.width
+    sizes = width * boxes.height
+    owner = np.repeat(np.arange(len(boxes)), sizes)
+    offset = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    dy, dx = np.divmod(offset, width[owner])
+    ys = boxes.bbox[owner, 1] + dy
+    xs = boxes.bbox[owner, 0] + dx
+    hit = labels[ys, xs] == boxes.label[owner]
+    owner = owner[hit]
+    area = np.bincount(owner, minlength=len(boxes))
+    sum_x = np.bincount(owner, weights=xs[hit], minlength=len(boxes))
+    sum_y = np.bincount(owner, weights=ys[hit], minlength=len(boxes))
+    keep = area >= min_area
+    if max_area is not None:
+        keep &= area <= max_area
+    area = area[keep]
+    centroid = np.column_stack([sum_x[keep] / area, sum_y[keep] / area])
+    return ComponentTable(boxes.label[keep], boxes.bbox[keep], area, centroid)
+
+
 def component_stats(
     labels: np.ndarray,
     count: int,
     min_area: int = 1,
     max_area: int | None = None,
 ) -> ComponentTable:
-    """Per-component area, centroid and bounding box, area-filtered.
-
-    Vectorized: one ``bincount`` for areas and coordinate sums, and
-    ``find_objects`` for the boxes of the components that pass the
-    area filter.
-    """
-    flat = labels.ravel()
-    areas = np.bincount(flat, minlength=count + 1)[1 : count + 1]
-    keep = areas >= max(min_area, 1)
-    if max_area is not None:
-        keep &= areas <= max_area
-    rows = np.flatnonzero(keep)
-    area = areas[rows]
-
-    # Bounding boxes from ndimage's C pass; centroids from weighted
-    # bincounts over the flat label image (row/column index arrays are
-    # implicit in the flat offset, so no nonzero() scatter is needed).
-    boxes = ndimage.find_objects(labels, max_label=count)
-    bbox = np.array(
-        [(boxes[i][1].start, boxes[i][0].start, boxes[i][1].stop - 1, boxes[i][0].stop - 1)
-         for i in rows],
-        dtype=np.int64,
-    ).reshape(-1, 4)
-    xs_flat, ys_flat = _flat_coords(labels.shape)
-    sum_x = np.bincount(flat, weights=xs_flat, minlength=count + 1)[1:][rows]
-    sum_y = np.bincount(flat, weights=ys_flat, minlength=count + 1)[1:][rows]
-    centroid = np.column_stack([sum_x / area, sum_y / area])
-    return ComponentTable(rows + 1, area, centroid, bbox)
+    """Per-component area, centroid and bounding box, area-filtered."""
+    return measure_components(labels, component_boxes(labels, count), min_area, max_area)

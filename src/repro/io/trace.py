@@ -22,7 +22,12 @@ memory; the **JSONL index** names each chunk, its first frame offset,
 its frame count and its SHA-256, so truncation and index/chunk
 disagreement are detected instead of silently decoding a partial
 session.  Arrays round-trip bit-identically: the writer never quantizes
-or rescales (``np.savez`` is lossless for every dtype).
+or rescales (``np.savez`` is lossless for every dtype).  Chunks are
+written uncompressed: a noisy uint8 capture deflates only ~1.6x, and
+inflating it was nearly all of a verified read.  ``np.load`` reads
+compressed chunks too, and the SHA-256 covers a chunk's bytes either
+way, so traces written compressed stay readable under the same schema
+version.
 
 Schema-version policy
 ---------------------
@@ -229,7 +234,7 @@ class TraceWriter:
         rel = f"{_CHUNK_DIR}/{name}"
         chunk_path = self.path / _CHUNK_DIR / name
         start = self._num_frames - len(self._images)
-        np.savez_compressed(
+        np.savez(
             chunk_path,
             images=np.stack(self._images),
             times=np.asarray(self._times, dtype=np.float64),

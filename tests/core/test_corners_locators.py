@@ -2,11 +2,17 @@
 
 Locators work on the capture's black mask.  ``_reference_correct_location``
 keeps the image-and-classifier form of the correction loop verbatim, as
-the oracle the mask form must match exactly.
+the oracle the mask form must match exactly.  ``_reference_tracker_candidates``
+keeps the full-frame candidate search (label, full-frame ``bincount``
+statistics, then every filter) verbatim, as the oracle the box-first
+search must match exactly.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from repro.core.brightness import estimate_black_threshold
 from repro.core.corners import (
@@ -29,7 +35,12 @@ from repro.core.locators import (
 from repro.core.palette import Color
 from repro.core.recognition import ColorClassifier
 from repro.imaging.filters import gaussian_blur
+from repro.imaging.color import normalize_frame
 from repro.imaging.geometry import PinholeSetup, apply_homography, warp_perspective
+from repro.imaging.segmentation import connected_components
+from repro.io import read_png
+
+CORPUS_DIR = Path(__file__).parent.parent / "fixtures" / "corpus"
 
 
 @pytest.fixture(scope="module")
@@ -281,3 +292,127 @@ class TestMiddleLocator:
             find_first_middle_locator(
                 classifier.black_mask(img), np.array([500.0, 500.0]), 12.0, 3.0, 40.0
             )
+
+
+def _reference_tracker_candidates(black, min_block_px, max_block_px):
+    """The full-frame candidate search, kept verbatim (statistics inlined).
+
+    Returns ``(label, area, centroid, bbox)`` arrays of the candidates.
+    """
+    labels, count = connected_components(black)
+    min_area = max(1, int((0.5 * min_block_px) ** 2))
+    max_area = int((2.0 * max_block_px) ** 2)
+
+    flat = labels.ravel()
+    areas = np.bincount(flat, minlength=count + 1)[1 : count + 1]
+    keep = areas >= max(min_area, 1)
+    keep &= areas <= max_area
+    rows = np.flatnonzero(keep)
+    area = areas[rows]
+    boxes = ndimage.find_objects(labels, max_label=count)
+    bbox = np.array(
+        [(boxes[i][1].start, boxes[i][0].start, boxes[i][1].stop - 1, boxes[i][0].stop - 1)
+         for i in rows],
+        dtype=np.int64,
+    ).reshape(-1, 4)
+    height, width = labels.shape
+    xs_flat = np.tile(np.arange(width, dtype=np.float64), height)
+    ys_flat = np.repeat(np.arange(height, dtype=np.float64), width)
+    sum_x = np.bincount(flat, weights=xs_flat, minlength=count + 1)[1:][rows]
+    sum_y = np.bincount(flat, weights=ys_flat, minlength=count + 1)[1:][rows]
+    centroid = np.column_stack([sum_x / area, sum_y / area])
+    label = rows + 1
+
+    box_w = bbox[:, 2] - bbox[:, 0] + 1
+    box_h = bbox[:, 3] - bbox[:, 1] + 1
+    side = 0.5 * (box_w + box_h)
+    aspect = np.maximum(box_w, box_h) / np.maximum(np.minimum(box_w, box_h), 1)
+    fill_ratio = area / (box_w * box_h).astype(np.float64)
+    keep = (side >= min_block_px) & (side <= max_block_px)
+    keep &= (aspect <= 2.0) & (fill_ratio >= 0.5)
+    return label[keep], area[keep], centroid[keep], bbox[keep]
+
+
+def _assert_candidates_match(black, min_block_px=3.0, max_block_px=40.0):
+    """Box-first candidates equal the full-frame oracle; returns their count."""
+    got = tracker_candidates(black, min_block_px, max_block_px)
+    label, area, centroid, bbox = _reference_tracker_candidates(
+        black, min_block_px, max_block_px
+    )
+    assert np.array_equal(got.label, label)
+    assert np.array_equal(got.area, area)
+    assert np.array_equal(got.centroid.reshape(-1, 2), centroid)
+    assert np.array_equal(got.bbox.reshape(-1, 4), bbox)
+    return len(label)
+
+
+def _blocky_mask(rng, shape, density, blocks):
+    """Noise at *density* plus solid rectangles of candidate-like size."""
+    mask = rng.random(shape) < density
+    height, width = shape
+    for __ in range(blocks):
+        h, w = (int(n) for n in rng.integers(2, 14, size=2))
+        y, x = int(rng.integers(0, height - 1)), int(rng.integers(0, width - 1))
+        mask[y : y + h, x : x + w] = rng.random() < 0.8
+    return mask
+
+
+class TestCandidatesMatchFullFrame:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.3, 0.6, 0.9])
+    def test_random_masks(self, seed, density):
+        rng = np.random.default_rng([seed, int(density * 100)])
+        mask = _blocky_mask(rng, (90, 140), density, blocks=40)
+        for min_px, max_px in ((3.0, 40.0), (1.0, 6.0), (4.5, 9.0), (2.0, 200.0)):
+            _assert_candidates_match(mask, min_px, max_px)
+
+    def test_random_masks_find_candidates(self):
+        # Guard against a vacuous oracle: the blocky masks do yield some.
+        rng = np.random.default_rng(3)
+        assert _assert_candidates_match(_blocky_mask(rng, (90, 140), 0.05, 40)) > 5
+
+    def test_empty_mask(self):
+        assert _assert_candidates_match(np.zeros((40, 60), dtype=bool)) == 0
+
+    def test_all_black_mask(self):
+        assert _assert_candidates_match(np.ones((40, 60), dtype=bool)) == 0
+        # Small enough to be a candidate block itself.
+        assert _assert_candidates_match(np.ones((8, 9), dtype=bool)) == 1
+
+    def test_components_touching_every_edge(self):
+        mask = np.zeros((50, 70), dtype=bool)
+        mask[:6, :6] = mask[:6, -7:] = mask[-5:, :8] = mask[-6:, -6:] = True
+        mask[20:27, :5] = mask[18:26, -4:] = mask[:5, 30:36] = mask[-7:, 40:46] = True
+        assert _assert_candidates_match(mask) == 8
+        _assert_candidates_match(mask, 2.0, 5.0)
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.stem for p in CORPUS_DIR.glob("*.png"))
+    )
+    def test_corpus_captures(self, name):
+        capture = read_png(CORPUS_DIR / f"{name}.png")
+        image = normalize_frame(capture)
+        classifier = ColorClassifier(t_value=estimate_black_threshold(image).t_value)
+        black = classifier.black_mask(capture)
+        assert np.array_equal(black, classifier.black_mask(image))
+        assert _assert_candidates_match(black) > 0
+
+
+class TestUint8BlackMask:
+    @pytest.mark.parametrize("mode", ["hsv", "rgb"])
+    def test_uint8_mask_equals_float_mask(self, mode):
+        rng = np.random.default_rng(11)
+        capture = rng.integers(0, 256, size=(24, 32, 3), dtype=np.uint8)
+        # Every level appears as some pixel's max(R, G, B).
+        capture[:8].reshape(-1, 3)[:256] = np.arange(256, dtype=np.uint8)[:, np.newaxis]
+        image = capture / 255.0
+        levels = np.arange(256) / 255.0
+        thresholds = np.concatenate(
+            [levels, np.nextafter(levels, -np.inf), np.nextafter(levels, np.inf),
+             [-0.5, 1.5, 256.0, np.inf, -np.inf]]
+        )
+        for t_value in thresholds:
+            classifier = ColorClassifier(t_value=float(t_value), mode=mode)
+            assert np.array_equal(
+                classifier.black_mask(capture), classifier.black_mask(image)
+            ), f"t_value={t_value!r}"

@@ -199,10 +199,12 @@ class TestPerfCheck:
         assert set(bounds) == {f"decoder.{s}_ms" for s in stages} | {
             "decoder.extract_ms_p50",
             "coding.assemble_ms_per_frame",
+            "trace.read_ms_per_frame",
         }
-        assert bounds["decoder.corners_ms"] == pytest.approx(3 * 15.86 + 10)
+        assert bounds["decoder.corners_ms"] == pytest.approx(3 * 7.719 + 10)
         assert bounds["decoder.locators_ms"] == pytest.approx(3 * 3.92 + 10)
-        assert bounds["decoder.extract_ms_p50"] == pytest.approx(2.5 * 25.71 + 20)
+        assert bounds["decoder.extract_ms_p50"] == pytest.approx(2.5 * 17.19 + 20)
+        assert bounds["trace.read_ms_per_frame"] == pytest.approx(3 * 2.481 + 10)
         assert bounds["coding.assemble_ms_per_frame"] == pytest.approx(3 * 0.306 + 10)
 
     def test_at_the_bound_passes(self, bounds, tmp_path, capsys):

@@ -12,6 +12,7 @@ Payloads, ok flags, erasure counts *and* failure stages must match.
 from __future__ import annotations
 
 import json
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -90,6 +91,42 @@ def test_trace_replay_matches_live_decode_per_fixture(name):
         assert np.array_equal(replay_ex.data_symbols, live_ex.data_symbols)
         assert np.array_equal(replay_ex.row_assignment, live_ex.row_assignment)
         assert replay_ex.header == live_ex.header
+
+
+def _compress_types(trace: Path) -> set[int]:
+    types = set()
+    for chunk in (trace / "chunks").glob("*.npz"):
+        with zipfile.ZipFile(chunk) as archive:
+            types |= {member.compress_type for member in archive.infolist()}
+    return types
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_rewritten_uncompressed_trace_decodes_like_committed(name, tmp_path):
+    """A committed (deflated) trace and the same frames rewritten by
+    today's writer (stored) replay to identical results."""
+    committed = TRACES_DIR / f"{name}.rbtrace"
+    reader = TraceReader(committed)
+    rewritten = tmp_path / "rewritten.rbtrace"
+    with TraceWriter(rewritten, reader.metadata) as writer:
+        for frame in reader:
+            writer.append(frame.image, frame.time)
+    assert _compress_types(committed) == {zipfile.ZIP_DEFLATED}
+    assert _compress_types(rewritten) == {zipfile.ZIP_STORED}
+
+    decoder = _decoder()
+    assert decoder.decode_trace(rewritten) == decoder.decode_trace(committed)
+    old, new = next(iter(reader)), next(iter(TraceReader(rewritten)))
+    assert new.image.dtype == old.image.dtype and np.array_equal(new.image, old.image)
+    assert new.time == old.time
+    old_ex, old_diag = decoder.extract_diagnosed(old.image)
+    new_ex, new_diag = decoder.extract_diagnosed(new.image)
+    if old_ex is None:
+        assert new_ex is None and new_diag.failure.stage == old_diag.failure.stage
+    else:
+        assert np.array_equal(new_ex.data_symbols, old_ex.data_symbols)
+        assert np.array_equal(new_ex.row_assignment, old_ex.row_assignment)
+        assert new_ex.header == old_ex.header
 
 
 @pytest.fixture(scope="module")

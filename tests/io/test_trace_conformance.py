@@ -10,6 +10,7 @@ still passes every structural check.
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -315,3 +316,15 @@ def test_rewriting_over_existing_trace_truncates_stale_state(tmp_path):
     reader = TraceReader(path)
     assert reader.num_frames == 2
     reader.validate()  # stale chunk files are simply unreferenced
+
+
+def test_writer_stores_chunks_uncompressed(trace):
+    """Chunks are written ``ZIP_STORED``: a noisy capture barely deflates,
+    and inflating it was almost all of a replay's read time."""
+    chunks = sorted((trace / "chunks").glob("*.npz"))
+    assert len(chunks) == 3
+    for chunk in chunks:
+        with zipfile.ZipFile(chunk) as archive:
+            members = archive.infolist()
+            assert [m.filename for m in members] == ["images.npy", "times.npy"]
+            assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
