@@ -5,9 +5,27 @@ the channel simulator uses Gaussian and motion blur to model defocus and
 hand shake.  All filters are separable convolutions implemented with
 NumPy; edges use reflect padding, matching the behaviour a phone ISP
 would approximate.
+
+Constant outside the box.  A simulated capture is the constant
+background the projection left everywhere except around the screen, and
+a pixel whose whole stencil is that constant gets the same products,
+summed in the same order, as every other such pixel.  So
+:func:`convolve_separable` (hence :func:`gaussian_blur` and
+:func:`mean_filter`) and :func:`motion_blur` find the bounding box of
+the pixels that differ from ``image[0, 0]``, grow it by a margin, run
+their per-tap loop on that crop only and fill the rest with what the
+same loop gives on a constant 1x1 patch.  The margin is the kernel
+radius r for the ``np.roll`` wrap of motion blur, and r + 1 for reflect
+padding, which mirrors rows 1..r of the crop into the pad.  Either way
+the samples the crop's own edge padding reads are constant, as the
+ones the full frame reads there are, so every output sample equals the
+full-frame one bit for bit.  A grown box that does not fit inside the
+frame runs the same loop on the whole frame.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -44,15 +62,54 @@ def _convolve_axis(image: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarr
     return out
 
 
+def _filter_varying_box(
+    image: np.ndarray,
+    margin_y: int,
+    margin_x: int,
+    run: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """``run(image)``, computed only on the box where *image* varies.
+
+    The box of pixels that differ from ``image[0, 0]`` (in any channel)
+    is grown by *margin_y* rows and *margin_x* columns and filtered
+    alone; every other output pixel is ``run`` of a constant 1x1 patch.
+    The comparison and the fill run on the ``(H, W*C)`` view against one
+    tiled row, not through a per-pixel broadcast or an ``any(axis=2)``,
+    which would cost more than the crop saves.
+    """
+    height, width = image.shape[:2]
+    if image.size == 0:
+        return run(image)
+    flat = image.reshape(height, -1)
+    differs = flat != np.tile(np.ravel(image[0, 0]), width)
+    rows = np.flatnonzero(differs.any(axis=1))
+    if rows.size:
+        cols = np.flatnonzero(differs.any(axis=0)) // (flat.shape[1] // width)
+        y0, y1 = rows[0] - margin_y, rows[-1] + 1 + margin_y
+        x0, x1 = cols[0] - margin_x, cols[-1] + 1 + margin_x
+        if y0 < 0 or x0 < 0 or y1 > height or x1 > width:
+            return run(image)
+    out = np.empty(image.shape, dtype=np.float64)
+    out.reshape(height, -1)[...] = np.tile(np.ravel(run(image[:1, :1])), width)
+    if rows.size:
+        out[y0:y1, x0:x1] = run(image[y0:y1, x0:x1])
+    return out
+
+
 def convolve_separable(image: np.ndarray, ky: np.ndarray, kx: np.ndarray) -> np.ndarray:
     """Convolve *image* with the separable kernel ``outer(ky, kx)``.
 
     Works on 2-D intensity images and ``(H, W, C)`` color images (each
-    channel filtered independently).
+    channel filtered independently).  Only the box where *image* is not
+    constant is convolved (see the module docstring).
     """
     image = np.asarray(image, dtype=np.float64)
-    out = _convolve_axis(image, np.asarray(ky), axis=0)
-    return _convolve_axis(out, np.asarray(kx), axis=1)
+    ky, kx = np.asarray(ky), np.asarray(kx)
+
+    def run(part: np.ndarray) -> np.ndarray:
+        return _convolve_axis(_convolve_axis(part, ky, axis=0), kx, axis=1)
+
+    return _filter_varying_box(image, ky.size // 2 + 1, kx.size // 2 + 1, run)
 
 
 def mean_filter(image: np.ndarray, size: int = 3) -> np.ndarray:
@@ -98,7 +155,8 @@ def motion_blur(image: np.ndarray, length: float, angle_deg: float = 0.0) -> np.
     Models hand shake during exposure.  Implemented as an average of
     sub-pixel shifted copies (via channel-wise ``np.roll`` on the two
     nearest integer shifts), which is accurate enough for blur lengths of
-    a few pixels, the regime the paper operates in.
+    a few pixels, the regime the paper operates in.  Only the box where
+    *image* is not constant is blurred (see the module docstring).
     """
     image = np.asarray(image, dtype=np.float64)
     if length <= 0:
@@ -106,12 +164,20 @@ def motion_blur(image: np.ndarray, length: float, angle_deg: float = 0.0) -> np.
     steps = max(2, int(np.ceil(length)) + 1)
     theta = np.deg2rad(angle_deg)
     offsets = np.linspace(-length / 2.0, length / 2.0, steps)
-    acc = np.zeros_like(image)
-    for off in offsets:
-        dx, dy = off * np.cos(theta), off * np.sin(theta)
-        ix, iy = int(np.round(dx)), int(np.round(dy))
-        if ix == 0 and iy == 0:
-            acc += image
-        else:
-            acc += np.roll(image, (iy, ix), axis=(0, 1))
-    return acc / steps
+    shifts = [
+        (int(np.round(off * np.sin(theta))), int(np.round(off * np.cos(theta))))
+        for off in offsets
+    ]
+
+    def run(part: np.ndarray) -> np.ndarray:
+        acc = np.zeros_like(part)
+        for iy, ix in shifts:
+            if ix == 0 and iy == 0:
+                acc += part
+            else:
+                acc += np.roll(part, (iy, ix), axis=(0, 1))
+        return acc / steps
+
+    margin_y = max(abs(iy) for iy, _ in shifts)
+    margin_x = max(abs(ix) for _, ix in shifts)
+    return _filter_varying_box(image, margin_y, margin_x, run)

@@ -137,8 +137,11 @@ def _bilinear_upsample(small: np.ndarray, shape: tuple[int, int], factor: int) -
     the small grid so edges replicate instead of reading fill values.
 
     The map is separable (x depends only on the column, y only on the
-    row), so the interpolation runs on broadcast 1-D coordinate vectors
-    rather than full H x W grids — identical values, far less work.
+    row), so the blend along x runs once on the small plane's ``sh``
+    rows, and the blend along y gathers rows of that result.  Each
+    output pixel gets the same operands and operations, in the same
+    order, as ``(a*(1-fx) + b*fx)*(1-fy) + (c*(1-fx) + d*fx)*fy`` on
+    the four gathered corners.
     """
     height, width = shape
     sh, sw = small.shape
@@ -153,28 +156,19 @@ def _bilinear_upsample(small: np.ndarray, shape: tuple[int, int], factor: int) -
         _UPSAMPLE_COORD_CACHE[key] = cached
     y0, y1, fy, x0, x1, fx = cached
 
-    fx_b = fx[np.newaxis, :]
-    fy_b = fy[:, np.newaxis]
-    ifx_b = 1.0 - fx_b
-    ify_b = 1.0 - fy_b
-    rows0 = small.take(y0, axis=0)
-    rows1 = small.take(y1, axis=0)
-    # In-place blend on the gathered copies — same operation order (and
-    # rounding) as ``a*(1-f) + b*f``, without full-size temporaries.
-    top = rows0.take(x0, axis=1)
-    top *= ifx_b
-    tmp = rows0.take(x1, axis=1)
-    tmp *= fx_b
-    top += tmp
-    bottom = rows1.take(x0, axis=1)
-    bottom *= ifx_b
-    tmp = rows1.take(x1, axis=1)
-    tmp *= fx_b
-    bottom += tmp
-    top *= ify_b
-    bottom *= fy_b
-    top += bottom
-    return top
+    # In-place blends on the gathered copies: the same rounding as
+    # ``a*(1-f) + b*f`` without further temporaries.
+    rows = small.take(x0, axis=1)
+    rows *= 1.0 - fx
+    tmp = small.take(x1, axis=1)
+    tmp *= fx
+    rows += tmp
+    out = rows.take(y0, axis=0)
+    out *= (1.0 - fy)[:, np.newaxis]
+    tmp = rows.take(y1, axis=0)
+    tmp *= fy[:, np.newaxis]
+    out += tmp
+    return out
 
 
 def white_balance_shift(image: np.ndarray, gains: tuple[float, float, float]) -> np.ndarray:

@@ -1,13 +1,21 @@
 """Byte pin of the simulated capture on the configurations it must hold.
 
 Captures leave the camera as ``uint8`` (H, W, 3) samples.  The SHA-256
-of every capture's bytes is pinned on seven link conditions at the
+of every capture's bytes is pinned on nine link conditions at the
 paper's sensor size (tripod, handheld, walking, outdoor at 45 degrees,
-8 cm, 30 cm and a barrel lens) and on the whole capture stream of the
-eight fault scenarios of the campaign grid that have no sensor-stage
-fault.  The digests were computed when captures were still carried as
-float64 on 8-bit levels, as ``np.round(image * 255).astype(np.uint8)``,
-so any change to a single fault-free sample fails here.
+7 cm on a tripod and walking, 8 cm, 30 cm and a barrel lens) and on the
+whole capture stream of the eight fault scenarios of the campaign grid
+that have no sensor-stage fault.  All but the two 7 cm digests were
+computed when captures were still carried as float64 on 8-bit levels,
+as ``np.round(image * 255).astype(np.uint8)``, so any change to a
+single fault-free sample fails here.
+
+The blurs compute only on the box where the frame is not the constant
+background, and fall back to the whole frame when that box, grown by
+the kernel's margin, does not fit in the frame.  At 8 cm the lens blur
+takes the box; at 7 cm it takes the whole frame, and so does the second
+capture's motion blur under ``walking()``.  The two 7 cm digests were
+computed when every blur still ran on the whole frame.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ LINK_DIGESTS = {
     "handheld": "35af2d92ec4ceb2a392935f735c2664cb0997e93a83631c9686c231e0565243f",
     "walking": "03e53e5f5aee46a6f67f4154b2471f00945a3c556b273f0b791f6479ac2ee1f8",
     "outdoor_45deg": "61801bb4cbce2d6c4ccc185159496e60c89414b01d3067d6abc7cac643d80dce",
+    "distance_7cm": "f03a647d263e828110d08d98d416d4d9905bd5e4a0b5dc9bd133f3ddc48ef3f9",
+    "distance_7cm_walking": "d3046abbc6247745ea0a37e67af76367cd9f7de931d0209984be15cb70f4c5f1",
     "distance_8cm": "6a3de4fa4386902f3b49a91309b241089b204d46461eed3f7dd33b1ac983d91b",
     "distance_30cm": "57c17a9aae3e0b4126e9638708d266f3b69e7b179900b99ad76fa4febd7ecc90",
     "barrel": "423a025ccef382bd10fa46d1a49f5c04a9c3bdc015c4b277768976ee3c7f1528",
@@ -55,6 +65,8 @@ _LINKS = {
     "handheld": LinkConfig(mobility=handheld()),
     "walking": LinkConfig(mobility=walking()),
     "outdoor_45deg": LinkConfig(environment=outdoor(), view_angle_deg=45.0),
+    "distance_7cm": LinkConfig(distance_cm=7.0),
+    "distance_7cm_walking": LinkConfig(distance_cm=7.0, mobility=walking()),
     "distance_8cm": LinkConfig(distance_cm=8.0),
     "distance_30cm": LinkConfig(distance_cm=30.0),
     "barrel": LinkConfig(lens=LensModel(k1=0.08, k2=0.01)),

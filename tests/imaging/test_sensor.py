@@ -1,4 +1,10 @@
-"""Camera color pipeline: YCbCr, chroma subsampling, white balance."""
+"""Camera color pipeline: YCbCr, chroma subsampling, white balance.
+
+``_reference_bilinear_upsample`` keeps the four-gather upsample (both
+rows of every output pixel gathered at full height, then each blended
+along x) verbatim, as the oracle the blend-x-on-the-small-plane form
+must match bit for bit.
+"""
 
 import re
 
@@ -8,6 +14,8 @@ import pytest
 from repro.imaging.filters import gaussian_blur
 from repro.imaging.sensor import (
     CameraPipeline,
+    _bilinear_upsample,
+    _upsample_axis_coords,
     chroma_subsample,
     quantize_8bit,
     rgb_to_ycbcr,
@@ -171,6 +179,57 @@ class TestChromaPlanes:
         assert np.array_equal(ycc.view(np.uint64), _ycc_oracle(image).view(np.uint64))
         rgb = ycbcr_to_rgb(ycc)
         assert np.array_equal(rgb.view(np.uint64), _rgb_oracle(ycc).view(np.uint64))
+
+
+def _reference_bilinear_upsample(small, shape, factor):
+    height, width = shape
+    sh, sw = small.shape
+    y0, y1, fy = _upsample_axis_coords(height, sh, factor)
+    x0, x1, fx = _upsample_axis_coords(width, sw, factor)
+
+    fx_b = fx[np.newaxis, :]
+    fy_b = fy[:, np.newaxis]
+    ifx_b = 1.0 - fx_b
+    ify_b = 1.0 - fy_b
+    rows0 = small.take(y0, axis=0)
+    rows1 = small.take(y1, axis=0)
+    # In-place blend on the gathered copies — same operation order (and
+    # rounding) as ``a*(1-f) + b*f``, without full-size temporaries.
+    top = rows0.take(x0, axis=1)
+    top *= ifx_b
+    tmp = rows0.take(x1, axis=1)
+    tmp *= fx_b
+    top += tmp
+    bottom = rows1.take(x0, axis=1)
+    bottom *= ifx_b
+    tmp = rows1.take(x1, axis=1)
+    tmp *= fx_b
+    bottom += tmp
+    top *= ify_b
+    bottom *= fy_b
+    top += bottom
+    return top
+
+
+class TestBilinearUpsample:
+    """Blending along x on the small plane first changes no output bit."""
+
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(480, 800), (17, 23), (9, 14), (31, 8), (5, 5)])
+    def test_matches_four_gather_reference(self, factor, shape):
+        small_shape = (shape[0] // factor, shape[1] // factor)
+        small = _capture_like(small_shape, seed=factor * 7 + shape[1]) - 0.5
+        out = _bilinear_upsample(small, shape, factor)
+        expected = _reference_bilinear_upsample(small, shape, factor)
+        assert out.shape == expected.shape == shape
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+    def test_single_row_and_column_planes(self):
+        for small_shape, shape in [((1, 7), (3, 21)), ((6, 1), (13, 3)), ((1, 1), (4, 4))]:
+            small = _capture_like(small_shape, seed=3)
+            out = _bilinear_upsample(small, shape, 3)
+            expected = _reference_bilinear_upsample(small, shape, 3)
+            assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
 
 class TestWhiteBalanceAndQuantize:

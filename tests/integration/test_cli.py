@@ -201,11 +201,35 @@ class TestPerfCheck:
             "coding.assemble_ms_per_frame",
             "trace.read_ms_per_frame",
         }
-        assert bounds["decoder.corners_ms"] == pytest.approx(3 * 7.719 + 10)
+        assert bounds["decoder.corners_ms"] == pytest.approx(1.5 * 7.719 + 1)
         assert bounds["decoder.locators_ms"] == pytest.approx(3 * 3.92 + 10)
         assert bounds["decoder.extract_ms_p50"] == pytest.approx(2.5 * 17.19 + 20)
-        assert bounds["trace.read_ms_per_frame"] == pytest.approx(3 * 2.481 + 10)
+        assert bounds["trace.read_ms_per_frame"] == pytest.approx(1.5 * 2.481 + 1)
         assert bounds["coding.assemble_ms_per_frame"] == pytest.approx(3 * 0.306 + 10)
+        # Compressed trace chunks and full-frame candidate statistics
+        # (traced, before they were replaced) must not pass.
+        assert bounds["trace.read_ms_per_frame"] < 10.25
+        assert bounds["decoder.corners_ms"] < 13.42
+
+    def test_repo_budgets_bound_every_simulator_layer(self):
+        from repro.telemetry.budgets import load_budgets
+
+        bounds = {name: b.max_value for name, b in
+                  load_budgets("budgets.toml", "perf.transfer").items()}
+        reference = {
+            "channel.project_ms": 46.89,
+            "channel.optics_ms": 26.64,
+            "channel.environment_ms": 178.32,
+            "imaging.degrade_ms": 108.05,
+            "imaging.sensor_pipeline_ms": 60.17,
+            "decoder.extract_ms_p50": 33.36,
+        }
+        assert set(bounds) == set(reference)
+        for name, ref in reference.items():
+            assert bounds[name] == pytest.approx(1.5 * ref + 1), name
+        # The lens blur over the whole frame (traced, before it moved to
+        # the varying box) must not pass.
+        assert bounds["channel.optics_ms"] < 66.96
 
     def test_at_the_bound_passes(self, bounds, tmp_path, capsys):
         result = _perfbench_stdout(tmp_path / "replay.txt", {**bounds, "session_ms_p50": 9e9})
