@@ -24,7 +24,7 @@ import numpy as np
 from .. import telemetry
 from ..imaging.filters import motion_blur
 from ..imaging.geometry import PinholeSetup, warp_perspective
-from ..imaging.sensor import CameraPipeline, quantize_8bit
+from ..imaging.sensor import CameraPipeline
 from .camera import CameraTiming, compose_rolling_shutter
 from .environment import EnvironmentProfile, indoor
 from .mobility import MobilityModel, tripod
@@ -79,7 +79,7 @@ class ScreenCameraLink:
     *faults* attaches a :class:`~repro.faults.plan.FaultPlan` to the
     receive chain: shutter jitter inside the rolling-shutter composer,
     pre/post-optics impairments inside the lens model, sensor-stage
-    impairments after the color pipeline and before 8-bit quantization,
+    impairments inside the color pipeline, before its 8-bit samples,
     and stream-stage drops and duplicates in :meth:`capture_stream`.
     (Emission-stage faults live on the
     :class:`~repro.channel.screen.FrameSchedule`.)
@@ -153,10 +153,10 @@ class ScreenCameraLink:
             if blur_len > 0:
                 sensor = motion_blur(sensor, blur_len, blur_angle)
             sensor = cfg.environment.degrade(sensor, self.rng)
-            sensor = cfg.pipeline.apply(sensor, self._wb_gains)
-        if self.faults is not None:
-            sensor = self.faults.apply_image("sensor", sensor, capture_index)
-        return Capture(time=start_time, image=quantize_8bit(sensor))
+            samples = cfg.pipeline.apply(
+                sensor, self._wb_gains, faults=self.faults, capture_index=capture_index
+            )
+        return Capture(time=start_time, image=samples)
 
     def capture_stream(
         self,

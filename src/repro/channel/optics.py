@@ -79,7 +79,8 @@ class LensModel:
             if faults is not None:
                 image = faults.apply_image("pre_optics", image, capture_index)
             out = gaussian_blur(image, self.blur_sigma(distance_cm))
-            out = apply_radial_distortion(out, self.k1, self.k2)
+            if self.k1 != 0.0 or self.k2 != 0.0:
+                out = apply_radial_distortion(out, self.k1, self.k2)
             if faults is not None:
                 out = faults.apply_image("post_optics", out, capture_index)
             return out

@@ -11,7 +11,7 @@ emission   :meth:`repro.channel.screen.FrameSchedule.emitted_image`
 shutter    :func:`repro.channel.camera.compose_rolling_shutter`
 pre_optics :meth:`repro.channel.optics.LensModel.apply` (before blur)
 post_optics :meth:`repro.channel.optics.LensModel.apply` (after blur)
-sensor     :meth:`repro.channel.link.ScreenCameraLink.capture_at` (before 8-bit)
+sensor     :meth:`repro.imaging.sensor.CameraPipeline.apply` (before 8-bit)
 stream     :meth:`repro.channel.link.ScreenCameraLink.capture_stream`
 ========== ==========================================================
 

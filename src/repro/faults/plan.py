@@ -135,6 +135,10 @@ class FaultPlan:
 
     # -- hook points -------------------------------------------------------
 
+    def hooks(self, stage: str) -> bool:
+        """Whether any fault of this plan runs at *stage*."""
+        return any(fault.stage == stage for fault in self.faults)
+
     def apply_image(self, stage: str, image: np.ndarray, index: int) -> np.ndarray:
         """Run every fault registered at image-valued *stage* on *image*.
 

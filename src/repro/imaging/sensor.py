@@ -10,13 +10,29 @@ error adds a global channel-gain tilt.
 
 These operate in YCbCr space (BT.601), reusing the luma weights of
 :func:`repro.imaging.color.luminance`.
+
+Every step runs on contiguous 2-D planes, one per channel, never on the
+interleaved ``(H, W, 3)`` array, whose channel reads and writes have a
+stride of three samples.  The plane helpers work in place on planes
+their caller owns: the four full-size buffers of a capture (R, G, B and
+Y) carry it from white balance to the 8-bit samples, so the chain does
+not fault in fresh pages for each intermediate.  In-place updates give
+every element the same operands and operations, in the same order, as
+the expressions written out (``a *= c; a += y`` is ``y + c*a`` because
+IEEE addition and multiplication commute), so each plane matches the
+interleaved formulation bit for bit.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .filters import gaussian_blur
+
+if TYPE_CHECKING:
+    from ..faults.plan import FaultPlan
 
 __all__ = [
     "rgb_to_ycbcr",
@@ -30,34 +46,93 @@ __all__ = [
 _KR, _KG, _KB = 0.299, 0.587, 0.114
 
 
-def _ycbcr_planes(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """BT.601 Y, Cb and Cr of an ``(..., 3)`` *rgb* array as separate planes."""
-    y = _KR * rgb[..., 0] + _KG * rgb[..., 1] + _KB * rgb[..., 2]
-    cb = (rgb[..., 2] - y) / (2.0 * (1.0 - _KB))
-    cr = (rgb[..., 0] - y) / (2.0 * (1.0 - _KR))
-    return y, cb, cr
+def _owned_planes(image: np.ndarray) -> np.ndarray:
+    """The channel planes of an ``(..., 3)`` array, copied into one ``(3, ...)`` block.
+
+    One transposed copy reads the interleaved array once; three strided
+    channel reads would take about twice as long.
+    """
+    return np.moveaxis(np.asarray(image, dtype=np.float64), -1, 0).copy()
 
 
-def _rgb_from_planes(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
-    """Interleaved, clipped RGB from Y, Cb and Cr planes."""
-    r = y + 2.0 * (1.0 - _KR) * cr
-    b = y + 2.0 * (1.0 - _KB) * cb
-    out = np.empty(y.shape + (3,), dtype=np.float64)
-    out[..., 0] = r
-    out[..., 1] = (y - _KR * r - _KB * b) / _KG
-    out[..., 2] = b
+def _ycbcr_planes(
+    r: np.ndarray, g: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BT.601 Y, Cb and Cr of the owned R, G and B planes, in place.
+
+    Y is ``(KR*R + KG*G) + KB*B``, Cb ``(B - Y) / (2*(1 - KB))`` and Cr
+    ``(R - Y) / (2*(1 - KR))``.  Cb overwrites *b* and Cr overwrites
+    *r*; *g* is spent as scratch and free for reuse afterwards.
+    """
+    y = _KR * r
+    g *= _KG
+    y += g
+    np.multiply(b, _KB, out=g)
+    y += g
+    b -= y
+    b /= 2.0 * (1.0 - _KB)
+    r -= y
+    r /= 2.0 * (1.0 - _KR)
+    return y, b, r
+
+
+def _rgb_planes(
+    y: np.ndarray, cb: np.ndarray, cr: np.ndarray, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unclipped R, G and B of the owned Y, Cb and Cr planes, in place.
+
+    R is ``Y + 2*(1 - KR)*Cr``, B ``Y + 2*(1 - KB)*Cb`` and G
+    ``((Y - KR*R) - KB*B) / KG``.  R overwrites *cr*, B overwrites
+    *cb*, G is written into the free buffer *g*, and *y* is spent.
+    """
+    cr *= 2.0 * (1.0 - _KR)
+    cr += y
+    cb *= 2.0 * (1.0 - _KB)
+    cb += y
+    np.multiply(cr, _KR, out=g)
+    np.subtract(y, g, out=g)
+    np.multiply(cb, _KB, out=y)
+    g -= y
+    g /= _KG
+    return cr, g, cb
+
+
+def _interleave_clipped(planes: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Interleaved RGB of three planes, clipped to [0, 1]."""
+    out = np.stack(planes, axis=-1)
     return np.clip(out, 0.0, 1.0, out=out)
 
 
 def rgb_to_ycbcr(rgb: np.ndarray) -> np.ndarray:
     """BT.601 full-range RGB -> YCbCr (Y in [0,1], Cb/Cr in [-0.5, 0.5])."""
-    return np.stack(_ycbcr_planes(np.asarray(rgb, dtype=np.float64)), axis=-1)
+    return np.stack(_ycbcr_planes(*_owned_planes(rgb)), axis=-1)
 
 
 def ycbcr_to_rgb(ycc: np.ndarray) -> np.ndarray:
     """Inverse of :func:`rgb_to_ycbcr` (exact up to rounding)."""
-    ycc = np.asarray(ycc, dtype=np.float64)
-    return _rgb_from_planes(ycc[..., 0], ycc[..., 1], ycc[..., 2])
+    y, cb, cr = _owned_planes(ycc)
+    return _interleave_clipped(_rgb_planes(y, cb, cr, np.empty_like(y)))
+
+
+def _check_chroma_factor(shape: tuple[int, ...], factor: int) -> None:
+    if factor < 1:
+        raise ValueError("factor must be >= 1")
+    if shape[0] < factor or shape[1] < factor:
+        raise ValueError(f"image of shape {shape} is smaller than the chroma factor {factor}")
+
+
+def _restore_chroma(
+    cb: np.ndarray, cr: np.ndarray, factor: int, chroma_blur: float, scratch: np.ndarray
+) -> None:
+    """Low-pass, decimate and restore the owned Cb and Cr planes in place.
+
+    *scratch* is a free buffer of their shape.
+    """
+    for plane in (cb, cr):
+        if factor > 1:
+            _subsample_plane(plane, factor, chroma_blur, scratch)
+        elif chroma_blur > 0:
+            plane[...] = gaussian_blur(plane, chroma_blur)
 
 
 def chroma_subsample(image: np.ndarray, factor: int = 2, chroma_blur: float = 0.7) -> np.ndarray:
@@ -67,37 +142,30 @@ def chroma_subsample(image: np.ndarray, factor: int = 2, chroma_blur: float = 0.
     *factor* and bilinearly restored — the same information loss a
     recorded H.264 stream (or a Bayer demosaic) imposes on block colors.
 
-    Y, Cb and Cr are processed as separate contiguous 2-D planes and RGB
-    is written straight from them.  The box-average decimation sums the
-    ``factor x factor`` strided views of a plane in row-major order from
-    zero and divides by ``factor**2``: the same additions, in the same
-    order, as ``reshape(...).mean(axis=(1, 3))``, so the result matches
-    that formulation bit for bit.
+    The box-average decimation sums the ``factor x factor`` strided
+    views of a plane in row-major order from zero and divides by
+    ``factor**2``: the same additions, in the same order, as
+    ``reshape(...).mean(axis=(1, 3))``, so the result matches that
+    formulation bit for bit.
     """
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
     image = np.asarray(image, dtype=np.float64)
-    if image.shape[0] < factor or image.shape[1] < factor:
-        raise ValueError(
-            f"image of shape {image.shape} is smaller than the chroma factor {factor}"
-        )
-    y, cb, cr = _ycbcr_planes(image)
-    if factor > 1:
-        cb = _subsample_plane(cb, factor, chroma_blur)
-        cr = _subsample_plane(cr, factor, chroma_blur)
-    elif chroma_blur > 0:
-        cb = gaussian_blur(cb, chroma_blur)
-        cr = gaussian_blur(cr, chroma_blur)
-    return _rgb_from_planes(y, cb, cr)
+    _check_chroma_factor(image.shape, factor)
+    r, g, b = _owned_planes(image)
+    y, cb, cr = _ycbcr_planes(r, g, b)
+    _restore_chroma(cb, cr, factor, chroma_blur, scratch=g)
+    return _interleave_clipped(_rgb_planes(y, cb, cr, g))
 
 
-def _subsample_plane(plane: np.ndarray, factor: int, chroma_blur: float) -> np.ndarray:
-    """Box-decimate one chroma plane, blur it small, restore its size.
+def _subsample_plane(
+    plane: np.ndarray, factor: int, chroma_blur: float, scratch: np.ndarray
+) -> np.ndarray:
+    """Box-decimate one owned chroma plane, blur it small, restore it in place.
 
     Rows and columns past the last whole ``factor`` block are dropped by
     the decimation; the upsample replicates the edge into them.  Any
     extra blur runs on the *small* plane, where it is ``factor**2``
-    times cheaper.
+    times cheaper.  The restored plane overwrites *plane*; *scratch* is
+    a free buffer of the same shape.
     """
     height, width = plane.shape
     h2, w2 = height // factor * factor, width // factor * factor
@@ -108,7 +176,7 @@ def _subsample_plane(plane: np.ndarray, factor: int, chroma_blur: float) -> np.n
     sub /= factor * factor
     if chroma_blur > 0:
         sub = gaussian_blur(sub, chroma_blur / factor)
-    return _bilinear_upsample(sub, (height, width), factor)
+    return _bilinear_upsample(sub, (height, width), factor, out=plane, scratch=scratch)
 
 
 #: 1-D upsample coordinates keyed by (full shape, small shape, factor).
@@ -127,7 +195,13 @@ def _upsample_axis_coords(full: int, small: int, factor: int) -> tuple:
     return i0, i1, frac
 
 
-def _bilinear_upsample(small: np.ndarray, shape: tuple[int, int], factor: int) -> np.ndarray:
+def _bilinear_upsample(
+    small: np.ndarray,
+    shape: tuple[int, int],
+    factor: int,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Restore a decimated 2-D plane to *shape* with bilinear interpolation.
 
     A decimated sample i covers full-resolution pixels
@@ -141,7 +215,9 @@ def _bilinear_upsample(small: np.ndarray, shape: tuple[int, int], factor: int) -
     rows, and the blend along y gathers rows of that result.  Each
     output pixel gets the same operands and operations, in the same
     order, as ``(a*(1-fx) + b*fx)*(1-fy) + (c*(1-fx) + d*fx)*fy`` on
-    the four gathered corners.
+    the four gathered corners.  The result is written into *out* and
+    *scratch* holds the second row gather, when these float64 buffers
+    of *shape* are given.
     """
     height, width = shape
     sh, sw = small.shape
@@ -163,9 +239,11 @@ def _bilinear_upsample(small: np.ndarray, shape: tuple[int, int], factor: int) -
     tmp = small.take(x1, axis=1)
     tmp *= fx
     rows += tmp
-    out = rows.take(y0, axis=0)
+    # The indices are in range, so mode="clip" changes nothing; under
+    # the default "raise" NumPy would take into a temporary and copy.
+    out = rows.take(y0, axis=0, out=out, mode="clip")
     out *= (1.0 - fy)[:, np.newaxis]
-    tmp = rows.take(y1, axis=0)
+    tmp = rows.take(y1, axis=0, out=scratch, mode="clip")
     tmp *= fy[:, np.newaxis]
     out += tmp
     return out
@@ -195,9 +273,9 @@ class CameraPipeline:
     Parameters mirror a mid-2010s phone camera recording video:
     ``chroma_factor=2`` (4:2:0), ``chroma_blur`` around 0.7 px, and a
     white-balance gain error of a few percent re-sampled per session.
-    The output is still float; the link quantizes it with
-    :func:`quantize_8bit` after any sensor-stage fault, as an ISP
-    applies exposure before it writes 8-bit samples.
+    :meth:`apply` returns the recorded frame's 8-bit samples; a
+    sensor-stage fault runs on the float RGB before they are written,
+    as an ISP applies exposure before it writes 8-bit samples.
     """
 
     def __init__(
@@ -217,7 +295,44 @@ class CameraPipeline:
         gains = 1.0 + rng.uniform(-self.wb_error, self.wb_error, size=3)
         return (float(gains[0]), float(gains[1]), float(gains[2]))
 
-    def apply(self, image: np.ndarray, gains: tuple[float, float, float]) -> np.ndarray:
-        """Run the pipeline on one capture."""
-        out = white_balance_shift(image, gains)
-        return chroma_subsample(out, self.chroma_factor, self.chroma_blur)
+    def apply(
+        self,
+        image: np.ndarray,
+        gains: tuple[float, float, float],
+        faults: "FaultPlan | None" = None,
+        capture_index: int = 0,
+    ) -> np.ndarray:
+        """Run the pipeline on one float ``(H, W, 3)`` capture; uint8 out.
+
+        White balance, chroma subsampling and 8-bit quantization, with
+        *faults*' ``sensor``-stage impairments run between the float RGB
+        and the samples.  The gain-scaled R, G and B are read once into
+        contiguous 2-D planes and every later step runs on planes; each
+        plane is quantized straight into the interleaved uint8 output.
+        Every sample gets the same operands and operations, in the same
+        order, as :func:`white_balance_shift`, :func:`chroma_subsample`
+        and :func:`quantize_8bit` in turn: the only difference is one
+        clip fewer, and clip is idempotent.  Only when a sensor-stage
+        fault is planned is the float RGB interleaved for it.
+        """
+        image = np.asarray(image, dtype=np.float64)
+        _check_chroma_factor(image.shape, self.chroma_factor)
+        planes = np.empty((3,) + image.shape[:2], dtype=np.float64)
+        per_plane = np.asarray(gains, dtype=np.float64)[:, np.newaxis, np.newaxis]
+        np.multiply(np.moveaxis(image, -1, 0), per_plane, out=planes)
+        np.clip(planes, 0.0, 1.0, out=planes)
+        r, g, b = planes
+        y, cb, cr = _ycbcr_planes(r, g, b)
+        _restore_chroma(cb, cr, self.chroma_factor, self.chroma_blur, scratch=g)
+        rgb = _rgb_planes(y, cb, cr, g)
+        if faults is not None and faults.hooks("sensor"):
+            out = faults.apply_image("sensor", _interleave_clipped(rgb), capture_index)
+            return quantize_8bit(out)
+        # R, G and B are back in planes[0], [1] and [2].
+        np.clip(planes, 0.0, 1.0, out=planes)
+        planes *= 255.0
+        np.round(planes, out=planes)
+        samples = np.empty(image.shape, dtype=np.uint8)
+        for channel, plane in enumerate(planes):
+            samples[..., channel] = plane
+        return samples

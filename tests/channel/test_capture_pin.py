@@ -4,11 +4,18 @@ Captures leave the camera as ``uint8`` (H, W, 3) samples.  The SHA-256
 of every capture's bytes is pinned on nine link conditions at the
 paper's sensor size (tripod, handheld, walking, outdoor at 45 degrees,
 7 cm on a tripod and walking, 8 cm, 30 cm and a barrel lens) and on the
-whole capture stream of the eight fault scenarios of the campaign grid
-that have no sensor-stage fault.  All but the two 7 cm digests were
-computed when captures were still carried as float64 on 8-bit levels,
-as ``np.round(image * 255).astype(np.uint8)``, so any change to a
-single fault-free sample fails here.
+whole capture stream of all thirteen fault scenarios of the campaign
+grid.  All but the two 7 cm digests and the five sensor-stage scenarios
+were computed when captures were still carried as float64 on 8-bit
+levels, as ``np.round(image * 255).astype(np.uint8)``, so any change to
+a single fault-free sample fails here.
+
+The five scenarios with a sensor-stage fault (``overexposed``,
+``underexposed``, ``wb_drift``, ``scanline`` and ``combined``) were
+pinned while the camera pipeline still returned interleaved float RGB
+and the link ran the fault and then quantized.  The pipeline now writes
+the uint8 capture straight from its planes and builds float RGB only
+for such a fault, so these five digests pin that branch.
 
 The blurs compute only on the box where the frame is not the constant
 background, and fall back to the whole frame when that box, grown by
@@ -58,6 +65,11 @@ SCENARIO_DIGESTS = {
     "capture_drops": "2ce75f347d60ce6232c80dafdbf77b9409435215fc447b1ea76ca1c9897f9503",
     "capture_duplicates": "113b50d1dd5f33fbf74a6f59845072c4911ef0e84194653a60ae2075f5d9295b",
     "shutter_jitter": "5186369601a3a447cbdfd42d8146a9276ddf0a3184410f05e2bc337eaad087a2",
+    "overexposed": "3e205f5618b41afdcd6eec7c32742872ff1733df1f6ae666ce4e2ba46029160d",
+    "underexposed": "e8a2c17ec6b62f0564e88903e7902c58450602b50c5a9f78cb9f6fc082e8ab01",
+    "wb_drift": "0319a9c88a2f617d918bd9a0102027f9a92df46e8cb65c17610c44a3d40913e2",
+    "scanline": "9c0bc672f0bda1b1416a6ee47c95357c04c48e97d13bf4cf5e6d18abb8efaaf1",
+    "combined": "8c59aa45181e86ef49898de3a192a4a1d877c68e831c9d99a7911b33bd801b19",
 }
 
 _LINKS = {

@@ -73,6 +73,27 @@ class TestLens:
         assert np.array_equal(out, frame_image)
         assert out is not frame_image
 
+    def test_default_lens_skips_the_distortion_copy(self, frame_image, monkeypatch):
+        # k1 == k2 == 0 warps nothing, so the blurred frame is returned
+        # as gaussian_blur allocated it; a barrel lens still distorts.
+        import repro.channel.optics as optics
+
+        calls = []
+
+        def spy(image, k1, k2=0.0):
+            calls.append((k1, k2))
+            return apply_radial_distortion(image, k1, k2)
+
+        monkeypatch.setattr(optics, "apply_radial_distortion", spy)
+        out = LensModel().apply(frame_image, distance_cm=12.0)
+        assert calls == []
+        assert out is not frame_image and out.dtype == np.float64
+        zero_sigma = LensModel(base_blur_px=0.0).apply(frame_image, distance_cm=12.0)
+        assert calls == [] and zero_sigma is not frame_image
+        assert np.array_equal(zero_sigma, frame_image)
+        LensModel(k1=0.08, k2=0.01).apply(frame_image, distance_cm=12.0)
+        assert calls == [(0.08, 0.01)]
+
     def test_radial_distortion_bends_lines(self):
         img = np.zeros((81, 121))
         img[40, :] = 1.0  # horizontal line through center stays put

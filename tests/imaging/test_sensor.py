@@ -3,14 +3,21 @@
 ``_reference_bilinear_upsample`` keeps the four-gather upsample (both
 rows of every output pixel gathered at full height, then each blended
 along x) verbatim, as the oracle the blend-x-on-the-small-plane form
-must match bit for bit.
+must match bit for bit.  ``_reference_camera_chain`` keeps the chain
+the link ran while the pipeline returned float RGB (white balance,
+chroma subsampling, the sensor-stage fault hook, then 8-bit
+quantization, each on the interleaved array) as the oracle the
+plane-wise :meth:`CameraPipeline.apply` must match byte for byte.
 """
 
 import re
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
+from repro.faults import FaultPlan
+from repro.faults.impairments import Impairment
 from repro.imaging.filters import gaussian_blur
 from repro.imaging.sensor import (
     CameraPipeline,
@@ -286,6 +293,146 @@ class TestCameraPipeline:
         p = CameraPipeline()
         out = p.apply(img, (1.02, 1.0, 0.98))
         assert out.shape == img.shape
-        assert not np.array_equal(out, img)
-        centers = np.abs(out[4::8, 4::8] - img[4::8, 4::8])
+        assert out.dtype == np.uint8
+        levels = out / 255.0
+        assert not np.array_equal(levels, img)
+        centers = np.abs(levels[4::8, 4::8] - img[4::8, 4::8])
         assert centers.mean() < 0.05
+
+
+def _reference_camera_chain(image, gains, factor, chroma_blur, hook=None,
+                            chroma=chroma_subsample):
+    out = white_balance_shift(image, gains)
+    out = chroma(out, factor, chroma_blur)
+    if hook is not None:
+        out = hook(out)
+    return quantize_8bit(out)
+
+
+@dataclass(frozen=True)
+class _Stretch(Impairment):
+    """A sensor-stage test fault that pushes samples out of [0, 1]."""
+
+    stage = "sensor"
+    name = "stretch"
+
+    def apply(self, image, rng, index):
+        return image * rng.uniform(1.1, 1.4, size=3) - 0.1
+
+
+@dataclass(frozen=True)
+class _Record(Impairment):
+    """A sensor-stage test fault that keeps the float RGB it is handed."""
+
+    seen: list = field(default_factory=list)
+
+    stage = "sensor"
+    name = "record"
+
+    def apply(self, image, rng, index):
+        self.seen.append(image)
+        return image
+
+
+def _unclipped_image(shape, seed):
+    """Capture-like samples with values below 0 and above 1."""
+    image = _capture_like(shape, seed) * 1.4 - 0.2
+    image[np.random.default_rng(seed).random(shape) < 0.05] = 1.0
+    return image
+
+
+_GAINS = [(1.0, 1.0, 1.0), (1.3, 0.7, 1.05), (0.96, 1.04, 0.99)]
+
+
+class TestPlanePipelineMatchesInterleavedChain:
+    """``CameraPipeline.apply`` writes the bytes of the interleaved chain."""
+
+    @pytest.mark.parametrize("chroma", [chroma_subsample, _chroma_oracle],
+                             ids=["chroma_subsample", "interleaved_oracle"])
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    @pytest.mark.parametrize("chroma_blur", [0.0, 0.7])
+    @pytest.mark.parametrize("shape", [(32, 48, 3), (17, 23, 3), (9, 14, 3)])
+    def test_matches_reference(self, chroma, factor, chroma_blur, shape):
+        image = _unclipped_image(shape, seed=factor * 10 + shape[1])
+        pipeline = CameraPipeline(chroma_factor=factor, chroma_blur=chroma_blur)
+        for gains in _GAINS:
+            out = pipeline.apply(image, gains)
+            expected = _reference_camera_chain(image, gains, factor, chroma_blur, chroma=chroma)
+            assert out.dtype == np.uint8 and out.shape == shape
+            assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    @pytest.mark.parametrize("chroma_blur", [0.0, 0.7])
+    def test_sensor_hook_sees_the_reference_float_rgb(self, factor, chroma_blur):
+        # 8-bit rounding hides most one-ulp slips; the float RGB the
+        # sensor hook is handed does not.
+        record = _Record()
+        plan = FaultPlan(faults=(record,), seed=0)
+        pipeline = CameraPipeline(chroma_factor=factor, chroma_blur=chroma_blur)
+        for shape in [(32, 48, 3), (17, 23, 3)]:
+            image = _unclipped_image(shape, seed=factor + shape[0])
+            for gains in _GAINS:
+                record.seen.clear()
+                out = pipeline.apply(image, gains, faults=plan)
+                for chroma in (chroma_subsample, _chroma_oracle):
+                    expected = chroma(white_balance_shift(image, gains), factor, chroma_blur)
+                    assert np.array_equal(record.seen[0].view(np.uint64),
+                                          expected.view(np.uint64))
+                assert np.array_equal(out, quantize_8bit(expected))
+
+    @pytest.mark.parametrize("shape", [(1, 9, 3), (9, 1, 3), (1, 1, 3)])
+    @pytest.mark.parametrize("chroma_blur", [0.0, 0.7])
+    def test_single_row_and_column(self, shape, chroma_blur):
+        image = _unclipped_image(shape, seed=shape[1])
+        out = CameraPipeline(chroma_factor=1, chroma_blur=chroma_blur).apply(image, _GAINS[1])
+        assert np.array_equal(out, _reference_camera_chain(image, _GAINS[1], 1, chroma_blur))
+        with pytest.raises(ValueError, match="chroma factor 2"):
+            CameraPipeline().apply(image, _GAINS[1])
+
+    def test_paper_sensor_size(self):
+        image = _unclipped_image((480, 800, 3), seed=4)
+        gains = CameraPipeline().sample_gains(np.random.default_rng(6))
+        out = CameraPipeline().apply(image, gains)
+        assert np.array_equal(out, _reference_camera_chain(image, gains, 2, 0.7))
+
+    def test_inputs_are_not_modified(self):
+        # The plane helpers work in place; every public entry point
+        # copies its input into planes it owns first.
+        image = _unclipped_image((17, 23, 3), seed=5)
+        before = image.copy()
+        CameraPipeline().apply(image, _GAINS[1])
+        CameraPipeline(chroma_factor=1).apply(image, _GAINS[1])
+        chroma_subsample(image)
+        rgb_to_ycbcr(image)
+        ycbcr_to_rgb(image)
+        assert np.array_equal(image.view(np.uint64), before.view(np.uint64))
+
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "spec", [{"stretch": None}, {"exposure_drift": {"bias": 0.4, "wb_amplitude": 0.2}},
+                 {"scanline": {"row_probability": 0.3, "mode": "noise"}},
+                 {"exposure_drift": {"bias": -0.5}, "stretch": None}],
+        ids=["stretch", "overexposed_wb", "scanline", "underexposed_stretch"])
+    def test_sensor_fault_runs_between_float_rgb_and_samples(self, spec, factor):
+        faults = [_Stretch() if name == "stretch" else FaultPlan.from_spec({name: kwargs}).faults[0]
+                  for name, kwargs in spec.items()]
+        plan = FaultPlan(faults=tuple(faults), seed=3)
+        image = _unclipped_image((19, 26, 3), seed=factor)
+        pipeline = CameraPipeline(chroma_factor=factor)
+        for index in (0, 5):
+            out = pipeline.apply(image, _GAINS[2], faults=plan, capture_index=index)
+            expected = _reference_camera_chain(
+                image, _GAINS[2], factor, 0.7,
+                hook=lambda rgb, i=index: plan.apply_image("sensor", rgb, i))
+            assert np.array_equal(out, expected)
+        assert not np.array_equal(out, pipeline.apply(image, _GAINS[2]))
+
+    def test_plan_without_sensor_fault_skips_the_hook(self, monkeypatch):
+        plan = FaultPlan.from_spec({"glare": None, "capture_drop": None}, seed=1)
+        calls = []
+        monkeypatch.setattr(FaultPlan, "apply_image",
+                            lambda self, *args: calls.append(args[0]))
+        image = _unclipped_image((17, 23, 3), seed=9)
+        out = CameraPipeline().apply(image, _GAINS[1], faults=plan, capture_index=2)
+        assert calls == []
+        assert np.array_equal(out, _reference_camera_chain(image, _GAINS[1], 2, 0.7))
