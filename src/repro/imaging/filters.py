@@ -75,13 +75,18 @@ def _filter_varying_box(
     alone; every other output pixel is ``run`` of a constant 1x1 patch.
     The comparison and the fill run on the ``(H, W*C)`` view against one
     tiled row, not through a per-pixel broadcast or an ``any(axis=2)``,
-    which would cost more than the crop saves.
+    which would cost more than the crop saves.  When the top-right and
+    bottom-left pixels both differ from ``image[0, 0]`` the box spans
+    every row and column, so the search is skipped (a noisy frame).
     """
     height, width = image.shape[:2]
     if image.size == 0:
         return run(image)
+    corner = image[0, 0]
+    if np.any(image[0, -1] != corner) and np.any(image[-1, 0] != corner):
+        return run(image)
     flat = image.reshape(height, -1)
-    differs = flat != np.tile(np.ravel(image[0, 0]), width)
+    differs = flat != np.tile(np.ravel(corner), width)
     rows = np.flatnonzero(differs.any(axis=1))
     if rows.size:
         cols = np.flatnonzero(differs.any(axis=0)) // (flat.shape[1] // width)

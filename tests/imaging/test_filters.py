@@ -301,3 +301,24 @@ class TestConstantOutsideTheBox:
         image[80:100, 120:150] = 0.75
         motion_blur(image, 4.0, 0.0)  # shifts -2..2 along x
         assert set(seen) == {(1, 1), (20, 34)}
+
+    def test_noisy_plane_skips_the_box_search(self, monkeypatch):
+        tiled = []
+        original = np.tile
+
+        def spy(values, reps):
+            tiled.append(reps)
+            return original(values, reps)
+
+        monkeypatch.setattr(filters.np, "tile", spy)
+        plane = np.random.default_rng(2).random((240, 400))
+        k = gaussian_kernel(0.35)
+        _assert_bit_identical(gaussian_blur(plane, 0.35),
+                              _reference_convolve_separable(plane, k, k))
+        assert tiled == []
+        # One far corner alone does not span the frame: the search runs.
+        image = np.full((40, 60, 3), 0.5)
+        image[0, -1] = 0.25
+        _assert_bit_identical(gaussian_blur(image, 0.35),
+                              _reference_convolve_separable(image, k, k))
+        assert tiled

@@ -219,8 +219,8 @@ class TestPerfCheck:
         reference = {
             "channel.project_ms": 46.89,
             "channel.optics_ms": 26.64,
-            "channel.environment_ms": 178.32,
-            "imaging.degrade_ms": 108.05,
+            "channel.environment_ms": 97.6704,
+            "imaging.degrade_ms": 61.0251,
             "decoder.extract_ms_p50": 33.36,
         }
         assert set(bounds) == set(reference) | {"imaging.sensor_pipeline_ms"}
