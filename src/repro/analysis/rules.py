@@ -116,10 +116,10 @@ _WALL_CLOCK = frozenset(
 
 #: Monotonic-clock reads.  Under telemetry/ these are legitimate only in
 #: the span recorder itself (``telemetry/trace.py``); everywhere else —
-#: the report, the Chrome-trace exporter, the percentile aggregator, the
-#: budget gate and the campaign tail — durations must come from
-#: *recorded* span data, never from a fresh clock read, or exported
-#: artifacts stop being pure functions of their inputs.
+#: the report, the quality observatory, the budget gate and the
+#: campaign tail — durations must come from *recorded* span data, never
+#: from a fresh clock read, or rendered artifacts stop being pure
+#: functions of their inputs.
 _MONOTONIC_CLOCK = frozenset(
     {
         "time.monotonic",
@@ -576,8 +576,8 @@ class RB004TelemetryHygiene(Rule):
                             ctx,
                             call,
                             f"`{name}()` reads a clock under telemetry/ outside "
-                            "the span recorder; exporters/aggregators must "
-                            "derive timings from recorded spans only",
+                            "the span recorder; reports must derive "
+                            "timings from recorded spans only",
                         )
                     )
         return out

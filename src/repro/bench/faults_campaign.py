@@ -19,7 +19,6 @@ fault, not absolute paper throughput.
 from __future__ import annotations
 
 import json
-import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,9 +50,6 @@ __all__ = [
 CAMPAIGN_GRID = (24, 44, 8)  # grid_rows, grid_cols, block_px
 CAMPAIGN_SENSOR = (300, 480)  # sensor height, width
 
-#: Per-process reference instant for laying successive trial traces out
-#: sequentially on one timeline (each worker gets its own on import).
-_PROCESS_EPOCH = time.perf_counter()
 #: Trials completed by this process — the heartbeat's progress counter.
 _COMPLETED = 0
 
@@ -196,13 +192,11 @@ def run_fault_trial(
     # matter which worker process ran it.  Timing metrics are excluded:
     # the snapshot must be a pure function of (scenario, seed).
     # When the process has a live event sink (REPRO_TELEMETRY=1), the
-    # trial also records a span tree and streams it — plus a progress
-    # heartbeat — into this worker's shard after the trial; the
-    # deterministic result below never depends on either.
+    # trial streams a progress heartbeat into this worker's shard after
+    # the trial; the deterministic result below never depends on it.
     process_sink = telemetry.sink()
-    tracer = telemetry.Tracer(f"{scenario}:{seed}") if process_sink else None
     registry = MetricsRegistry()
-    with telemetry.scoped(registry=registry, tracer=tracer):
+    with telemetry.scoped(registry=registry):
         recovered, stats = session.transmit(payload, max_rounds=max_rounds)
     result = FaultTrialResult(
         scenario=scenario,
@@ -218,28 +212,21 @@ def run_fault_trial(
         drop_reasons=dict(stats.drop_reasons),
         metrics=registry.snapshot(include_timing=False),
     )
-    if process_sink and tracer is not None:
-        _emit_trial_events(process_sink, tracer, result)
+    if process_sink:
+        _emit_progress(process_sink, result)
     return result
 
 
-def _emit_trial_events(
+def _emit_progress(
     sink: "telemetry.EventSink | telemetry.NullEventSink",
-    tracer: "telemetry.Tracer",
     result: FaultTrialResult,
 ) -> None:
-    """Stream one finished trial's spans plus a progress heartbeat.
+    """Stream one finished trial's progress heartbeat.
 
-    Span start offsets are rebased from the trial tracer's epoch onto
-    this process's timeline so successive trials of one worker lay out
-    sequentially in the exported Chrome trace.  The heartbeat carries
-    the worker-local completion counter and the trial's failure-stage
-    histogram for ``repro telemetry tail``.
+    The heartbeat carries the worker-local completion counter and the
+    trial's failure-stage histogram for ``repro telemetry tail``.
     """
     global _COMPLETED
-    base_ms = round((tracer.epoch - _PROCESS_EPOCH) * 1000.0, 4)
-    for record in tracer.span_records(base_ms):
-        sink.emit("span", scenario=result.scenario, seed=result.seed, **record)
     _COMPLETED += 1
     sink.emit(
         "progress",

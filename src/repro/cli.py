@@ -12,7 +12,7 @@ versioned trace container, replay-``decode`` one (optionally across
 the worker pool), ``info``/validate one
 ``faults-campaign``  sweep the fault-injection matrix across seeds
 ``telemetry``  report on a ``REPRO_TELEMETRY=1`` run's artifacts
-(``report``/``export-trace``/``aggregate``/``tail``)
+(``report``/``tail``)
 ``quality``   channel-quality observatory: render the link-health /
 RS-margin / confusion-matrix report from a telemetry run, or gate it
 against the ``[quality.*]`` budgets (``report [--check]``)
@@ -23,10 +23,9 @@ The CLI wraps the same public API the examples use; it exists so the
 library is drivable without writing Python.  When ``REPRO_TELEMETRY=1``
 is set, every command flushes its trace/metrics artifacts to
 ``$REPRO_TELEMETRY_DIR`` (default ``telemetry/``) on exit; ``repro
-telemetry report`` then renders them, and ``repro telemetry
-export-trace`` converts them into Perfetto-loadable Chrome trace JSON.
-``repro perf check`` reads the final JSON line of a ``perfbench/run.py``
-run and gates its metrics (exit 0 pass / 1 regression / 2 usage error,
+telemetry report`` then renders them.  Per-stage timing comes from a
+traced ``perfbench/run.py --trace 1`` run: ``repro perf check`` reads
+its final JSON line and gates its metrics (exit 0 pass / 1 regression / 2 usage error,
 mirroring ``repro analyze``).
 """
 
@@ -129,40 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="validate the artifacts (schema, run header, trace coverage); "
              "exit non-zero on problems",
     )
-
-    exp = tel_sub.add_parser(
-        "export-trace",
-        help="export recorded spans as Chrome trace_event JSON (Perfetto)",
-        description=(
-            "Converts trace.json trees and events-*.jsonl worker shards "
-            "into one chrome://tracing / Perfetto loadable timeline; each "
-            "input source becomes its own pid track."
-        ),
-    )
-    exp.add_argument(
-        "inputs", nargs="*",
-        help="telemetry dirs, trace.json files or events-*.jsonl shards "
-             "(default: the telemetry directory)",
-    )
-    exp.add_argument("-o", "--output", default="trace_chrome.json",
-                     help="output trace JSON path")
-
-    agg = tel_sub.add_parser(
-        "aggregate",
-        help="fold span trees into per-stage self/wall-time p50/p95/p99",
-        description=(
-            "Aggregates every span in the given inputs into per-stage "
-            "wall-time and self-time percentiles; the merge is "
-            "associative, so any worker count yields identical tables."
-        ),
-    )
-    agg.add_argument(
-        "inputs", nargs="*",
-        help="telemetry dirs, trace.json files or events-*.jsonl shards "
-             "(default: the telemetry directory)",
-    )
-    agg.add_argument("--json", dest="json_out", default=None,
-                     help="also write the summary as JSON here")
 
     tail_p = tel_sub.add_parser(
         "tail",
@@ -694,77 +659,9 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
-    if args.telemetry_command == "export-trace":
-        return _cmd_telemetry_export_trace(args)
-    if args.telemetry_command == "aggregate":
-        return _cmd_telemetry_aggregate(args)
     if args.telemetry_command == "tail":
         return _cmd_telemetry_tail(args)
     return _cmd_telemetry_report(args)
-
-
-def _telemetry_inputs(inputs: list[str]) -> list[str]:
-    """CLI trace inputs, defaulting to the active telemetry directory."""
-    from . import telemetry
-
-    if inputs:
-        return inputs
-    directory = telemetry.output_dir()
-    if not directory.is_dir():
-        raise FileNotFoundError(
-            f"no telemetry directory at {directory} "
-            f"(run something with {telemetry.ENV_TOGGLE}=1 first, or pass inputs)"
-        )
-    return [str(directory)]
-
-
-def _cmd_telemetry_export_trace(args: argparse.Namespace) -> int:
-    from .telemetry.perf import export_chrome_trace, validate_chrome_trace
-
-    try:
-        inputs = _telemetry_inputs(args.inputs)
-        doc = export_chrome_trace(inputs, args.output)
-    except (FileNotFoundError, ValueError, OSError) as exc:
-        print(f"export-trace: {exc}", file=sys.stderr)
-        return 2
-    problems = validate_chrome_trace(doc)
-    if problems:  # pragma: no cover - exporter and validator agree by construction
-        for problem in problems:
-            print(f"export-trace: {problem}", file=sys.stderr)
-        return 1
-    events = doc["traceEvents"]
-    spans = sum(1 for e in events if e.get("ph") == "X")
-    pids = len({e["pid"] for e in events})
-    print(f"wrote {args.output}: {spans} spans across {pids} process track(s) "
-          "(load in Perfetto or chrome://tracing)")
-    return 0
-
-
-def _cmd_telemetry_aggregate(args: argparse.Namespace) -> int:
-    import json as json_mod
-
-    from .telemetry.perf import StageAggregate, format_summary, load_trace_sources
-
-    try:
-        inputs = _telemetry_inputs(args.inputs)
-        sources = load_trace_sources(inputs)
-    except (FileNotFoundError, ValueError, OSError) as exc:
-        print(f"aggregate: {exc}", file=sys.stderr)
-        return 2
-    if not sources:
-        print("aggregate: no spans found in the given inputs", file=sys.stderr)
-        return 2
-    aggregate = StageAggregate()
-    for source in sources:
-        aggregate.add_records(source.spans)
-    summary = aggregate.summary()
-    print(format_summary(summary))
-    if args.json_out:
-        out = Path(args.json_out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json_mod.dumps(summary, indent=2, sort_keys=True) + "\n")
-        print(f"\nwrote {out}")
-    return 0
 
 
 def _cmd_telemetry_tail(args: argparse.Namespace) -> int:

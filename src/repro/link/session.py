@@ -209,8 +209,8 @@ class TransferSession:
 
         # Per-round quality sample: effective goodput over *simulated*
         # display time (RB004 — no wall clock), plus the CRC outcome.
-        # The cumulative t_display_s timestamps the Chrome-trace counter
-        # track for the goodput timeline.
+        # The cumulative t_display_s places each sample on the session's
+        # simulated timeline.
         registry = telemetry.registry()
         kbps = 0.0
         if registry:

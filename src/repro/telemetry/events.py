@@ -49,15 +49,11 @@ EVENT_SCHEMA: dict[str, tuple[str, ...]] = {
     "capture_dropped": ("stage",),
     "frame": ("sequence", "ok"),
     "session_end": ("delivered", "rounds"),
-    # One flattened tracing span (see Span.flat_records); campaign
-    # workers stream their per-trial span trees through these.
-    "span": ("name", "start_ms", "duration_ms", "depth"),
     # Periodic campaign heartbeat: one per completed trial, carrying
     # the worker's running progress for `repro telemetry tail`.
     "progress": ("scenario", "seed", "completed"),
     # Per-round channel-quality sample from the link session;
-    # t_display_s is cumulative *simulated* display time (RB004), the
-    # timestamp of the Chrome-trace goodput counter track.
+    # t_display_s is cumulative *simulated* display time (RB004).
     "quality": ("round", "goodput_kbps", "crc_failures", "t_display_s"),
 }
 

@@ -1,32 +1,16 @@
-"""Fold span trees into per-stage wall/self-time percentiles.
+"""Nearest-rank percentiles over recorded timings.
 
-A campaign produces one span tree per trial, possibly across several
-worker processes.  :class:`StageAggregate` folds any number of trees
-(or flattened span records) into per-stage *sample multisets* and
-summarizes them as p50/p95/p99 of wall time and self time:
-
-* **wall time** of a span is its recorded duration;
-* **self time** is the duration minus the summed durations of its
-  direct children (clamped at zero — rounding can make children sum
-  to epsilon more than the parent).
-
-Determinism contract (mirrors :func:`repro.telemetry.metrics.merge_snapshots`):
-the merged state is the sorted multiset of samples per stage, so
-folding the same per-trial trees in *any* grouping — serial, 2 workers,
-4 workers — yields bit-identical summaries.  Percentiles use the
-nearest-rank rule (the value returned is always an actual sample, never
-an interpolation), which keeps them exact under float equality.
+The value returned is always an actual sample, never an interpolation,
+which keeps percentiles exact under float equality: the same samples
+yield bit-identical percentiles whatever order they were collected in.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Sequence
 
-__all__ = ["StageAggregate", "nearest_rank", "format_summary"]
-
-#: Percentiles reported by :meth:`StageAggregate.summary`.
-PERCENTILES = (50, 95, 99)
+__all__ = ["nearest_rank"]
 
 
 def nearest_rank(sorted_samples: Sequence[float], percentile: float) -> float:
@@ -37,119 +21,3 @@ def nearest_rank(sorted_samples: Sequence[float], percentile: float) -> float:
         raise ValueError(f"percentile must be in (0, 100], got {percentile}")
     rank = math.ceil(percentile / 100.0 * len(sorted_samples))
     return sorted_samples[rank - 1]
-
-
-class StageAggregate:
-    """Per-stage duration samples with an associative merge."""
-
-    def __init__(self) -> None:
-        #: stage name -> (wall-time samples, self-time samples), unsorted.
-        self._wall: dict[str, list[float]] = {}
-        self._self: dict[str, list[float]] = {}
-
-    def __bool__(self) -> bool:
-        return bool(self._wall)
-
-    @property
-    def stages(self) -> list[str]:
-        return sorted(self._wall)
-
-    def _observe(self, name: str, wall_ms: float, self_ms: float) -> None:
-        self._wall.setdefault(name, []).append(float(wall_ms))
-        self._self.setdefault(name, []).append(float(self_ms))
-
-    # -- feeding -----------------------------------------------------------
-
-    def add_tree(self, span: Mapping[str, Any]) -> None:
-        """Fold one ``trace.json``-shaped span tree (dict with children)."""
-        children = span.get("children", ())
-        wall = float(span.get("duration_ms", 0.0))
-        child_sum = sum(float(c.get("duration_ms", 0.0)) for c in children)
-        self._observe(str(span.get("name", "?")), wall, max(wall - child_sum, 0.0))
-        for child in children:
-            self.add_tree(child)
-
-    def add_records(self, records: Iterable[Mapping[str, Any]]) -> None:
-        """Fold flattened span records (depth-first order with ``depth``).
-
-        This is the JSONL-shard form emitted as ``span`` events; the
-        depth-first ordering lets self time be reconstructed with a
-        stack without rebuilding the tree.
-        """
-        # Stack of open frames: (name, depth, wall_ms, child_sum_ms).
-        stack: list[tuple[str, int, float, float]] = []
-
-        def close_down_to(depth: int) -> None:
-            while stack and stack[-1][1] >= depth:
-                name, __, wall, child_sum = stack.pop()
-                self._observe(name, wall, max(wall - child_sum, 0.0))
-                if stack:
-                    top = stack[-1]
-                    stack[-1] = (top[0], top[1], top[2], top[3] + wall)
-
-        for record in records:
-            depth = int(record.get("depth", 0))
-            close_down_to(depth)
-            stack.append(
-                (
-                    str(record.get("name", "?")),
-                    depth,
-                    float(record.get("duration_ms", 0.0)),
-                    0.0,
-                )
-            )
-        close_down_to(0)
-
-    # -- merge / summary ---------------------------------------------------
-
-    def merge(self, other: "StageAggregate") -> "StageAggregate":
-        """Fold *other*'s samples into this aggregate; returns self."""
-        for name, samples in other._wall.items():
-            self._wall.setdefault(name, []).extend(samples)
-        for name, samples in other._self.items():
-            self._self.setdefault(name, []).extend(samples)
-        return self
-
-    def summary(self) -> dict[str, dict[str, Any]]:
-        """Per-stage counts, totals and percentiles, canonically ordered.
-
-        The result depends only on the sample multisets, never on
-        insertion order: samples are sorted before totalling (float
-        addition is not associative, so the total is defined as the
-        sum in ascending sample order) and percentiles are actual
-        samples by the nearest-rank rule.
-        """
-        out: dict[str, dict[str, Any]] = {}
-        for name in sorted(self._wall):
-            wall = sorted(self._wall[name])
-            self_ = sorted(self._self[name])
-            out[name] = {
-                "count": len(wall),
-                "wall_ms": _side_summary(wall),
-                "self_ms": _side_summary(self_),
-            }
-        return out
-
-
-def format_summary(summary: Mapping[str, Mapping[str, Any]]) -> str:
-    """Human-readable percentile table for :meth:`StageAggregate.summary`."""
-    header = (
-        f"{'stage':<24} {'count':>6} {'wall p50':>9} {'wall p95':>9} {'wall p99':>9} "
-        f"{'self p50':>9} {'self p95':>9} {'self p99':>9}"
-    )
-    lines = [header, "-" * len(header)]
-    for name, entry in summary.items():
-        wall, self_ = entry["wall_ms"], entry["self_ms"]
-        lines.append(
-            f"{name:<24} {entry['count']:>6} "
-            f"{wall['p50']:>9.3f} {wall['p95']:>9.3f} {wall['p99']:>9.3f} "
-            f"{self_['p50']:>9.3f} {self_['p95']:>9.3f} {self_['p99']:>9.3f}"
-        )
-    return "\n".join(lines)
-
-
-def _side_summary(sorted_samples: list[float]) -> dict[str, float]:
-    doc: dict[str, float] = {"total": round(math.fsum(sorted_samples), 4)}
-    for p in PERCENTILES:
-        doc[f"p{p}"] = round(nearest_rank(sorted_samples, p), 4)
-    return doc

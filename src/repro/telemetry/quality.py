@@ -13,7 +13,7 @@ indicator the pipeline records:
   purity and reassembly row coverage;
 * **CRC failure rate and goodput timeline** — per-round payload
   throughput over *simulated* display time (never wall clock, rule
-  RB004), which is what the Chrome-trace counter track plots.
+  RB004), also streamed per round as a ``quality`` event.
 
 Everything is recorded into the ordinary :class:`MetricsRegistry`
 (counters + fixed-bucket histograms), so quality snapshots inherit the

@@ -76,28 +76,6 @@ class Span:
             doc["children"] = [c.as_dict() for c in self.children]
         return doc
 
-    def flat_records(self, depth: int = 0, base_ms: float = 0.0) -> Iterator[dict[str, Any]]:
-        """Yield this subtree as flat span records, depth-first.
-
-        The flat form is what travels through the JSONL event log (one
-        ``span`` event per record): nesting is preserved by ``depth``
-        plus depth-first order, and start offsets can be rebased with
-        *base_ms* so several traces recorded by the same process lay
-        out sequentially on one timeline.
-        """
-        record: dict[str, Any] = {
-            "name": self.name,
-            "start_ms": round(base_ms + self.start_s * 1000.0, 4),
-            "duration_ms": round(self.duration_ms, 4),
-            "depth": depth,
-            "status": self.status,
-        }
-        if self.error:
-            record["error"] = self.error
-        yield record
-        for child in self.children:
-            yield from child.flat_records(depth + 1, base_ms)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Span({self.name!r}, {self.duration_ms:.3f} ms, {len(self.children)} children)"
 
@@ -177,13 +155,6 @@ class Tracer:
         return totals
 
     # -- serialization -----------------------------------------------------
-
-    def span_records(self, base_ms: float = 0.0) -> list[dict[str, Any]]:
-        """Every recorded span as a flat record (see :meth:`Span.flat_records`)."""
-        records: list[dict[str, Any]] = []
-        for root in self.roots:
-            records.extend(root.flat_records(0, base_ms))
-        return records
 
     def as_dict(self) -> dict[str, Any]:
         return {"trace": self.name, "spans": [root.as_dict() for root in self.roots]}

@@ -308,9 +308,9 @@ def test_rb004_flags_monotonic_clock_outside_span_recorder():
         def export():
             return {"now_ms": time.perf_counter() * 1000}
         """
-    # The exporter/aggregator modules must derive timings from records.
+    # The report modules must derive timings from records.
     violations = check(
-        source, relpath="repro/telemetry/perf/chrome_trace.py", select=["RB004"]
+        source, relpath="repro/telemetry/report.py", select=["RB004"]
     )
     assert rules_of(violations) == ["RB004"]
     # ...the span recorder itself is the one legitimate reader...

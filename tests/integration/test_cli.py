@@ -104,48 +104,7 @@ class TestTelemetryReport:
 
 
 class TestPerformanceObservatory:
-    """export-trace / aggregate / tail / perf over a telemetry-enabled run."""
-
-    @pytest.fixture()
-    def _telemetry_env(self, tmp_path, monkeypatch):
-        from repro import telemetry
-
-        monkeypatch.setenv(telemetry.ENV_TOGGLE, "1")
-        monkeypatch.setenv(telemetry.ENV_DIR, str(tmp_path / "telemetry"))
-        telemetry.configure(None)
-        yield tmp_path / "telemetry"
-        telemetry.configure(None)
-
-    def test_export_trace_and_aggregate_from_simulate(
-        self, _telemetry_env, tmp_path, capsys
-    ):
-        import json
-
-        assert main(["simulate", "--seed", "3"]) == 0
-        tel_dir = _telemetry_env
-        out = tmp_path / "chrome.json"
-        assert main(["telemetry", "export-trace", str(tel_dir),
-                     "-o", str(out)]) == 0
-        assert "Perfetto" in capsys.readouterr().out
-        doc = json.loads(out.read_text())
-        from repro.telemetry.perf import validate_chrome_trace
-
-        assert validate_chrome_trace(doc) == []
-        names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
-        assert {"decode.extract", "corners"} <= names
-
-        assert main(["telemetry", "aggregate", str(tel_dir),
-                     "--json", str(tmp_path / "agg.json")]) == 0
-        agg_out = capsys.readouterr().out
-        assert "wall p95" in agg_out and "corners" in agg_out
-        assert (tmp_path / "agg.json").exists()
-
-    def test_export_trace_without_inputs_fails_cleanly(self, tmp_path, monkeypatch, capsys):
-        from repro import telemetry
-
-        monkeypatch.setenv(telemetry.ENV_DIR, str(tmp_path / "nowhere"))
-        assert main(["telemetry", "export-trace", "-o", str(tmp_path / "o.json")]) == 2
-        assert "export-trace:" in capsys.readouterr().err
+    """tail over a campaign telemetry directory."""
 
     def test_tail_renders_heartbeats(self, tmp_path, capsys):
         import json

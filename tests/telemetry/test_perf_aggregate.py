@@ -1,107 +1,10 @@
-"""Percentile aggregation: associative merge, self-time reconstruction."""
+"""Nearest-rank percentiles: the rule behind perfbench's per-layer p50/p75."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.telemetry.perf import StageAggregate, flatten_span_tree, nearest_rank
-
-
-def _trial_tree(i: int) -> dict:
-    """Synthetic per-trial span tree with deterministic, varied timings."""
-    corners = 20.0 + (i * 7) % 11
-    locators = 8.0 + (i * 3) % 5
-    walk = locators * 0.5
-    total = 2.0 + corners + locators
-    return {
-        "name": "decode.extract",
-        "start_ms": float(i * 100),
-        "duration_ms": total,
-        "children": [
-            {"name": "corners", "start_ms": float(i * 100 + 1), "duration_ms": corners},
-            {
-                "name": "locators",
-                "start_ms": float(i * 100 + 1 + corners),
-                "duration_ms": locators,
-                "children": [
-                    {
-                        "name": "locators.walk",
-                        "start_ms": float(i * 100 + 2 + corners),
-                        "duration_ms": walk,
-                    }
-                ],
-            },
-        ],
-    }
-
-
-TRIALS = [_trial_tree(i) for i in range(17)]
-
-
-def _fold(groups: list[list[dict]]) -> dict:
-    """Aggregate each group separately, then merge — one 'worker' each."""
-    merged = StageAggregate()
-    for group in groups:
-        worker = StageAggregate()
-        for tree in group:
-            worker.add_tree(tree)
-        merged.merge(worker)
-    return merged.summary()
-
-
-class TestAssociativity:
-    def test_serial_vs_2_vs_4_workers_bit_identical(self):
-        serial = _fold([TRIALS])
-        two = _fold([TRIALS[0::2], TRIALS[1::2]])
-        four = _fold([TRIALS[0::4], TRIALS[1::4], TRIALS[2::4], TRIALS[3::4]])
-        assert serial == two == four  # dict equality => bit-identical floats
-
-    def test_merge_order_is_irrelevant(self):
-        forward = _fold([TRIALS[:9], TRIALS[9:]])
-        backward = _fold([TRIALS[9:], TRIALS[:9]])
-        assert forward == backward
-
-
-class TestSelfTime:
-    def test_self_excludes_direct_children_only(self):
-        agg = StageAggregate()
-        agg.add_tree(_trial_tree(0))
-        summary = agg.summary()
-        # decode.extract self = total - (corners + locators): the
-        # grandchild walk is already inside locators.
-        assert summary["decode.extract"]["self_ms"]["p50"] == pytest.approx(2.0)
-        # locators self = locators - walk.
-        locators = 8.0 + 0
-        assert summary["locators"]["self_ms"]["p50"] == pytest.approx(locators / 2)
-
-    def test_self_time_clamped_at_zero(self):
-        agg = StageAggregate()
-        agg.add_tree(
-            {
-                "name": "a",
-                "duration_ms": 1.0,
-                "children": [{"name": "b", "duration_ms": 1.5}],
-            }
-        )
-        assert agg.summary()["a"]["self_ms"]["p50"] == 0.0
-
-
-class TestRecordsEquivalence:
-    def test_flat_records_reproduce_tree_aggregation(self):
-        by_tree = StageAggregate()
-        by_records = StageAggregate()
-        for tree in TRIALS:
-            by_tree.add_tree(tree)
-            by_records.add_records(flatten_span_tree(tree))
-        assert by_tree.summary() == by_records.summary()
-
-    def test_multiple_roots_in_one_record_stream(self):
-        records = []
-        for tree in TRIALS[:3]:
-            records.extend(flatten_span_tree(tree))
-        agg = StageAggregate()
-        agg.add_records(records)
-        assert agg.summary()["decode.extract"]["count"] == 3
+from repro.telemetry.perf.aggregate import nearest_rank
 
 
 class TestNearestRank:

@@ -82,7 +82,7 @@ class TestRender:
 
 
 class TestHeartbeatIntegration:
-    def test_trial_emits_spans_and_progress(self, tmp_path, monkeypatch):
+    def test_trial_emits_progress_only(self, tmp_path, monkeypatch):
         monkeypatch.setenv(telemetry.ENV_DIR, str(tmp_path))
         telemetry.configure(True)
         result = run_fault_trial("clean", seed=0, num_frames=1, max_rounds=1)
@@ -91,13 +91,10 @@ class TestHeartbeatIntegration:
         shards = list(tmp_path.glob("events-*.jsonl"))
         assert len(shards) == 1
         events = [json.loads(line) for line in shards[0].read_text().splitlines()]
-        spans = [e for e in events if e["event"] == "span"]
+        assert not [e for e in events if e["event"] == "span"]
         beats = [e for e in events if e["event"] == "progress"]
-        assert {"link.transmit", "decode.extract", "corners"} <= {
-            s["name"] for s in spans
-        }
-        assert all(s["scenario"] == "clean" and s["seed"] == 0 for s in spans)
         assert len(beats) == 1
+        assert beats[0]["scenario"] == "clean" and beats[0]["seed"] == 0
         assert beats[0]["completed"] == 1
         assert beats[0]["delivered"] == int(result.delivered)
         assert collect_progress(tmp_path)["clean"].trials == 1
