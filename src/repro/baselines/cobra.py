@@ -17,11 +17,17 @@ reproduction keeps what defines COBRA relative to RainBar:
   collapse of Fig. 11(b);
 * blur assessment to pick the best capture of each frame (adopted by
   RainBar, so shared code);
-* the same four-color alphabet and RS framing, so the capacity
+* the same four-color alphabet and frame code, so the capacity
   difference is purely structural, as in Section III-B.
 
-The header format is reused from RainBar so both systems pay identical
-metadata cost (conservative toward COBRA).
+The frame code is RainBar's by construction: :class:`CobraConfig` is a
+:class:`~repro.core.encoder.FrameCode` (sizing and CRC-16 + RS +
+interleave protection), :class:`CobraEncoder` a
+:class:`~repro.core.encoder.FrameEncoder` that paints COBRA's structure,
+and assembly runs RainBar's symbol packing and
+:func:`~repro.core.decoder.verify_wire`.  The header format is reused
+too, so both systems pay identical metadata cost (conservative toward
+COBRA).
 """
 
 from __future__ import annotations
@@ -31,16 +37,20 @@ from functools import cached_property
 
 import numpy as np
 
-from ..coding.crc import crc16
-from ..coding.interleave import Interleaver
-from ..coding.reed_solomon import BlockCode, RSDecodeError
 from ..core.blur import BestCaptureSelector
 from ..core.brightness import DEFAULT_T_SAT, estimate_black_threshold
 from ..core.corners import CornerDetectionError, CornerTracker, ring_colors, tracker_candidates
-from ..core.decoder import _COLOR_TO_SYMBOL, DecodeError, FrameResult
+from ..core.decoder import (
+    _COLOR_TO_SYMBOL,
+    DecodeError,
+    FrameResult,
+    symbols_to_wire,
+    verify_wire,
+)
+from ..core.encoder import Frame, FrameCode, FrameEncoder
 from ..core.header import HEADER_BYTES, FrameHeader, HeaderError
 from ..core.locators import walk_locator_column
-from ..core.palette import Color, bytes_to_symbols, rgb_table, symbols_to_bytes
+from ..core.palette import DATA_COLORS, Color, bytes_to_symbols, rgb_table, symbols_to_bytes
 from ..core.recognition import ColorClassifier
 from ..imaging.color import normalize_frame
 
@@ -148,80 +158,25 @@ class CobraLayout:
 
 
 @dataclass(frozen=True)
-class CobraConfig:
+class CobraConfig(FrameCode):
     """Stream parameters shared by COBRA's sender and receiver."""
 
     layout: CobraLayout = field(default_factory=CobraLayout)
-    rs_n: int = 32
-    rs_k: int = 24
     display_rate: int = 15  # COBRA pins f_d to f_c / 2
-    app_type: int = 0
-
-    @property
-    def chunks_per_frame(self) -> int:
-        return self.layout.data_capacity_bytes // self.rs_n
-
-    @property
-    def coded_bytes_per_frame(self) -> int:
-        return self.chunks_per_frame * self.rs_n
-
-    @property
-    def message_bytes_per_frame(self) -> int:
-        return self.chunks_per_frame * self.rs_k
-
-    @property
-    def payload_bytes_per_frame(self) -> int:
-        return self.message_bytes_per_frame - 2
-
-    @property
-    def interleaver(self) -> Interleaver:
-        return Interleaver(self.chunks_per_frame)
-
-    @property
-    def block_code(self) -> BlockCode:
-        return BlockCode(self.rs_n, self.rs_k)
 
 
-class CobraEncoder:
-    """Builds COBRA frames (grid of color indices + rendering)."""
-
-    def __init__(self, config: CobraConfig):
-        self.config = config
+class CobraEncoder(FrameEncoder):
+    """Builds COBRA frames: RainBar's frame code on COBRA's structure."""
 
     def encode_frame(
         self, payload: bytes, sequence: int, is_last: bool = False
     ) -> "CobraFrame":
-        cfg = self.config
-        if len(payload) > cfg.payload_bytes_per_frame:
-            raise ValueError("payload exceeds per-frame capacity")
-        padded = payload.ljust(cfg.payload_bytes_per_frame, b"\x00")
-        header = FrameHeader(
-            sequence=sequence,
-            display_rate=cfg.display_rate,
-            app_type=cfg.app_type,
-            payload_checksum=crc16(padded),
-            is_last=is_last,
-        )
-        message = padded + bytes([(header.payload_checksum >> 8) & 0xFF,
-                                  header.payload_checksum & 0xFF])
-        wire = cfg.interleaver.scramble(cfg.block_code.encode(message))
+        """The COBRA frame carrying *payload* (no ``encode.frame`` span)."""
+        frame = self._encode_frame(payload, sequence, is_last)
+        return CobraFrame(frame.header, frame.grid, frame.payload, frame.layout)
 
-        grid = self._structure_grid()
-        self._fill_cells(grid, cfg.layout.header_cells, bytes_to_symbols(header.pack()),
-                         pad_to=len(cfg.layout.header_cells))
-        self._fill_cells(grid, cfg.layout.data_cells, bytes_to_symbols(wire),
-                         pad_to=len(cfg.layout.data_cells))
-        return CobraFrame(header=header, grid=grid, payload=padded, layout=cfg.layout)
-
-    def encode_stream(self, payload: bytes, start_sequence: int = 0) -> list:
-        per = self.config.payload_bytes_per_frame
-        chunks = [payload[i : i + per] for i in range(0, max(len(payload), 1), per)]
-        return [
-            self.encode_frame(c, (start_sequence + i) & 0x7FFF, is_last=i == len(chunks) - 1)
-            for i, c in enumerate(chunks)
-        ]
-
-    def _structure_grid(self) -> np.ndarray:
+    def _structure_grid(self, header: FrameHeader) -> np.ndarray:
+        """TRB borders and the four corner trackers; COBRA has no tracking bars."""
         layout = self.config.layout
         rows, cols = layout.grid_rows, layout.grid_cols
         grid = np.full((rows, cols), int(Color.WHITE), dtype=np.int64)
@@ -233,26 +188,17 @@ class CobraEncoder:
             grid[r, c] = int(Color.BLACK)
         return grid
 
-    @staticmethod
-    def _fill_cells(
-        grid: np.ndarray, cells: np.ndarray, symbols: np.ndarray, pad_to: int
-    ) -> None:
-        padded = np.zeros(pad_to, dtype=np.int64)
-        padded[: len(symbols)] = symbols
-        if pad_to > len(symbols):
-            padded[len(symbols) :] = np.arange(pad_to - len(symbols)) % 4
-        table = np.array([int(Color.WHITE), int(Color.RED), int(Color.GREEN), int(Color.BLUE)])
-        grid[cells[:, 0], cells[:, 1]] = table[padded]
+    def _fill_header(self, grid: np.ndarray, header: FrameHeader) -> None:
+        # Unlike RainBar, COBRA pads the header row with the data filler.
+        cells = self.config.layout.header_cells
+        symbols = bytes_to_symbols(header.pack())
+        padded = np.concatenate([symbols, np.arange(len(cells) - len(symbols)) % 4])
+        grid[cells[:, 0], cells[:, 1]] = np.array(DATA_COLORS, dtype=np.int64)[padded]
 
 
 @dataclass(frozen=True)
-class CobraFrame:
-    """One encoded COBRA frame."""
-
-    header: FrameHeader
-    grid: np.ndarray
-    payload: bytes
-    layout: CobraLayout
+class CobraFrame(Frame):
+    """One encoded COBRA frame (its ``layout`` is a :class:`CobraLayout`)."""
 
     def render(self) -> np.ndarray:
         """Render with a one-block white quiet zone.
@@ -309,7 +255,7 @@ class CobraDecoder:
         centers = self._cell_centers(layout.data_cells, anchors)
         colors = classifier.classify_centers(image, centers)
         symbols = _COLOR_TO_SYMBOL[colors]
-        return self._assemble(header, symbols)
+        return self.assemble(header, symbols)
 
     # -- corner detection -------------------------------------------------
 
@@ -454,29 +400,11 @@ class CobraDecoder:
         except HeaderError as exc:
             raise DecodeError(f"COBRA header unreadable: {exc}") from exc
 
-    def _assemble(self, header: FrameHeader, symbols: np.ndarray) -> FrameResult:
-        cfg = self.config
-        used = 4 * cfg.coded_bytes_per_frame
-        active = symbols[:used]
-        erased = active < 0
-        wire = symbols_to_bytes(np.where(erased, 0, active))
-        byte_erasures = sorted(set(np.flatnonzero(erased) // 4))
-        coded = cfg.interleaver.unscramble(wire)
-        erasures = cfg.interleaver.map_erasures(byte_erasures, len(wire))
-        try:
-            message = cfg.block_code.decode(coded, cfg.message_bytes_per_frame,
-                                            erasures=erasures)
-        except RSDecodeError:
-            try:
-                message = cfg.block_code.decode(coded, cfg.message_bytes_per_frame)
-            except RSDecodeError as exc:
-                return FrameResult(header.sequence, False, b"", header.is_last,
-                                   len(byte_erasures), f"RS decode failed: {exc}")
-        payload, tail = message[:-2], message[-2:]
-        checksum = (tail[0] << 8) | tail[1]
-        ok = checksum == crc16(payload) == header.payload_checksum
-        return FrameResult(header.sequence, ok, payload, header.is_last,
-                           len(byte_erasures), "" if ok else "payload CRC mismatch")
+    def assemble(self, header: FrameHeader, symbols: np.ndarray) -> FrameResult:
+        """RS + CRC on one frame's 2-bit symbols, as RainBar does."""
+        config = self.config
+        _, wire, byte_erasures = symbols_to_wire(symbols, config.coded_bytes_per_frame)
+        return verify_wire(config, header, wire, byte_erasures)
 
 
 class CobraReceiver:

@@ -16,28 +16,27 @@ defining properties are preserved:
 
 * 1 bit per block (half of RainBar's 2),
 * per-line synchronization that survives f_d > f_c / 2, and
-* identical RS/CRC framing, so throughput differences are pure capacity.
+* RainBar's frame code by construction, so throughput differences are
+  pure capacity: :class:`LightSyncConfig` is a
+  :class:`~repro.core.encoder.FrameCode` sized at 1 bit per data cell,
+  :class:`LightSyncEncoder` a :class:`~repro.core.encoder.FrameEncoder`
+  that paints bits, and assembly packs bits into wire bytes for
+  :func:`~repro.core.decoder.verify_wire`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
-from ..coding.crc import crc16
-from ..coding.interleave import Interleaver
-from ..coding.reed_solomon import BlockCode, RSDecodeError
-from ..core.decoder import CaptureExtraction, FrameDecoder, FrameResult
-from ..core.encoder import FrameCodecConfig, FrameEncoder
+from ..core.decoder import CaptureExtraction, FrameDecoder, FrameResult, verify_wire
+from ..core.encoder import FrameCode, FrameCodecConfig, FrameEncoder
 from ..core.header import FrameHeader
 from ..core.layout import FrameLayout
 from ..core.palette import Color
 from ..core.sync import StreamReassembler
-
-if TYPE_CHECKING:
-    from ..core.encoder import Frame
 
 __all__ = ["LightSyncConfig", "LightSyncEncoder", "LightSyncReceiver"]
 
@@ -45,63 +44,17 @@ __all__ = ["LightSyncConfig", "LightSyncEncoder", "LightSyncReceiver"]
 _BIT_COLORS = (Color.WHITE, Color.BLUE)
 
 
-def _bytes_to_bits(data: bytes) -> np.ndarray:
-    if not data:
-        return np.zeros(0, dtype=np.int64)
-    arr = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
-    shifts = np.arange(7, -1, -1)
-    return ((arr[:, np.newaxis] >> shifts) & 1).ravel()
-
-
-def _bits_to_bytes(bits: np.ndarray) -> bytes:
-    bits = np.asarray(bits, dtype=np.int64)
-    if len(bits) % 8:
-        raise ValueError("bit count must be a multiple of 8")
-    if len(bits) == 0:
-        return b""
-    grouped = bits.reshape(-1, 8)
-    weights = 1 << np.arange(7, -1, -1)
-    return bytes((grouped * weights).sum(axis=1).astype(np.uint8))
-
-
 @dataclass(frozen=True)
-class LightSyncConfig:
+class LightSyncConfig(FrameCode):
     """Stream parameters of the binary scheme."""
 
     layout: FrameLayout = field(default_factory=FrameLayout)
-    rs_n: int = 32
-    rs_k: int = 24
     display_rate: int = 15
-    app_type: int = 0
 
     @property
     def data_capacity_bytes(self) -> int:
         """1 bit per data cell."""
         return len(self.layout.data_cells) // 8
-
-    @property
-    def chunks_per_frame(self) -> int:
-        return self.data_capacity_bytes // self.rs_n
-
-    @property
-    def coded_bytes_per_frame(self) -> int:
-        return self.chunks_per_frame * self.rs_n
-
-    @property
-    def message_bytes_per_frame(self) -> int:
-        return self.chunks_per_frame * self.rs_k
-
-    @property
-    def payload_bytes_per_frame(self) -> int:
-        return self.message_bytes_per_frame - 2
-
-    @property
-    def interleaver(self) -> Interleaver:
-        return Interleaver(max(self.chunks_per_frame, 1))
-
-    @property
-    def block_code(self) -> BlockCode:
-        return BlockCode(self.rs_n, self.rs_k)
 
     def rainbar_equivalent(self) -> FrameCodecConfig:
         """RainBar config on the same layout (for geometry reuse)."""
@@ -114,61 +67,18 @@ class LightSyncConfig:
         )
 
 
-class LightSyncEncoder:
-    """Binary frame construction on the shared layout."""
+class LightSyncEncoder(FrameEncoder):
+    """Binary frame construction on the shared layout.
 
-    def __init__(self, config: LightSyncConfig):
-        if config.chunks_per_frame < 1:
-            raise ValueError("layout too small for one RS codeword at 1 bit/block")
-        self.config = config
-        self._inner = FrameEncoder(config.rainbar_equivalent())
+    Structure and header cells are RainBar's; only the data cells
+    change, to one bit each.
+    """
 
-    def encode_frame(
-        self, payload: bytes, sequence: int, is_last: bool = False
-    ) -> "Frame":
-        cfg = self.config
-        if len(payload) > cfg.payload_bytes_per_frame:
-            raise ValueError("payload exceeds per-frame capacity")
-        padded = payload.ljust(cfg.payload_bytes_per_frame, b"\x00")
-        header = FrameHeader(
-            sequence=sequence,
-            display_rate=cfg.display_rate,
-            app_type=cfg.app_type,
-            payload_checksum=crc16(padded),
-            is_last=is_last,
-        )
-        message = padded + bytes(
-            [(header.payload_checksum >> 8) & 0xFF, header.payload_checksum & 0xFF]
-        )
-        wire = cfg.interleaver.scramble(cfg.block_code.encode(message))
-
-        # Structure + header cells come from the shared encoder; the data
-        # cells are overwritten with the binary mapping.
-        base = self._inner.encode_frame(b"", sequence=sequence, is_last=is_last)
-        grid = base.grid.copy()
-        cells = cfg.layout.data_cells
-        bits = _bytes_to_bits(wire)
-        padded_bits = np.zeros(len(cells), dtype=np.int64)
-        padded_bits[: len(bits)] = bits
-        padded_bits[len(bits) :] = np.arange(len(cells) - len(bits)) % 2
-        table = np.array([int(c) for c in _BIT_COLORS], dtype=np.int64)
-        grid[cells[:, 0], cells[:, 1]] = table[padded_bits]
-
-        # The header must carry *this* payload's checksum, not the empty
-        # placeholder the base frame was built with.
-        self._inner._fill_header(grid, header)
-
-        from ..core.encoder import Frame
-
-        return Frame(header=header, grid=grid, payload=padded, layout=cfg.layout)
-
-    def encode_stream(self, payload: bytes, start_sequence: int = 0) -> list:
-        per = self.config.payload_bytes_per_frame
-        chunks = [payload[i : i + per] for i in range(0, max(len(payload), 1), per)]
-        return [
-            self.encode_frame(c, (start_sequence + i) & 0x7FFF, is_last=i == len(chunks) - 1)
-            for i, c in enumerate(chunks)
-        ]
+    def _fill_data(self, grid: np.ndarray, wire: bytes) -> None:
+        cells = self.config.layout.data_cells
+        bits = np.unpackbits(np.frombuffer(wire, dtype=np.uint8)).astype(np.int64)
+        padded = np.concatenate([bits, np.arange(len(cells) - len(bits)) % 2])
+        grid[cells[:, 0], cells[:, 1]] = np.array(_BIT_COLORS, dtype=np.int64)[padded]
 
 
 class LightSyncReceiver:
@@ -216,29 +126,16 @@ class LightSyncReceiver:
         return self.assemble(extraction.header, symbols)
 
     def assemble(self, header: FrameHeader, symbols: np.ndarray) -> FrameResult:
-        """Binary assembly: symbol -> bit, then RS + CRC."""
-        cfg = self.config
-        bits = np.full(len(symbols), -1, dtype=np.int64)
-        bits[symbols == 0] = 0  # white
-        bits[symbols == 3] = 1  # blue
-        used = 8 * cfg.coded_bytes_per_frame
-        active = bits[:used]
-        erased = active < 0
-        clean = np.where(erased, 0, active)
-        wire = _bits_to_bytes(clean)
+        """Binary assembly: symbol -> bit, then RS + CRC.
+
+        White reads as 0, blue as 1; anything else, and any bit past the
+        end of a short vector, is an erasure.
+        """
+        used = 8 * self.config.coded_bytes_per_frame
+        symbols = np.asarray(symbols, dtype=np.int64)[:used]
+        bits = np.full(used, -1, dtype=np.int64)
+        bits[: len(symbols)] = np.select([symbols == 0, symbols == 3], [0, 1], -1)
+        erased = bits < 0
+        wire = np.packbits(np.where(erased, 0, bits).astype(np.uint8)).tobytes()
         byte_erasures = sorted(set(np.flatnonzero(erased) // 8))
-        coded = cfg.interleaver.unscramble(wire)
-        erasures = cfg.interleaver.map_erasures(byte_erasures, len(wire))
-        try:
-            message = cfg.block_code.decode(coded, cfg.message_bytes_per_frame, erasures=erasures)
-        except RSDecodeError:
-            try:
-                message = cfg.block_code.decode(coded, cfg.message_bytes_per_frame)
-            except RSDecodeError as exc:
-                return FrameResult(header.sequence, False, b"", header.is_last,
-                                   len(byte_erasures), f"RS decode failed: {exc}")
-        payload, tail = message[:-2], message[-2:]
-        checksum = (tail[0] << 8) | tail[1]
-        ok = checksum == crc16(payload) == header.payload_checksum
-        return FrameResult(header.sequence, ok, payload, header.is_last,
-                           len(byte_erasures), "" if ok else "payload CRC mismatch")
+        return verify_wire(self.config, header, wire, byte_erasures)

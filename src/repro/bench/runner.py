@@ -24,10 +24,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..baselines.cobra import CobraConfig, CobraDecoder, CobraEncoder, CobraReceiver
-from ..channel.link import LinkConfig, ScreenCameraLink
+from ..channel.link import Capture, LinkConfig, ScreenCameraLink
 from ..channel.screen import FrameSchedule
 from ..core.decoder import DecodeError, FrameDecoder, FrameResult
-from ..core.encoder import FrameCodecConfig, FrameEncoder
+from ..core.encoder import Frame, FrameCodecConfig, FrameEncoder
 from ..core.sync import StreamReassembler
 from .workloads import random_payload
 
@@ -117,6 +117,38 @@ def _score_results(
             trial.correct_payload_bytes += _byte_accuracy(sent, result.payload)
 
 
+def _start_trial(
+    system: str,
+    encoder: FrameEncoder,
+    link_config: LinkConfig,
+    num_frames: int,
+    brightness: float,
+    seed: int,
+) -> tuple[TrialResult, dict[int, bytes], list[Frame], list[Capture]]:
+    """Encode *num_frames* of seeded random payload and capture them once.
+
+    Returns the empty trial, the payloads by sequence number, the
+    frames and the captures of one pass through the channel.
+    """
+    codec = encoder.config
+    payload_size = codec.payload_bytes_per_frame
+    payloads = {
+        i: random_payload(payload_size, seed=seed * 1000 + i) for i in range(num_frames)
+    }
+    frames = [encoder.encode_frame(payloads[i], sequence=i) for i in range(num_frames)]
+    schedule = FrameSchedule(
+        [f.render() for f in frames], display_rate=codec.display_rate, brightness=brightness
+    )
+    link = ScreenCameraLink(link_config, rng=np.random.default_rng(seed + 0xC0FFEE))
+    trial = TrialResult(
+        system=system,
+        frames_total=num_frames,
+        total_payload_bytes=num_frames * payload_size,
+        display_time_s=schedule.duration,
+    )
+    return trial, payloads, frames, link.capture_stream(schedule)
+
+
 def run_rainbar_trial(
     codec: FrameCodecConfig,
     link_config: LinkConfig,
@@ -127,25 +159,11 @@ def run_rainbar_trial(
     measure_raw_symbols: bool = False,
 ) -> TrialResult:
     """Transmit *num_frames* of random payload through the channel once."""
-    encoder = FrameEncoder(codec)
-    payload_size = codec.payload_bytes_per_frame
-    payloads = {
-        i: random_payload(payload_size, seed=seed * 1000 + i) for i in range(num_frames)
-    }
-    frames = [encoder.encode_frame(payloads[i], sequence=i) for i in range(num_frames)]
-    schedule = FrameSchedule(
-        [f.render() for f in frames], display_rate=codec.display_rate, brightness=brightness
+    trial, payloads, frames, captures = _start_trial(
+        "rainbar", FrameEncoder(codec), link_config, num_frames, brightness, seed
     )
-    link = ScreenCameraLink(link_config, rng=np.random.default_rng(seed + 0xC0FFEE))
     decoder = FrameDecoder(codec, **(decoder_kwargs or {}))
     reassembler = StreamReassembler(codec)
-
-    trial = TrialResult(
-        system="rainbar",
-        frames_total=num_frames,
-        total_payload_bytes=num_frames * payload_size,
-        display_time_s=schedule.duration,
-    )
 
     truth_symbols = None
     if measure_raw_symbols:
@@ -160,7 +178,7 @@ def run_rainbar_trial(
         }
 
     results: list[FrameResult] = []
-    for capture in link.capture_stream(schedule):
+    for capture in captures:
         trial.captures += 1
         try:
             extraction = decoder.extract(capture.image)
@@ -188,25 +206,11 @@ def run_cobra_trial(
     seed: int = 0,
 ) -> TrialResult:
     """The COBRA counterpart of :func:`run_rainbar_trial`."""
-    encoder = CobraEncoder(codec)
-    payload_size = codec.payload_bytes_per_frame
-    payloads = {
-        i: random_payload(payload_size, seed=seed * 1000 + i) for i in range(num_frames)
-    }
-    frames = [encoder.encode_frame(payloads[i], sequence=i) for i in range(num_frames)]
-    schedule = FrameSchedule(
-        [f.render() for f in frames], display_rate=codec.display_rate, brightness=brightness
+    trial, payloads, _, captures = _start_trial(
+        "cobra", CobraEncoder(codec), link_config, num_frames, brightness, seed
     )
-    link = ScreenCameraLink(link_config, rng=np.random.default_rng(seed + 0xC0FFEE))
     receiver = CobraReceiver(CobraDecoder(codec))
-
-    trial = TrialResult(
-        system="cobra",
-        frames_total=num_frames,
-        total_payload_bytes=num_frames * payload_size,
-        display_time_s=schedule.duration,
-    )
-    for capture in link.capture_stream(schedule):
+    for capture in captures:
         trial.captures += 1
         receiver.offer(capture.image)
     trial.captures_dropped = receiver.dropped_captures
@@ -224,26 +228,12 @@ def run_lightsync_trial(
     """LightSync counterpart of :func:`run_rainbar_trial` (binary blocks)."""
     from ..baselines.lightsync import LightSyncEncoder, LightSyncReceiver
 
-    encoder = LightSyncEncoder(codec)
-    payload_size = codec.payload_bytes_per_frame
-    payloads = {
-        i: random_payload(payload_size, seed=seed * 1000 + i) for i in range(num_frames)
-    }
-    frames = [encoder.encode_frame(payloads[i], sequence=i) for i in range(num_frames)]
-    schedule = FrameSchedule(
-        [f.render() for f in frames], display_rate=codec.display_rate, brightness=brightness
+    trial, payloads, _, captures = _start_trial(
+        "lightsync", LightSyncEncoder(codec), link_config, num_frames, brightness, seed
     )
-    link = ScreenCameraLink(link_config, rng=np.random.default_rng(seed + 0xC0FFEE))
     receiver = LightSyncReceiver(codec)
-
-    trial = TrialResult(
-        system="lightsync",
-        frames_total=num_frames,
-        total_payload_bytes=num_frames * payload_size,
-        display_time_s=schedule.duration,
-    )
     results: list[FrameResult] = []
-    for capture in link.capture_stream(schedule):
+    for capture in captures:
         trial.captures += 1
         try:
             extraction = receiver.extract(capture.image)

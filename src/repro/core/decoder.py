@@ -42,7 +42,7 @@ from .blocks import BlockLocalizer
 from .blur import sharpness_score
 from .brightness import DEFAULT_T_SAT, estimate_black_threshold
 from .corners import CornerDetection, CornerDetectionError, detect_corner_trackers
-from .encoder import FrameCodecConfig
+from .encoder import FrameCode, FrameCodecConfig
 from .header import HEADER_BYTES, FrameHeader, HeaderError
 from .locators import (
     LocatorColumn,
@@ -61,6 +61,8 @@ __all__ = [
     "FrameResult",
     "FrameDecoder",
     "assemble_frame",
+    "symbols_to_wire",
+    "verify_wire",
 ]
 
 #: Color index -> 2-bit symbol; black and out-of-alphabet map to -1 (erasure).
@@ -861,8 +863,30 @@ def _assemble_frame(
     header: FrameHeader,
     symbols: np.ndarray,
 ) -> FrameResult:
+    active, wire, byte_erasures = symbols_to_wire(symbols, config.coded_bytes_per_frame)
+    registry = telemetry.registry()
+    result = verify_wire(config, header, wire, byte_erasures, registry)
+    if registry and result.ok:
+        # Ground truth for the confusion matrix: re-encode the
+        # CRC-verified message back onto the wire and compare against
+        # the pre-correction observed symbols.
+        reencoded = config.encode_wire(result.payload, header.payload_checksum)
+        quality_metrics.record_confusion(registry, bytes_to_symbols(reencoded), active)
+    return result
+
+
+def symbols_to_wire(
+    symbols: np.ndarray, coded_bytes: int
+) -> tuple[np.ndarray, bytes, list[int]]:
+    """Pack a frame's 2-bit symbols into wire bytes (4 symbols per byte).
+
+    Returns the ``4 * coded_bytes`` symbols that carry code, the wire
+    bytes and the positions of the erased ones.  A short vector (e.g. a
+    truncated extraction from a corrupted capture) is padded with
+    erasures, and any symbol outside 0-3 is an erasure.
+    """
     symbols = np.asarray(symbols, dtype=np.int64)
-    used = 4 * config.coded_bytes_per_frame
+    used = 4 * coded_bytes
     if len(symbols) < used:
         symbols = np.concatenate(
             [symbols, np.full(used - len(symbols), -1, dtype=np.int64)]
@@ -872,9 +896,40 @@ def _assemble_frame(
     clean = np.where(erased_symbols, 0, active)
     wire = symbols_to_bytes(clean)
     byte_erasures = sorted(set(np.flatnonzero(erased_symbols) // 4))
+    return active, wire, byte_erasures
+
+
+def verify_wire(
+    config: FrameCode,
+    header: FrameHeader,
+    wire: bytes,
+    byte_erasures: list[int],
+    registry: Any = None,
+) -> FrameResult:
+    """De-interleave, RS-decode and CRC-check one frame's wire bytes.
+
+    The frame code shared by RainBar and the baselines.  RS decoding
+    uses the erasures first and retries errors-only, since erasure info
+    can exceed the budget even when the actual error count is
+    correctable.  The frame is ``ok`` only when the CRC-16 of the
+    decoded payload equals both the checksum sent after it and the
+    header's.  Any coding-layer exception becomes a failed
+    :class:`FrameResult` rather than a raise.  A *registry* receives the
+    RS statistics of the successful attempt and counts errors-only
+    fallbacks; the baselines pass none.
+    """
+
+    def failed(reason: str) -> FrameResult:
+        return FrameResult(
+            sequence=header.sequence,
+            ok=False,
+            payload=b"",
+            is_last=header.is_last,
+            erased_bytes=len(byte_erasures),
+            failure=reason,
+        )
 
     message_len = config.message_bytes_per_frame
-    registry = telemetry.registry()
     stats = RSDecodeStats() if registry else None
     try:
         interleaver = config.interleaver
@@ -888,47 +943,22 @@ def _assemble_frame(
         # quality metrics, so start the retry with fresh stats.
         stats = RSDecodeStats() if registry else None
         try:
-            # Fallback: erasure info can exceed the budget even when the
-            # actual error count is correctable; retry errors-only.
             message = config.block_code.decode(coded, message_len, stats=stats)
         except RSDecodeError as exc:
-            return FrameResult(
-                sequence=header.sequence,
-                ok=False,
-                payload=b"",
-                is_last=header.is_last,
-                erased_bytes=len(byte_erasures),
-                failure=f"RS decode failed: {exc}",
-            )
+            return failed(f"RS decode failed: {exc}")
         if registry:
             registry.counter("quality.rs_erasure_fallbacks").inc()
     except _UNEXPECTED_ERRORS as exc:
-        # A symbol vector the coding layer cannot even deinterleave
-        # (wrong length for the configured code, degenerate geometry
-        # upstream) is a lost frame, not a crash.
-        return FrameResult(
-            sequence=header.sequence,
-            ok=False,
-            payload=b"",
-            is_last=header.is_last,
-            erased_bytes=len(byte_erasures),
-            failure=f"assemble failed: {type(exc).__name__}: {exc}",
-        )
+        # A wire the coding layer cannot even deinterleave (wrong length
+        # for the configured code, degenerate geometry upstream) is a
+        # lost frame, not a crash.
+        return failed(f"assemble failed: {type(exc).__name__}: {exc}")
 
     payload, tail = message[:-2], message[-2:]
     checksum = (tail[0] << 8) | tail[1]
     ok = checksum == crc16(payload) and checksum == header.payload_checksum
-    if registry and stats is not None:
+    if stats is not None:
         quality_metrics.record_rs_stats(registry, stats)
-        if ok:
-            # Ground truth for the confusion matrix: re-encode the
-            # CRC-verified message back onto the wire (mirrors the
-            # encoder: block-code then interleave) and compare against
-            # the pre-correction observed symbols.
-            reencoded = config.interleaver.scramble(config.block_code.encode(message))
-            quality_metrics.record_confusion(
-                registry, bytes_to_symbols(reencoded), active
-            )
     # The payload is returned even when verification fails: the paper's
     # decoding-rate metric counts correctly decoded data inside failed
     # frames, and the transfer layer NACKs on `ok` alone.

@@ -6,11 +6,16 @@ spread across codewords, expanded into 2-bit color symbols and laid onto
 the code area; the header (with its own CRC-8 protection) fills the
 header row; structure cells (corner trackers, locators, tracking bars)
 come from the layout and the frame's sequence number.
+
+The CRC-16 + RS + interleave steps and the segmentation into frames are
+:class:`FrameCode` and :meth:`FrameEncoder.encode_stream`; the COBRA and
+LightSync baselines reuse both and change only how cells are painted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Any
 
 import numpy as np
 
@@ -27,19 +32,23 @@ from .palette import (
 )
 from .renderer import render_grid
 
-__all__ = ["FrameCodecConfig", "Frame", "FrameEncoder"]
+__all__ = ["FrameCode", "FrameCodecConfig", "Frame", "FrameEncoder"]
 
 
 @dataclass(frozen=True)
-class FrameCodecConfig:
-    """Shared sender/receiver parameters of the barcode stream.
+class FrameCode:
+    """The per-frame CRC-16 + RS(n, k) + interleave code of one scheme.
 
-    ``rs_n``/``rs_k`` follow the paper's RS(n, k) intra-frame code; the
-    interleaver depth defaults to the number of RS chunks per frame so
-    that consecutive wire bytes land in distinct codewords.
+    RainBar and both baselines protect a frame the same way: the payload
+    is zero-padded, its CRC-16 goes into the header and after the
+    payload, the message is RS-encoded chunk by chunk, and the codewords
+    are interleaved so that consecutive wire bytes land in distinct
+    codewords.  A scheme chooses its layout and, by overriding
+    :attr:`data_capacity_bytes`, how many wire bytes its code area
+    holds; everything else is sized from that.
     """
 
-    layout: FrameLayout = field(default_factory=FrameLayout)
+    layout: Any
     rs_n: int = 32
     rs_k: int = 24
     display_rate: int = 10  # frames per second (f_d)
@@ -49,13 +58,18 @@ class FrameCodecConfig:
         if self.chunks_per_frame < 1:
             raise ValueError(
                 "layout too small: code area cannot hold a single RS codeword "
-                f"({self.layout.data_capacity_bytes} < {self.rs_n} bytes)"
+                f"({self.data_capacity_bytes} < {self.rs_n} bytes)"
             )
+
+    @property
+    def data_capacity_bytes(self) -> int:
+        """Wire bytes the code area can carry."""
+        return self.layout.data_capacity_bytes
 
     @property
     def chunks_per_frame(self) -> int:
         """RS codewords per frame."""
-        return self.layout.data_capacity_bytes // self.rs_n
+        return self.data_capacity_bytes // self.rs_n
 
     @property
     def coded_bytes_per_frame(self) -> int:
@@ -82,6 +96,41 @@ class FrameCodecConfig:
         """The chunked RS code used for frame payloads."""
         return BlockCode(self.rs_n, self.rs_k)
 
+    def protect(
+        self, payload: bytes, sequence: int, is_last: bool
+    ) -> tuple[FrameHeader, bytes, bytes]:
+        """Header, zero-padded payload and wire bytes of one frame."""
+        if len(payload) > self.payload_bytes_per_frame:
+            raise ValueError(
+                f"payload of {len(payload)} bytes exceeds the per-frame "
+                f"capacity of {self.payload_bytes_per_frame}"
+            )
+        padded = payload.ljust(self.payload_bytes_per_frame, b"\x00")
+        header = FrameHeader(
+            sequence=sequence,
+            display_rate=self.display_rate,
+            app_type=self.app_type,
+            payload_checksum=crc16(padded),
+            is_last=is_last,
+        )
+        return header, padded, self.encode_wire(padded, header.payload_checksum)
+
+    def encode_wire(self, padded: bytes, checksum: int) -> bytes:
+        """Append the big-endian CRC-16, RS-encode and interleave."""
+        message = padded + bytes([(checksum >> 8) & 0xFF, checksum & 0xFF])
+        return self.interleaver.scramble(self.block_code.encode(message))
+
+
+@dataclass(frozen=True)
+class FrameCodecConfig(FrameCode):
+    """Shared sender/receiver parameters of the RainBar barcode stream.
+
+    ``rs_n``/``rs_k`` follow the paper's RS(n, k) intra-frame code; the
+    interleaver depth is the number of RS chunks per frame.
+    """
+
+    layout: FrameLayout = field(default_factory=FrameLayout)
+
     @property
     def payload_bits_per_second(self) -> float:
         """Raw sender-side payload rate at the configured display rate."""
@@ -89,13 +138,7 @@ class FrameCodecConfig:
 
     def with_layout(self, layout: FrameLayout) -> "FrameCodecConfig":
         """Copy of this config with a different layout (adaptive block size)."""
-        return FrameCodecConfig(
-            layout=layout,
-            rs_n=self.rs_n,
-            rs_k=self.rs_k,
-            display_rate=self.display_rate,
-            app_type=self.app_type,
-        )
+        return replace(self, layout=layout)
 
 
 @dataclass(frozen=True)
@@ -114,9 +157,13 @@ class Frame:
 
 
 class FrameEncoder:
-    """Maps payload chunks onto RainBar frames."""
+    """Maps payload chunks onto RainBar frames.
 
-    def __init__(self, config: FrameCodecConfig):
+    The baselines subclass it: they keep its frame code and segmentation
+    and change only how the grid is painted.
+    """
+
+    def __init__(self, config: FrameCode):
         self.config = config
 
     def encode_frame(
@@ -128,32 +175,15 @@ class FrameEncoder:
         """Build the frame carrying *payload* with the given sequence number.
 
         *payload* may be shorter than the per-frame capacity (it is
-        zero-padded); longer payloads are rejected — segmentation is the
-        transfer layer's job.
+        zero-padded); longer payloads are rejected — segmentation is
+        :meth:`encode_stream`'s job.
         """
         with telemetry.span("encode.frame"):
             return self._encode_frame(payload, sequence, is_last)
 
     def _encode_frame(self, payload: bytes, sequence: int, is_last: bool) -> Frame:
         cfg = self.config
-        if len(payload) > cfg.payload_bytes_per_frame:
-            raise ValueError(
-                f"payload of {len(payload)} bytes exceeds the per-frame "
-                f"capacity of {cfg.payload_bytes_per_frame}"
-            )
-        padded = payload.ljust(cfg.payload_bytes_per_frame, b"\x00")
-        header = FrameHeader(
-            sequence=sequence,
-            display_rate=cfg.display_rate,
-            app_type=cfg.app_type,
-            payload_checksum=crc16(padded),
-            is_last=is_last,
-        )
-
-        message = padded + _pack_u16(header.payload_checksum)
-        coded = cfg.block_code.encode(message)
-        wire = cfg.interleaver.scramble(coded)
-
+        header, padded, wire = cfg.protect(payload, sequence, is_last)
         grid = self._structure_grid(header)
         self._fill_header(grid, header)
         self._fill_data(grid, wire)
@@ -226,7 +256,3 @@ def _symbol_color_table() -> np.ndarray:
     from .palette import DATA_COLORS
 
     return np.array([int(c) for c in DATA_COLORS], dtype=np.int64)
-
-
-def _pack_u16(value: int) -> bytes:
-    return bytes([(value >> 8) & 0xFF, value & 0xFF])

@@ -181,6 +181,8 @@ class TestPerfCheck:
             "channel.environment_ms": 97.6704,
             "imaging.degrade_ms": 61.0251,
             "decoder.extract_ms_p50": 33.36,
+            "encoder.encode_ms_per_frame": 0.3405,
+            "coding.assemble_ms_per_frame": 0.3845,
         }
         assert set(bounds) == set(reference) | {"imaging.sensor_pipeline_ms"}
         for name, ref in reference.items():
