@@ -12,15 +12,14 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro import (
-    DecodeError,
     FrameCodecConfig,
     FrameDecoder,
     FrameEncoder,
     FrameSchedule,
     LinkConfig,
     ScreenCameraLink,
-    StreamReassembler,
 )
+from repro.link import BufferedReceiver
 
 
 def main() -> None:
@@ -49,20 +48,14 @@ def main() -> None:
     print(f"camera produced {len(captures)} captures at 30 fps")
 
     # --- receiver ----------------------------------------------------------
-    decoder = FrameDecoder(config)
-    reassembler = StreamReassembler(config)
-    results = []
-    for capture in captures:
-        try:
-            extraction = decoder.extract(capture.image)
-        except DecodeError as exc:
-            print(f"  capture at t={capture.time:.3f}s dropped: {exc}")
-            continue
-        results.extend(reassembler.add_capture(extraction))
-    results.extend(reassembler.flush())
+    # One loop decodes every capture, routes its rows into frames by the
+    # tracking bars, and error-corrects and CRC-checks each frame.
+    report = BufferedReceiver(FrameDecoder(config)).process(captures)
+    for stage, count in sorted(report.drop_reasons.items()):
+        print(f"  {count} capture(s) dropped at the {stage} stage")
 
     received = bytearray()
-    for result in sorted(results, key=lambda r: r.sequence):
+    for result in sorted(report.results, key=lambda r: r.sequence):
         status = "ok" if result.ok else f"FAILED ({result.failure})"
         print(f"  frame {result.sequence}: {status}")
         if result.ok:

@@ -9,22 +9,20 @@ against (:mod:`repro.baselines`).
 
 Quickstart::
 
-    import numpy as np
     from repro import (FrameCodecConfig, FrameEncoder, FrameDecoder,
-                       FrameSchedule, LinkConfig, ScreenCameraLink,
-                       StreamReassembler)
+                       FrameSchedule, LinkConfig, ScreenCameraLink)
+    from repro.link import BufferedReceiver
 
     config = FrameCodecConfig(display_rate=10)
     frames = FrameEncoder(config).encode_stream(b"hello, screen-camera world")
     schedule = FrameSchedule([f.render() for f in frames], display_rate=10)
     link = ScreenCameraLink(LinkConfig(distance_cm=12, view_angle_deg=15))
 
-    decoder = FrameDecoder(config)
-    reassembler = StreamReassembler(config)
-    results = []
-    for capture in link.capture_stream(schedule):
-        results += reassembler.add_capture(decoder.extract(capture.image))
-    results += reassembler.flush()
+    report = BufferedReceiver(FrameDecoder(config)).process(
+        link.capture_stream(schedule)
+    )
+    # report.results holds one FrameResult per frame; report.drop_reasons
+    # counts the undecodable captures by failing pipeline stage.
 """
 
 from .baselines import (

@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro analyze",
         description=(
-            "RainBar determinism & contract analyzer (rules RB001-RB010): "
+            "RainBar determinism & contract analyzer (rules: --list-rules): "
             "per-file AST rules plus project-wide import-layering and "
             "stale-suppression passes"
         ),

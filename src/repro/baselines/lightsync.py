@@ -31,12 +31,11 @@ from typing import Any
 
 import numpy as np
 
-from ..core.decoder import CaptureExtraction, FrameDecoder, FrameResult, verify_wire
+from ..core.decoder import FrameDecoder, FrameResult, verify_wire
 from ..core.encoder import FrameCode, FrameCodecConfig, FrameEncoder
 from ..core.header import FrameHeader
 from ..core.layout import FrameLayout
 from ..core.palette import Color
-from ..core.sync import StreamReassembler
 
 __all__ = ["LightSyncConfig", "LightSyncEncoder", "LightSyncReceiver"]
 
@@ -87,42 +86,27 @@ class LightSyncReceiver:
     Wraps RainBar's :class:`FrameDecoder` for geometry recovery and
     reinterprets the recovered symbols as bits: white -> 0, blue -> 1,
     anything else (red/green misreads, erasures) -> erasure.  Stream
-    reassembly across rolling-shutter splits reuses
-    :class:`StreamReassembler` mechanics on the bit stream.
+    reassembly across rolling-shutter splits is RainBar's: feed the
+    captures to a :class:`~repro.link.receiver_modes.BufferedReceiver`
+    over :attr:`decoder` and a
+    :class:`~repro.core.sync.StreamReassembler` built with
+    ``assemble=receiver.assemble``.
     """
 
     def __init__(self, config: LightSyncConfig, **decoder_kwargs: Any):
         self.config = config
         self._decoder = FrameDecoder(config.rainbar_equivalent(), **decoder_kwargs)
-        self._reassembler = StreamReassembler(
-            config.rainbar_equivalent(), assemble=self.assemble
-        )
 
     @property
     def decoder(self) -> FrameDecoder:
         return self._decoder
-
-    def extract(self, image: np.ndarray) -> CaptureExtraction:
-        """Geometry + classification (raises DecodeError on failure)."""
-        return self._decoder.extract(image)
-
-    def add_capture(self, extraction: CaptureExtraction) -> list[FrameResult]:
-        """Feed one extraction; returns finalized binary frames."""
-        return self._reassembler.add_capture(extraction)
-
-    def flush(self) -> list[FrameResult]:
-        return self._reassembler.flush()
 
     # -- direct single-capture decoding (the fast f_d <= f_c/2 path) ------
 
     def decode_capture(self, image: np.ndarray) -> FrameResult:
         """Decode a capture holding one whole frame."""
         extraction = self._decoder.extract(image)
-        symbols = extraction.data_symbols
-        foreign = np.isin(
-            self.config.layout.symbol_rows, np.flatnonzero(extraction.row_assignment != 0)
-        )
-        symbols = np.where(foreign, -1, symbols)
+        symbols = extraction.own_frame_symbols(self.config.layout.symbol_rows)
         return self.assemble(extraction.header, symbols)
 
     def assemble(self, header: FrameHeader, symbols: np.ndarray) -> FrameResult:

@@ -26,9 +26,10 @@ import numpy as np
 from ..baselines.cobra import CobraConfig, CobraDecoder, CobraEncoder, CobraReceiver
 from ..channel.link import Capture, LinkConfig, ScreenCameraLink
 from ..channel.screen import FrameSchedule
-from ..core.decoder import DecodeError, FrameDecoder, FrameResult
+from ..core.decoder import FrameDecoder, FrameResult
 from ..core.encoder import Frame, FrameCodecConfig, FrameEncoder
 from ..core.sync import StreamReassembler
+from ..link.receiver_modes import BufferedReceiver, ReceiverReport
 from .workloads import random_payload
 
 if TYPE_CHECKING:
@@ -117,6 +118,14 @@ def _score_results(
             trial.correct_payload_bytes += _byte_accuracy(sent, result.payload)
 
 
+def _score_report(
+    trial: TrialResult, report: ReceiverReport, payloads: dict[int, bytes]
+) -> None:
+    trial.captures = report.captures_seen
+    trial.captures_dropped = report.captures_dropped_error
+    _score_results(trial, report.results, payloads)
+
+
 def _start_trial(
     system: str,
     encoder: FrameEncoder,
@@ -162,8 +171,7 @@ def run_rainbar_trial(
     trial, payloads, frames, captures = _start_trial(
         "rainbar", FrameEncoder(codec), link_config, num_frames, brightness, seed
     )
-    decoder = FrameDecoder(codec, **(decoder_kwargs or {}))
-    reassembler = StreamReassembler(codec)
+    receiver = BufferedReceiver(FrameDecoder(codec, **(decoder_kwargs or {})))
 
     truth_symbols = None
     if measure_raw_symbols:
@@ -177,24 +185,19 @@ def run_rainbar_trial(
             for f in frames
         }
 
-    results: list[FrameResult] = []
     for capture in captures:
-        trial.captures += 1
-        try:
-            extraction = decoder.extract(capture.image)
-        except DecodeError:
-            trial.captures_dropped += 1
-            continue
-        if truth_symbols is not None and extraction.header.sequence in truth_symbols:
+        extraction = receiver.receive(capture)
+        if (
+            truth_symbols is not None
+            and extraction is not None
+            and extraction.header.sequence in truth_symbols
+        ):
             own = extraction.row_assignment[codec.layout.symbol_rows] == 0
             truth = truth_symbols[extraction.header.sequence]
             got = extraction.data_symbols
             trial.raw_symbols_total += int(own.sum())
             trial.raw_symbols_wrong += int(np.sum((got != truth) & own))
-        results.extend(reassembler.add_capture(extraction))
-    results.extend(reassembler.flush())
-
-    _score_results(trial, results, payloads)
+    _score_report(trial, receiver.finish(), payloads)
     return trial
 
 
@@ -232,17 +235,9 @@ def run_lightsync_trial(
         "lightsync", LightSyncEncoder(codec), link_config, num_frames, brightness, seed
     )
     receiver = LightSyncReceiver(codec)
-    results: list[FrameResult] = []
-    for capture in captures:
-        trial.captures += 1
-        try:
-            extraction = receiver.extract(capture.image)
-        except DecodeError:
-            trial.captures_dropped += 1
-            continue
-        results.extend(receiver.add_capture(extraction))
-    results.extend(receiver.flush())
-    _score_results(trial, results, payloads)
+    reassembler = StreamReassembler(codec.rainbar_equivalent(), assemble=receiver.assemble)
+    report = BufferedReceiver(receiver.decoder, reassembler).process(captures)
+    _score_report(trial, report, payloads)
     return trial
 
 

@@ -262,12 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ana = sub.add_parser(
         "analyze",
-        help="run the determinism & contract analyzer (rules RB001-RB010)",
+        help="run the determinism & contract analyzer (see --list-rules)",
         description=(
             "Two-phase static analysis over the repro tree: per-file rules "
             "(global-nondeterminism, seed plumbing, uint8 overflow hazards, "
             "telemetry hygiene, resource lifecycle, CLI exit-code contract, "
-            "pool-boundary picklability, schema-version hygiene) plus "
+            "schema-version hygiene) plus "
             "project passes (import layering, stale suppressions).  Exit 0 "
             "clean, 1 violations, 2 usage error.  All arguments are "
             "forwarded to `python -m repro.analysis`."
@@ -317,36 +317,19 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    from . import telemetry
-    from .core.decoder import DecodeError, FrameDecoder
-    from .core.sync import StreamReassembler
+    from .core.decoder import FrameDecoder
     from .io import load_captures
     from .link.reassembly import PayloadAssembler
+    from .link.receiver_modes import BufferedReceiver
 
     captures = load_captures(args.session)
     config = _config(args.display_rate, args.block_px)
-    decoder = FrameDecoder(config)
-    reassembler = StreamReassembler(config)
+    report = BufferedReceiver(FrameDecoder(config)).process(captures)
     assembler = PayloadAssembler()
-    dropped = 0
-    for capture in captures:
-        try:
-            extraction = decoder.extract(capture.image)
-        except DecodeError as exc:
-            dropped += 1
-            telemetry.emit("capture_dropped", stage=exc.stage)
-            continue
-        results = reassembler.add_capture(extraction)
-        for result in results:
-            telemetry.emit("frame", sequence=result.sequence, ok=result.ok)
-        assembler.add_all(results)
-    tail = reassembler.flush()
-    for result in tail:
-        telemetry.emit("frame", sequence=result.sequence, ok=result.ok)
-    assembler.add_all(tail)
+    assembler.add_all(report.results)
 
     print(
-        f"{len(captures)} captures, {dropped} dropped; "
+        f"{len(captures)} captures, {report.captures_dropped_error} dropped; "
         f"{assembler.received_count} frames recovered; missing {assembler.missing()}",
         file=sys.stderr,
     )
@@ -362,13 +345,12 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from . import telemetry
     from .channel.link import LinkConfig, ScreenCameraLink
     from .channel.screen import FrameSchedule
-    from .core.decoder import DecodeError, FrameDecoder
+    from .core.decoder import FrameDecoder
     from .core.encoder import FrameEncoder
-    from .core.sync import StreamReassembler
     from .io import save_captures
+    from .link.receiver_modes import BufferedReceiver
 
     config = _config(args.display_rate, 12)
     message = args.message.encode()
@@ -384,19 +366,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.save_session:
         save_captures(args.save_session, captures)
 
-    decoder = FrameDecoder(config)
-    reassembler = StreamReassembler(config)
-    results = []
-    dropped = 0
-    for capture in captures:
-        try:
-            results.extend(reassembler.add_capture(decoder.extract(capture.image)))
-        except DecodeError as exc:
-            dropped += 1
-            telemetry.emit("capture_dropped", stage=exc.stage)
-    results.extend(reassembler.flush())
-    for result in results:
-        telemetry.emit("frame", sequence=result.sequence, ok=result.ok)
+    report = BufferedReceiver(FrameDecoder(config)).process(captures)
+    results, dropped = report.results, report.captures_dropped_error
     recovered = b"".join(
         r.payload for r in sorted(results, key=lambda r: r.sequence) if r.ok
     )[: len(message)]

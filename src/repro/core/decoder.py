@@ -243,6 +243,15 @@ class CaptureExtraction:
         """True when the capture mixes two consecutive frames."""
         return bool(np.any(self.row_assignment == 1))
 
+    def own_frame_symbols(self, symbol_rows: np.ndarray) -> np.ndarray:
+        """``data_symbols`` with every row not assigned to the header's
+        frame erased: the whole-frame view of the single-shot decoders.
+
+        *symbol_rows* is the layout's grid row of each data symbol.
+        """
+        foreign = (self.row_assignment != 0)[symbol_rows]
+        return np.where(foreign, -1, self.data_symbols)
+
 
 @dataclass(frozen=True)
 class FrameResult:
@@ -551,11 +560,7 @@ class FrameDecoder:
         through :class:`repro.core.sync.StreamReassembler` instead.
         """
         extraction = self.extract(image)
-        symbols = extraction.data_symbols.copy()
-        foreign = np.isin(
-            self.config.layout.symbol_rows, np.flatnonzero(extraction.row_assignment != 0)
-        )
-        symbols[foreign] = -1
+        symbols = extraction.own_frame_symbols(self.config.layout.symbol_rows)
         return assemble_frame(self.config, extraction.header, symbols)
 
     # -- internals ---------------------------------------------------------

@@ -27,7 +27,8 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from ..core.decoder import DecodeDiagnostics, FrameDecoder, FrameResult
+from .. import telemetry
+from ..core.decoder import CaptureExtraction, FrameDecoder, FrameResult
 from ..core.sync import StreamReassembler
 
 if TYPE_CHECKING:
@@ -51,12 +52,6 @@ class ReceiverReport:
     decode_time_total_s: float = 0.0
     results: list[FrameResult] = field(default_factory=list)
 
-    def record_drop(self, diagnostics: DecodeDiagnostics) -> None:
-        """Count one undecodable capture under its failure stage."""
-        self.captures_dropped_error += 1
-        stage = diagnostics.failure.stage if diagnostics.failure else "capture"
-        self.drop_reasons[stage] = self.drop_reasons.get(stage, 0) + 1
-
     @property
     def mean_decode_time_s(self) -> float:
         if self.captures_decoded == 0:
@@ -69,30 +64,71 @@ class ReceiverReport:
 
 
 class BufferedReceiver:
-    """Decode every capture after the fact (the evaluation mode)."""
+    """Decode every capture after the fact (the evaluation mode).
 
-    def __init__(self, decoder: FrameDecoder):
+    This is the one receive loop of the package: the transfer session,
+    the trial runner and the CLI all turn a capture stream into
+    :class:`FrameResult` objects through it.  :meth:`receive` decodes
+    one capture, bins a failure by its stage and folds a success into
+    the reassembler; :meth:`finish` flushes the reassembler and emits
+    one ``frame`` event per result.  *reassembler* defaults to RainBar's
+    :class:`StreamReassembler`; a scheme with its own symbol alphabet
+    (LightSync) passes one built with its ``assemble``.  One receiver
+    handles one capture stream.
+    """
+
+    def __init__(self, decoder: FrameDecoder, reassembler: StreamReassembler | None = None):
         self.decoder = decoder
-        self.reassembler = StreamReassembler(decoder.config)
+        self.reassembler = reassembler or StreamReassembler(decoder.config)
         self.report = ReceiverReport()
 
     def process(self, captures: "Iterable[Capture]") -> ReceiverReport:
         """Decode a full list of ``Capture`` objects."""
         for capture in captures:
-            self.report.captures_seen += 1
-            started = time.perf_counter()
-            extraction, diagnostics = self.decoder.extract_diagnosed(capture.image)
-            self.report.decode_time_total_s += time.perf_counter() - started
-            if extraction is None:
-                self.report.record_drop(diagnostics)
-                continue
-            self.report.captures_decoded += 1
-            self.report.results.extend(self.reassembler.add_capture(extraction))
-        self.report.results.extend(self.reassembler.flush())
-        return self.report
+            self.receive(capture)
+        return self.finish()
+
+    def receive(self, capture: "Capture") -> CaptureExtraction | None:
+        """Decode one capture and fold it in; None when it was dropped."""
+        report = self.report
+        report.captures_seen += 1
+        if not self._admit(capture):
+            report.captures_dropped_busy += 1
+            return None
+        started = time.perf_counter()
+        # Looked up per call and given the capture's own image: the
+        # benchmark's timing probes patch this method on the class and
+        # pair each decode with its render by the image's identity.
+        extraction, diagnostics = self.decoder.extract_diagnosed(capture.image)
+        report.decode_time_total_s += self._charge(capture, time.perf_counter() - started)
+        if extraction is None:
+            report.captures_dropped_error += 1
+            stage = diagnostics.failure.stage if diagnostics.failure else "capture"
+            report.drop_reasons[stage] = report.drop_reasons.get(stage, 0) + 1
+            telemetry.emit("capture_dropped", stage=stage)
+            return None
+        report.captures_decoded += 1
+        report.results.extend(self.reassembler.add_capture(extraction))
+        return extraction
+
+    def finish(self) -> ReceiverReport:
+        """Flush the frames still pending (end of stream) and report."""
+        report = self.report
+        report.results.extend(self.reassembler.flush())
+        for result in report.results:
+            telemetry.emit("frame", sequence=result.sequence, ok=result.ok)
+        return report
+
+    def _admit(self, capture: "Capture") -> bool:
+        """Whether the decoder takes *capture* (always, after the fact)."""
+        return True
+
+    def _charge(self, capture: "Capture", measured_s: float) -> float:
+        """Decode time booked for *capture*: what the decode took."""
+        return measured_s
 
 
-class RealTimeReceiver:
+class RealTimeReceiver(BufferedReceiver):
     """Decode concurrently with capture; drop captures when busy.
 
     ``decode_budget_s`` fixes the simulated per-capture decode time; by
@@ -110,37 +146,21 @@ class RealTimeReceiver:
     ):
         if speed_factor <= 0:
             raise ValueError("speed_factor must be positive")
-        self.decoder = decoder
+        super().__init__(decoder)
         self.decode_budget_s = decode_budget_s
         self.speed_factor = speed_factor
-        self.reassembler = StreamReassembler(decoder.config)
-        self.report = ReceiverReport()
+        self._busy_until = -np.inf
 
-    def process(self, captures: "Iterable[Capture]") -> ReceiverReport:
-        """Run the capture stream against the simulated decode clock."""
-        busy_until = -np.inf
-        for capture in captures:
-            self.report.captures_seen += 1
-            if capture.time < busy_until:
-                self.report.captures_dropped_busy += 1
-                continue
-            started = time.perf_counter()
-            extraction, diagnostics = self.decoder.extract_diagnosed(capture.image)
-            elapsed = time.perf_counter() - started
-            cost = self._cost(elapsed)
-            self.report.decode_time_total_s += cost
-            busy_until = capture.time + cost
-            if extraction is None:
-                self.report.record_drop(diagnostics)
-                continue
-            self.report.captures_decoded += 1
-            self.report.results.extend(self.reassembler.add_capture(extraction))
-        self.report.results.extend(self.reassembler.flush())
-        return self.report
+    def _admit(self, capture: "Capture") -> bool:
+        """A capture arriving while the decoder is busy is dropped."""
+        return capture.time >= self._busy_until
 
-    def _cost(self, measured_s: float) -> float:
+    def _charge(self, capture: "Capture", measured_s: float) -> float:
+        """Simulated decode time; the decoder is busy until it ends."""
         base = self.decode_budget_s if self.decode_budget_s is not None else measured_s
-        return base / self.speed_factor
+        cost = base / self.speed_factor
+        self._busy_until = capture.time + cost
+        return cost
 
     def max_sustainable_rate(self) -> float:
         """Display rate the decoder can keep up with (1 / decode time)."""

@@ -23,8 +23,8 @@ from ..channel.link import LinkConfig, ScreenCameraLink
 from ..channel.screen import FrameSchedule
 from ..core.decoder import FrameDecoder
 from ..core.encoder import Frame, FrameCodecConfig, FrameEncoder
-from ..core.sync import StreamReassembler
 from .reassembly import PayloadAssembler
+from .receiver_modes import BufferedReceiver
 
 if TYPE_CHECKING:
     from ..faults.plan import FaultPlan
@@ -180,27 +180,18 @@ class TransferSession:
             faults=self.faults,
         )
         link = ScreenCameraLink(self.link_config, rng=self.rng, faults=self.faults)
-        reassembler = StreamReassembler(self.codec_config)
 
         # Sequence numbers inside a retransmission round are not
         # contiguous, so rolling-shutter row routing (seq+1) may misfile
         # rows; those frames simply fail their CRC and are re-NACKed —
         # matching how a real receiver behaves when the display order
         # deviates from the sequence order.
-        results = []
-        for capture in link.capture_stream(schedule):
-            stats.captures += 1
-            extraction, diagnostics = self.decoder.extract_diagnosed(capture.image)
-            if extraction is None:
-                stats.captures_dropped += 1
-                stage = diagnostics.failure.stage if diagnostics.failure else "capture"
-                stats.drop_reasons[stage] = stats.drop_reasons.get(stage, 0) + 1
-                telemetry.emit("capture_dropped", stage=stage)
-                continue
-            results.extend(reassembler.add_capture(extraction))
-        results.extend(reassembler.flush())
-        for result in results:
-            telemetry.emit("frame", sequence=result.sequence, ok=result.ok)
+        report = BufferedReceiver(self.decoder).process(link.capture_stream(schedule))
+        stats.captures += report.captures_seen
+        stats.captures_dropped += report.captures_dropped_error
+        for stage, count in report.drop_reasons.items():
+            stats.drop_reasons[stage] = stats.drop_reasons.get(stage, 0) + count
+        results = report.results
         crc_failures = sum(1 for r in results if not r.ok)
         ok_payload = sum(r.payload_bytes for r in results if r.ok)
         stats.frames_failed += crc_failures

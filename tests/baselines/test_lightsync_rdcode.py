@@ -14,6 +14,8 @@ from repro.channel.link import LinkConfig, ScreenCameraLink
 from repro.channel.screen import FrameSchedule
 from repro.core.encoder import FrameCodecConfig
 from repro.core.palette import Color
+from repro.core.sync import StreamReassembler
+from repro.link.receiver_modes import BufferedReceiver
 
 
 class TestLightSyncCapacity:
@@ -56,10 +58,10 @@ class TestLightSyncRoundtrip:
         sched = FrameSchedule([f.render() for f in frames], display_rate=10)
         link = ScreenCameraLink(LinkConfig(), rng=np.random.default_rng(1))
         rx = LightSyncReceiver(cfg)
-        results = []
-        for cap in link.capture_stream(sched):
-            results += rx.add_capture(rx.extract(cap.image))
-        results += rx.flush()
+        reassembler = StreamReassembler(cfg.rainbar_equivalent(), assemble=rx.assemble)
+        report = BufferedReceiver(rx.decoder, reassembler).process(link.capture_stream(sched))
+        results = report.results
+        assert report.captures_dropped_error == 0
         assert sum(r.ok for r in results) == len(frames)
 
     def test_symbol_2_is_erasure(self, setup):
@@ -67,7 +69,7 @@ class TestLightSyncRoundtrip:
         cfg, enc, payload = setup
         frame = enc.encode_frame(payload, sequence=0)
         rx = LightSyncReceiver(cfg)
-        ext = rx.extract(frame.render())
+        ext = rx.decoder.extract(frame.render())
         ext.data_symbols[:10] = 2  # pretend green misreads
         result = rx.assemble(ext.header, ext.data_symbols)
         assert result.ok  # RS erasure decoding recovers

@@ -7,7 +7,8 @@ from repro.baselines.lightsync import LightSyncConfig, LightSyncEncoder, LightSy
 from repro.channel.link import LinkConfig, ScreenCameraLink
 from repro.channel.mobility import tripod
 from repro.channel.screen import FrameSchedule
-from repro.core.decoder import DecodeError
+from repro.core.sync import StreamReassembler
+from repro.link.receiver_modes import BufferedReceiver
 
 
 @pytest.fixture(scope="module")
@@ -32,16 +33,14 @@ class TestRollingShutterRegime:
         sched = FrameSchedule([f.render() for f in frames], display_rate=18)
         link = ScreenCameraLink(LinkConfig(mobility=tripod()), rng=np.random.default_rng(1))
         rx = LightSyncReceiver(cfg)
-        results = []
+        receiver = BufferedReceiver(
+            rx.decoder, StreamReassembler(cfg.rainbar_equivalent(), assemble=rx.assemble)
+        )
         mixed_seen = False
         for cap in link.capture_stream(sched):
-            try:
-                ext = rx.extract(cap.image)
-            except DecodeError:
-                continue
-            mixed_seen = mixed_seen or ext.has_next_frame_rows
-            results.extend(rx.add_capture(ext))
-        results.extend(rx.flush())
+            ext = receiver.receive(cap)
+            mixed_seen = mixed_seen or (ext is not None and ext.has_next_frame_rows)
+        results = receiver.finish().results
         assert mixed_seen, "regime sanity: some captures must be mixed"
         ok = {r.sequence for r in results if r.ok}
         # Interior frames must always reassemble; the first frame's
@@ -54,7 +53,7 @@ class TestRollingShutterRegime:
     def test_assemble_rejects_wrong_checksum(self, stream):
         cfg, frames, payloads = stream
         rx = LightSyncReceiver(cfg)
-        ext = rx.extract(frames[0].render())
+        ext = rx.decoder.extract(frames[0].render())
         from repro.core.header import FrameHeader
 
         forged = FrameHeader(

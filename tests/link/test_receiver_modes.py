@@ -77,3 +77,61 @@ class TestRealTime:
         cfg, __, __ = stream
         with pytest.raises(ValueError):
             RealTimeReceiver(FrameDecoder(cfg), speed_factor=0.0)
+
+
+class TestReceivePathsAgree:
+    """Every receive path decodes a stream through the same loop.
+
+    A fixed faulted stream of the fault matrix goes through the buffered
+    receiver, a real-time receiver whose budget never drops a capture,
+    one transfer-session round and a RainBar trial; all four must agree
+    on the frame results and on the drop stages.  ``occlusion_finger``
+    seed 2 loses every capture at the locators, ``occlusion_edge`` seed 1
+    drops two headers and delivers both frames, and ``glare`` seed 2
+    fails one frame's CRC.
+    """
+
+    @pytest.mark.parametrize(
+        "scenario, seed", [("occlusion_finger", 2), ("occlusion_edge", 1), ("glare", 2)]
+    )
+    def test_same_results_and_drop_reasons(self, monkeypatch, scenario, seed):
+        from repro.bench import runner
+        from repro.channel import link as link_module
+        from repro.link import session as session_module
+        from repro.link.session import TransferSession
+        from tests.faults.test_fault_matrix import SENSOR, _captures, _codec
+
+        codec = _codec()
+        captures = _captures(scenario, seed=seed)
+        buffered = BufferedReceiver(FrameDecoder(codec)).process(captures)
+        assert buffered.drop_reasons or not all(r.ok for r in buffered.results)
+
+        realtime = RealTimeReceiver(FrameDecoder(codec), decode_budget_s=0.0).process(captures)
+        assert realtime.captures_dropped_busy == 0
+
+        reports = []
+
+        class Recording(BufferedReceiver):
+            def finish(self):
+                reports.append(super().finish())
+                return reports[-1]
+
+        monkeypatch.setattr(
+            link_module.ScreenCameraLink, "capture_stream", lambda self, schedule: captures
+        )
+        monkeypatch.setattr(session_module, "BufferedReceiver", Recording)
+        monkeypatch.setattr(runner, "BufferedReceiver", Recording)
+        link_config = LinkConfig(sensor_size=SENSOR)
+        payload = bytes(i % 256 for i in range(codec.payload_bytes_per_frame * 2))
+        __, stats = TransferSession(codec, link_config=link_config).transmit(
+            payload, max_rounds=1
+        )
+        trial = runner.run_rainbar_trial(codec, link_config, num_frames=2, seed=seed)
+        session_report, trial_report = reports
+
+        for report in (realtime, session_report, trial_report):
+            assert report.results == buffered.results
+            assert report.drop_reasons == buffered.drop_reasons
+        assert stats.drop_reasons == buffered.drop_reasons
+        assert stats.captures == len(captures)
+        assert trial.captures_dropped == sum(buffered.drop_reasons.values())
