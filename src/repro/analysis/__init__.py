@@ -27,10 +27,9 @@ RB002     Seed plumbing: a function that accepts an ``rng`` or ``seed``
 RB003     uint8 overflow hazard: ``+`` / ``-`` / ``*`` arithmetic on an
           array read from a uint8 image source without an explicit
           dtype cast (``.astype(...)``) first.
-RB004     Telemetry hygiene: ``span()`` results must be used as context
-          managers (or returned verbatim by a forwarding wrapper), and
-          nothing under ``telemetry/`` may read the wall clock apart
-          from ``perf_counter`` in the span recorder.
+RB004     Telemetry hygiene: nothing under ``telemetry/`` may read a
+          clock, wall or monotonic; reports derive every timing from
+          recorded data.
 RB006     Import layering (project pass): eager imports must respect
           the declared layer DAG (:data:`LAYERS`) — no upward
           imports, no import cycles.

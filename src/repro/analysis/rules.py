@@ -114,12 +114,11 @@ _WALL_CLOCK = frozenset(
     }
 )
 
-#: Monotonic-clock reads.  Under telemetry/ these are legitimate only in
-#: the span recorder itself (``telemetry/trace.py``); everywhere else —
-#: the report, the quality observatory, the budget gate and the
-#: campaign tail — durations must come from *recorded* span data, never
-#: from a fresh clock read, or rendered artifacts stop being pure
-#: functions of their inputs.
+#: Monotonic-clock reads.  Nothing under telemetry/ may make them: the
+#: report, the quality observatory, the budget gate and the campaign
+#: tail read durations from *recorded* data, never from a fresh clock
+#: read, or rendered artifacts stop being pure functions of their
+#: inputs.  The decoder times its own stages; perfbench times the rest.
 _MONOTONIC_CLOCK = frozenset(
     {
         "time.monotonic",
@@ -128,10 +127,6 @@ _MONOTONIC_CLOCK = frozenset(
         "time.perf_counter_ns",
     }
 )
-
-#: The one telemetry module allowed to read the monotonic clock.
-_SPAN_RECORDER = "trace.py"
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -518,68 +513,37 @@ class RB003Uint8Overflow(Rule):
 
 
 class RB004TelemetryHygiene(Rule):
-    """Spans only via `with`; no wall clock under telemetry/."""
+    """No clock reads under telemetry/."""
 
     id = "RB004"
     title = "telemetry hygiene"
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> list[Violation]:
         out: list[Violation] = []
-        allowed: set[int] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.With):
-                for item in node.items:
-                    allowed.add(id(item.context_expr))
-            elif isinstance(node, ast.Return) and node.value is not None:
-                # A wrapper that *returns* the context manager verbatim
-                # keeps the with-contract at its call sites.
-                allowed.add(id(node.value))
-
+        if ctx.package != "telemetry":
+            return out
         for call in _iter_calls(tree):
-            func = call.func
-            is_span = (isinstance(func, ast.Attribute) and func.attr == "span") or (
-                isinstance(func, ast.Name) and func.id == "span"
-            )
-            if is_span and id(call) not in allowed:
+            name = dotted_name(call.func)
+            if not name:
+                continue
+            if any(name == w or name.endswith("." + w) for w in _WALL_CLOCK):
                 out.append(
                     self.violation(
                         ctx,
                         call,
-                        "span() must be used as a context manager "
-                        "(`with ...span(name):`) or returned verbatim by a "
-                        "forwarding wrapper",
+                        f"`{name}()` reads the wall clock under telemetry/; "
+                        "merged artifacts must stay deterministic",
                     )
                 )
-
-        if ctx.package == "telemetry":
-            basename = ctx.relpath.replace("\\", "/").rsplit("/", 1)[-1]
-            is_span_recorder = basename == _SPAN_RECORDER
-            for call in _iter_calls(tree):
-                name = dotted_name(call.func)
-                if not name:
-                    continue
-                if any(name == w or name.endswith("." + w) for w in _WALL_CLOCK):
-                    out.append(
-                        self.violation(
-                            ctx,
-                            call,
-                            f"`{name}()` reads the wall clock under telemetry/; "
-                            "use perf_counter offsets so merges stay "
-                            "deterministic",
-                        )
+            elif any(name == w or name.endswith("." + w) for w in _MONOTONIC_CLOCK):
+                out.append(
+                    self.violation(
+                        ctx,
+                        call,
+                        f"`{name}()` reads a clock under telemetry/; reports "
+                        "must derive timings from recorded data only",
                     )
-                elif not is_span_recorder and any(
-                    name == w or name.endswith("." + w) for w in _MONOTONIC_CLOCK
-                ):
-                    out.append(
-                        self.violation(
-                            ctx,
-                            call,
-                            f"`{name}()` reads a clock under telemetry/ outside "
-                            "the span recorder; reports must derive "
-                            "timings from recorded spans only",
-                        )
-                    )
+                )
         return out
 
 

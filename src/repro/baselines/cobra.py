@@ -171,8 +171,8 @@ class CobraEncoder(FrameEncoder):
     def encode_frame(
         self, payload: bytes, sequence: int, is_last: bool = False
     ) -> "CobraFrame":
-        """The COBRA frame carrying *payload* (no ``encode.frame`` span)."""
-        frame = self._encode_frame(payload, sequence, is_last)
+        """The COBRA frame carrying *payload*."""
+        frame = super().encode_frame(payload, sequence, is_last)
         return CobraFrame(frame.header, frame.grid, frame.payload, frame.layout)
 
     def _structure_grid(self, header: FrameHeader) -> np.ndarray:

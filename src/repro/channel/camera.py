@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .. import telemetry
 from .screen import FrameSchedule
 
 if TYPE_CHECKING:
@@ -97,17 +96,6 @@ def compose_rolling_shutter(
     impairments perturb the readout start time (rolling-shutter
     jitter), deterministically per *capture_index*.
     """
-    with telemetry.span("channel.rolling_shutter"):
-        return _compose_rolling_shutter(schedule, timing, start_time, faults, capture_index)
-
-
-def _compose_rolling_shutter(
-    schedule: FrameSchedule,
-    timing: CameraTiming,
-    start_time: float,
-    faults: "FaultPlan | None",
-    capture_index: int,
-) -> np.ndarray:
     if faults is not None:
         start_time = faults.jitter_start_time(start_time, capture_index)
     height = schedule.image_shape[0]

@@ -114,48 +114,39 @@ class ScreenCameraLink:
         self, schedule: FrameSchedule, start_time: float, capture_index: int = 0
     ) -> Capture:
         """Produce the single capture whose readout starts at *start_time*."""
-        with telemetry.span("channel.capture", index=capture_index):
-            capture = self._capture_at(schedule, start_time, capture_index)
-        telemetry.registry().counter("channel.captures").inc()
-        return capture
-
-    def _capture_at(
-        self, schedule: FrameSchedule, start_time: float, capture_index: int
-    ) -> Capture:
         cfg = self.config
         composite = compose_rolling_shutter(
             schedule, cfg.timing, start_time, faults=self.faults, capture_index=capture_index
         )
 
-        with telemetry.span("channel.project"):
-            jitter = cfg.mobility.sample_offset(self.rng)
-            angle_offset = cfg.mobility.sample_angle_offset(self.rng)
-            setup = self._setup_for(composite.shape[:2], jitter, angle_offset)
-            homography = setup.homography()
-            shear = cfg.mobility.sample_shear(self.rng)
-            if shear != 0.0:
-                # Rolling-shutter jello: rows shift horizontally in
-                # proportion to their readout time (sensor y coordinate).
-                height = cfg.sensor_size[0]
-                shear_h = np.array(
-                    [[1.0, shear / height, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-                )
-                homography = shear_h @ homography
-            sensor = warp_perspective(
-                composite, homography, cfg.sensor_size, fill=cfg.background_level
+        jitter = cfg.mobility.sample_offset(self.rng)
+        angle_offset = cfg.mobility.sample_angle_offset(self.rng)
+        setup = self._setup_for(composite.shape[:2], jitter, angle_offset)
+        homography = setup.homography()
+        shear = cfg.mobility.sample_shear(self.rng)
+        if shear != 0.0:
+            # Rolling-shutter jello: rows shift horizontally in
+            # proportion to their readout time (sensor y coordinate).
+            height = cfg.sensor_size[0]
+            shear_h = np.array(
+                [[1.0, shear / height, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
             )
+            homography = shear_h @ homography
+        sensor = warp_perspective(
+            composite, homography, cfg.sensor_size, fill=cfg.background_level
+        )
 
         sensor = cfg.lens.apply(
             sensor, cfg.distance_cm, faults=self.faults, capture_index=capture_index
         )
-        with telemetry.span("channel.environment"):
-            blur_len, blur_angle = cfg.mobility.sample_blur(self.rng)
-            if blur_len > 0:
-                sensor = motion_blur(sensor, blur_len, blur_angle)
-            sensor = cfg.environment.degrade(sensor, self.rng)
-            samples = cfg.pipeline.apply(
-                sensor, self._wb_gains, faults=self.faults, capture_index=capture_index
-            )
+        blur_len, blur_angle = cfg.mobility.sample_blur(self.rng)
+        if blur_len > 0:
+            sensor = motion_blur(sensor, blur_len, blur_angle)
+        sensor = cfg.environment.degrade(sensor, self.rng)
+        samples = cfg.pipeline.apply(
+            sensor, self._wb_gains, faults=self.faults, capture_index=capture_index
+        )
+        telemetry.registry().counter("channel.captures").inc()
         return Capture(time=start_time, image=samples)
 
     def capture_stream(
@@ -249,12 +240,11 @@ class ScreenCameraLink:
         from ..io.trace import TraceWriter
 
         captures = self.capture_stream(schedule, start_offset=start_offset)
-        with telemetry.span("channel.export_trace", frames=len(captures)):
-            writer = TraceWriter(
-                path, metadata=self.trace_metadata(extra_metadata),
-                chunk_frames=chunk_frames,
-            )
-            writer.extend(captures)
-            reader = writer.close()
+        writer = TraceWriter(
+            path, metadata=self.trace_metadata(extra_metadata),
+            chunk_frames=chunk_frames,
+        )
+        writer.extend(captures)
+        reader = writer.close()
         telemetry.registry().counter("channel.traces_exported").inc()
         return reader

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .. import telemetry
 from ..imaging.filters import gaussian_blur
 from ..imaging.interpolation import sample_bilinear
 
@@ -75,12 +74,11 @@ class LensModel:
         occluder — and ``post_optics`` impairments (e.g. specular
         glare forming on the lens stack) run after it.
         """
-        with telemetry.span("channel.optics"):
-            if faults is not None:
-                image = faults.apply_image("pre_optics", image, capture_index)
-            out = gaussian_blur(image, self.blur_sigma(distance_cm))
-            if self.k1 != 0.0 or self.k2 != 0.0:
-                out = apply_radial_distortion(out, self.k1, self.k2)
-            if faults is not None:
-                out = faults.apply_image("post_optics", out, capture_index)
-            return out
+        if faults is not None:
+            image = faults.apply_image("pre_optics", image, capture_index)
+        out = gaussian_blur(image, self.blur_sigma(distance_cm))
+        if self.k1 != 0.0 or self.k2 != 0.0:
+            out = apply_radial_distortion(out, self.k1, self.k2)
+        if faults is not None:
+            out = faults.apply_image("post_optics", out, capture_index)
+        return out

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import telemetry
 from ..faults.plan import FaultPlan
 from ..imaging.noise import scale_brightness
 
@@ -92,14 +91,11 @@ class FrameSchedule:
         key = (index, self.brightness)
         emitted = self._emitted_cache.get(key)
         if emitted is None:
-            # Only the cache miss is traced: hits are dictionary lookups
-            # and would flood the trace with no-op spans.
-            with telemetry.span("channel.emit", frame=index):
-                emitted = scale_brightness(self.images[index], self.brightness)
-                if self.faults is not None:
-                    # Emission faults are deterministic per frame index, so
-                    # the degraded frame is as cacheable as the clean one.
-                    emitted = self.faults.apply_image("emission", emitted, index)
+            emitted = scale_brightness(self.images[index], self.brightness)
+            if self.faults is not None:
+                # Emission faults are deterministic per frame index, so
+                # the degraded frame is as cacheable as the clean one.
+                emitted = self.faults.apply_image("emission", emitted, index)
             self._emitted_cache[key] = emitted
         return emitted
 

@@ -328,9 +328,16 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     assembler = PayloadAssembler()
     assembler.add_all(report.results)
 
+    # missing() can only list gaps below the highest sequence received,
+    # so an unseen last frame has to be said outright.
+    missing = assembler.missing()
+    if assembler.expected_count is None:
+        gaps = (f"missing {missing}; " if missing else "") + "last frame never seen"
+    else:
+        gaps = f"missing {missing}"
     print(
         f"{len(captures)} captures, {report.captures_dropped_error} dropped; "
-        f"{assembler.received_count} frames recovered; missing {assembler.missing()}",
+        f"{assembler.received_count} frames recovered; {gaps}",
         file=sys.stderr,
     )
     if not assembler.complete:

@@ -1,10 +1,9 @@
 """Decode-pipeline debugging helpers: geometry visualization.
 
-Per-stage timing lives in :mod:`repro.telemetry` now: ``FrameDecoder``
-runs every pipeline stage inside a tracing span (the old ``StageTimer``
-was subsumed by :class:`repro.telemetry.trace.Tracer`) and derives
-``DecodeDiagnostics.stage_ms`` — the per-stage decode breakdown bench
-E10 reports — from those spans, so its shape is unchanged.
+Per-stage timing is not here: ``FrameDecoder.extract`` times its own
+stages and fills ``DecodeDiagnostics.stage_ms`` — the per-stage decode
+breakdown bench E10 reports — and a whole run's stage timing comes from
+a traced perfbench run (``perfbench/run.py --trace 1``).
 
 When a capture fails to decode, the fastest way to see why is to paint
 the recovered geometry back onto the image: corner trackers, locator

@@ -20,9 +20,11 @@ several) extractions into frame payloads is step 7,
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, ContextManager, Iterable, Sized
+from typing import Any, Callable, ContextManager, Iterable, Iterator, Sized
 
 import numpy as np
 
@@ -37,7 +39,6 @@ from ..telemetry.metrics import (
     TRACKING_DT_BUCKETS,
     MetricsRegistry,
 )
-from ..telemetry.trace import Span, Tracer
 from .blocks import BlockLocalizer
 from .blur import sharpness_score
 from .brightness import DEFAULT_T_SAT, estimate_black_threshold
@@ -148,8 +149,8 @@ class DecodeDiagnostics:
     decode decision reads it — so the happy path skips the extra image
     pass and only computes it on first access (memoized; pass
     ``sharpness_fn`` instead of a value to defer).  With telemetry
-    enabled the decoder materializes it eagerly inside the
-    ``diagnostics`` span so the stage breakdown stays observable.
+    enabled the decoder materializes it eagerly as the ``diagnostics``
+    stage so the stage breakdown stays observable.
     Laziness never changes the value: the deferred closure runs the
     same ``sharpness_score`` over the same capture.
     """
@@ -312,38 +313,42 @@ class FrameDecoder:
         converted to one tagged with the stage it escaped from, so a
         fault-injected image can degrade the link but never crash it.
 
-        Every stage runs inside a telemetry span.  When a tracer is
-        active the whole extraction nests under the caller's trace
-        (``channel.capture`` > ``decode.extract`` > per-stage spans);
-        otherwise a throwaway local tracer records the same spans so
-        ``DecodeDiagnostics.stage_ms`` is populated either way.
+        Every stage runs under a ``perf_counter`` stage clock that
+        fills ``DecodeDiagnostics.stage_ms`` directly, with or without
+        telemetry.
         """
-        tracer = telemetry.active_tracer() or Tracer()
         registry = telemetry.registry()
+        stage_ms: dict[str, float] = {}
         current = "input"
 
-        def stage(name: str) -> ContextManager[Span]:
+        @contextmanager
+        def stage(name: str) -> Iterator[None]:
             nonlocal current
             current = name
-            return tracer.span(name)
-
-        with tracer.span("decode.extract") as root:
+            t0 = time.perf_counter()
             try:
-                extraction = self._extract_stages(image, stage, root)
-            except DecodeError as exc:
-                registry.counter("decode.failures", stage=exc.stage).inc()
-                raise
-            except _UNEXPECTED_ERRORS as exc:
-                registry.counter("decode.failures", stage=current).inc()
-                raise DecodeError(
-                    f"{type(exc).__name__} during {current}: {exc}",
-                    stage=current,
-                    exception=type(exc).__name__,
-                ) from exc
+                yield
+            finally:
+                elapsed_ms = (time.perf_counter() - t0) * 1000.0
+                stage_ms[name] = stage_ms.get(name, 0.0) + elapsed_ms
+
+        started = time.perf_counter()
+        try:
+            extraction = self._extract_stages(image, stage, stage_ms)
+        except DecodeError as exc:
+            registry.counter("decode.failures", stage=exc.stage).inc()
+            raise
+        except _UNEXPECTED_ERRORS as exc:
+            registry.counter("decode.failures", stage=current).inc()
+            raise DecodeError(
+                f"{type(exc).__name__} during {current}: {exc}",
+                stage=current,
+                exception=type(exc).__name__,
+            ) from exc
         registry.counter("decode.captures_ok").inc()
         registry.histogram(
             "decode.latency_ms", DECODE_LATENCY_BUCKETS_MS, timing=True
-        ).observe(root.duration_ms)
+        ).observe((time.perf_counter() - started) * 1000.0)
         if registry:
             quality_metrics.record_capture_quality(
                 registry,
@@ -355,8 +360,8 @@ class FrameDecoder:
     def _extract_stages(
         self,
         image: np.ndarray,
-        stage: Callable[[str], ContextManager[Span]],
-        root: Span,
+        stage: Callable[[str], ContextManager[None]],
+        stage_ms: dict[str, float],
     ) -> CaptureExtraction:
         with stage("input"):
             # An 8-bit capture divided by 255 is always finite, and the
@@ -465,8 +470,8 @@ class FrameDecoder:
         # The sharpness pass (6+ ms of a ~40 ms decode) is pure
         # diagnosis: nothing downstream branches on it, so the happy
         # path defers it to first access.  A live telemetry context
-        # materializes it eagerly so the `diagnostics` span — and the
-        # stage breakdown derived from the trace — stay observable.
+        # materializes it eagerly so the `diagnostics` stage stays
+        # observable in the stage breakdown.
         sharpness: float | None = None
         sharpness_fn: Callable[[], float] | None = None
         if telemetry.enabled():
@@ -474,12 +479,6 @@ class FrameDecoder:
                 sharpness = sharpness_score(image)
         else:
             sharpness_fn = partial(sharpness_score, image)
-        # Backward-compatible stage breakdown, derived from the trace:
-        # direct children of the extract span are exactly the pipeline
-        # stages, in pipeline order (bench E10's output shape).
-        stage_ms: dict[str, float] = {}
-        for child in root.children:
-            stage_ms[child.name] = stage_ms.get(child.name, 0.0) + child.duration_ms
         diagnostics = DecodeDiagnostics(
             t_value=brightness.t_value,
             block_size=corners.block_size,
@@ -800,15 +799,14 @@ def _decode_job(
     worker-count-independent fold unit for quality metrics: serial and
     pooled decodes alike fold the snapshots in capture order, so the
     merged result — float histogram sums included — is bit-identical
-    no matter how captures were chunked across processes.  Tracing and
-    event emission stay on the ambient collectors.
+    no matter how captures were chunked across processes.  Event
+    emission stays on the ambient sink.
     """
     if not with_metrics:
         return _decode_one_or_none(decoder, image), None
     local = MetricsRegistry()
     ambient_sink = telemetry.sink()
     with telemetry.scoped(
-        tracer=telemetry.active_tracer(),
         registry=local,
         sink=ambient_sink if isinstance(ambient_sink, EventSink) else None,
     ):
@@ -853,30 +851,19 @@ def assemble_frame(
     capture) is padded with erasures, and any coding-layer exception
     becomes a failed :class:`FrameResult` rather than a raise.
     """
-    with telemetry.span("decode.assemble"):
-        result = _assemble_frame(config, header, symbols)
-    registry = telemetry.registry()
-    if registry:
-        registry.counter("decode.frames", ok=str(result.ok).lower()).inc()
-        if not result.ok:
-            registry.counter("decode.failures", stage="assemble").inc()
-    return result
-
-
-def _assemble_frame(
-    config: FrameCodecConfig,
-    header: FrameHeader,
-    symbols: np.ndarray,
-) -> FrameResult:
     active, wire, byte_erasures = symbols_to_wire(symbols, config.coded_bytes_per_frame)
     registry = telemetry.registry()
     result = verify_wire(config, header, wire, byte_erasures, registry)
-    if registry and result.ok:
-        # Ground truth for the confusion matrix: re-encode the
-        # CRC-verified message back onto the wire and compare against
-        # the pre-correction observed symbols.
-        reencoded = config.encode_wire(result.payload, header.payload_checksum)
-        quality_metrics.record_confusion(registry, bytes_to_symbols(reencoded), active)
+    if registry:
+        if result.ok:
+            # Ground truth for the confusion matrix: re-encode the
+            # CRC-verified message back onto the wire and compare against
+            # the pre-correction observed symbols.
+            reencoded = config.encode_wire(result.payload, header.payload_checksum)
+            quality_metrics.record_confusion(registry, bytes_to_symbols(reencoded), active)
+        registry.counter("decode.frames", ok=str(result.ok).lower()).inc()
+        if not result.ok:
+            registry.counter("decode.failures", stage="assemble").inc()
     return result
 
 

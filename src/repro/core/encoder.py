@@ -19,7 +19,6 @@ from typing import Any
 
 import numpy as np
 
-from .. import telemetry
 from ..coding.crc import crc16
 from ..coding.interleave import Interleaver
 from ..coding.reed_solomon import BlockCode
@@ -152,8 +151,7 @@ class Frame:
 
     def render(self) -> np.ndarray:
         """The frame as an RGB display image (floats in [0, 1])."""
-        with telemetry.span("encode.render"):
-            return render_grid(self.grid, self.layout)
+        return render_grid(self.grid, self.layout)
 
 
 class FrameEncoder:
@@ -178,10 +176,6 @@ class FrameEncoder:
         zero-padded); longer payloads are rejected — segmentation is
         :meth:`encode_stream`'s job.
         """
-        with telemetry.span("encode.frame"):
-            return self._encode_frame(payload, sequence, is_last)
-
-    def _encode_frame(self, payload: bytes, sequence: int, is_last: bool) -> Frame:
         cfg = self.config
         header, padded, wire = cfg.protect(payload, sequence, is_last)
         grid = self._structure_grid(header)

@@ -133,26 +133,6 @@ def walk_locator_column(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    with telemetry.span("locators.walk", column=column):
-        column_result = _walk_locator_column(
-            black, start, initial_step, count, block_size, column, start_row
-        )
-    registry = telemetry.registry()
-    if registry:
-        registry.counter("locators.walked").inc(count)
-        registry.counter("locators.refined").inc(int(column_result.refined.sum()))
-    return column_result
-
-
-def _walk_locator_column(
-    black: np.ndarray,
-    start: np.ndarray,
-    initial_step: np.ndarray,
-    count: int,
-    block_size: float,
-    column: int,
-    start_row: int,
-) -> LocatorColumn:
     positions = np.zeros((count, 2))
     refined = np.zeros(count, dtype=bool)
 
@@ -175,6 +155,10 @@ def _walk_locator_column(
             step = positions[i] - positions[i - 1]
 
     rows = np.arange(start_row, start_row + 2 * count, 2, dtype=np.int64)
+    registry = telemetry.registry()
+    if registry:
+        registry.counter("locators.walked").inc(count)
+        registry.counter("locators.refined").inc(int(refined.sum()))
     return LocatorColumn(positions=positions, refined=refined, column=column, rows=rows)
 
 
@@ -198,19 +182,6 @@ def find_first_middle_locator(
 
     Raises :exc:`LocatorError` when the window holds no plausible block.
     """
-    with telemetry.span("locators.first_middle"):
-        return _find_first_middle_locator(
-            black, midpoint, block_size, min_block_px, max_block_px
-        )
-
-
-def _find_first_middle_locator(
-    black: np.ndarray,
-    midpoint: np.ndarray,
-    block_size: float,
-    min_block_px: float,
-    max_block_px: float,
-) -> np.ndarray:
     height, width = black.shape
     midpoint = np.asarray(midpoint, dtype=np.float64)
     if not np.all(np.isfinite(midpoint)) or not np.isfinite(block_size):

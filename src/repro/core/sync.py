@@ -81,10 +81,6 @@ class StreamReassembler:
 
     def add_capture(self, extraction: CaptureExtraction) -> list[FrameResult]:
         """Fold one capture in; returns any frames finalized by its arrival."""
-        with telemetry.span("sync.add_capture"):
-            return self._add_capture(extraction)
-
-    def _add_capture(self, extraction: CaptureExtraction) -> list[FrameResult]:
         seq = extraction.header.sequence
         layout = self.config.layout
         sharp = extraction.diagnostics.sharpness
@@ -149,49 +145,43 @@ class StreamReassembler:
         return out
 
     def _finalize(self, seq: int) -> FrameResult:
+        pending = self._pending.pop(seq)
+        self._emitted.add(seq)
         registry = telemetry.registry()
         if registry:
-            # Coverage must be read before _finalize_inner pops the
-            # pending frame; it is the sync-quality signal — how much of
-            # the frame the rolling-shutter reassembly actually saw.
-            pending = self._pending.get(seq)
-            if pending is not None:
-                from ..telemetry import quality as quality_metrics
+            # The sync-quality signal: how much of the frame the
+            # rolling-shutter reassembly actually saw.
+            from ..telemetry import quality as quality_metrics
 
-                quality_metrics.record_sync_coverage(
-                    registry, pending.coverage(self.config.layout.symbol_rows)
+            quality_metrics.record_sync_coverage(
+                registry, pending.coverage(self.config.layout.symbol_rows)
+            )
+        if pending.header is None or pending.header.sequence != seq:
+            # Rows were collected from a d_t = 1 tail, but the frame's own
+            # header capture never arrived: without its checksum the frame
+            # cannot be verified.
+            result = FrameResult(
+                sequence=seq, ok=False, payload=b"", failure="header never captured"
+            )
+        else:
+            try:
+                result = self._assemble(pending.header, pending.symbols)
+            except Exception as exc:
+                # A pluggable assembler choking on corrupted symbols loses
+                # the frame, not the stream: report it as a failed frame so
+                # the transfer layer NACKs and retransmits.
+                result = FrameResult(
+                    sequence=seq,
+                    ok=False,
+                    payload=b"",
+                    is_last=pending.header.is_last,
+                    failure=f"assemble raised {type(exc).__name__}: {exc}",
                 )
-        with telemetry.span("sync.finalize"):
-            result = self._finalize_inner(seq)
         if registry:
             registry.counter("sync.frames_finalized").inc()
             if not result.ok:
                 registry.counter("sync.frames_failed").inc()
         return result
-
-    def _finalize_inner(self, seq: int) -> FrameResult:
-        pending = self._pending.pop(seq)
-        self._emitted.add(seq)
-        if pending.header is None or pending.header.sequence != seq:
-            # Rows were collected from a d_t = 1 tail, but the frame's own
-            # header capture never arrived: without its checksum the frame
-            # cannot be verified.
-            return FrameResult(
-                sequence=seq, ok=False, payload=b"", failure="header never captured"
-            )
-        try:
-            return self._assemble(pending.header, pending.symbols)
-        except Exception as exc:
-            # A pluggable assembler choking on corrupted symbols loses
-            # the frame, not the stream: report it as a failed frame so
-            # the transfer layer NACKs and retransmits.
-            return FrameResult(
-                sequence=seq,
-                ok=False,
-                payload=b"",
-                is_last=pending.header.is_last,
-                failure=f"assemble raised {type(exc).__name__}: {exc}",
-            )
 
     def flush(self) -> list[FrameResult]:
         """Finalize everything still pending (end of stream)."""

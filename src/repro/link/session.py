@@ -119,10 +119,6 @@ class TransferSession:
         captures; undecoded frames carry into the next round.  Delivery
         fails (None) when frames remain after *max_rounds*.
         """
-        with telemetry.span("link.transmit", payload_bytes=len(payload)):
-            return self._transmit(payload, max_rounds)
-
-    def _transmit(self, payload: bytes, max_rounds: int) -> tuple[bytes | None, SessionStats]:
         frames = self.encoder.encode_stream(payload)
         stats = SessionStats(frames_total=len(frames), payload_bytes=len(payload))
         assembler = PayloadAssembler()
@@ -141,8 +137,7 @@ class TransferSession:
                 if stats.rounds > 1:
                     registry.counter("link.retransmissions").inc(len(outstanding))
             telemetry.emit("round", round=stats.rounds, outstanding=len(outstanding))
-            with telemetry.span("link.round", round=stats.rounds):
-                self._run_round([frames[i] for i in outstanding], assembler, stats)
+            self._run_round([frames[i] for i in outstanding], assembler, stats)
 
             # NACK every outstanding frame not yet received.  (Deriving
             # the list from ``assembler.missing()`` alone would go

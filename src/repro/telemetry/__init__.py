@@ -1,10 +1,8 @@
-"""Unified telemetry: tracing spans, metrics and structured events.
+"""Unified telemetry: metrics and structured events.
 
-One facade over three collectors, threaded through the whole
+One facade over two collectors, threaded through the whole
 encode -> channel -> decode -> link pipeline:
 
-* :mod:`~repro.telemetry.trace` — nested wall-clock spans; one capture
-  decoded end-to-end yields a single hierarchical trace;
 * :mod:`~repro.telemetry.metrics` — counters / gauges / fixed-bucket
   histograms whose snapshots merge bit-identically across worker
   processes;
@@ -18,12 +16,16 @@ toggle ``REPRO_TELEMETRY=1`` (artifacts land under
 with :func:`configure`, or for one block with :func:`scoped`::
 
     from repro import telemetry
-    from repro.telemetry import MetricsRegistry, Tracer
+    from repro.telemetry import MetricsRegistry
 
-    with telemetry.scoped(tracer=Tracer(), registry=MetricsRegistry()) as ctx:
-        decoder.extract(capture)                 # instrumented internally
-    print(ctx.tracer.stage_totals())
+    with telemetry.scoped(registry=MetricsRegistry()) as ctx:
+        extraction = decoder.extract(capture)    # instrumented internally
+    print(extraction.diagnostics.stage_ms)       # per-stage milliseconds
     print(ctx.registry.snapshot(include_timing=False))
+
+Per-stage timing of a whole run comes from perfbench's probes
+(``python3 perfbench/run.py --workload transfer --seed 1 --seconds 5
+--trace 1``), not from these collectors.
 
 Worker processes each bootstrap their own context (the per-process
 event shard naming is what makes concurrent JSONL writes safe); the
@@ -36,7 +38,7 @@ import json
 import os
 from contextvars import ContextVar, Token
 from pathlib import Path
-from typing import Any, ContextManager
+from typing import Any
 
 from .events import (
     EVENT_SCHEMA,
@@ -61,15 +63,10 @@ from .metrics import (
     NullRegistry,
     merge_snapshots,
 )
-from .trace import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "ENV_TOGGLE",
     "ENV_DIR",
-    "Span",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "Counter",
     "Gauge",
     "Histogram",
@@ -95,11 +92,8 @@ __all__ = [
     "output_dir",
     "configure",
     "scoped",
-    "tracer",
-    "active_tracer",
     "registry",
     "sink",
-    "span",
     "emit",
     "flush",
 ]
@@ -114,26 +108,24 @@ _TRUTHY = {"1", "true", "yes", "on"}
 
 
 class TelemetryContext:
-    """The three collectors active for the current context."""
+    """The two collectors active for the current context."""
 
-    __slots__ = ("tracer", "registry", "sink")
+    __slots__ = ("registry", "sink")
 
     def __init__(
         self,
-        tracer: Tracer | NullTracer,
         registry: MetricsRegistry | NullRegistry,
         sink: EventSink | NullEventSink,
     ):
-        self.tracer = tracer
         self.registry = registry
         self.sink = sink
 
     @property
     def enabled(self) -> bool:
-        return self.tracer is not NULL_TRACER or bool(self.registry) or bool(self.sink)
+        return bool(self.registry) or bool(self.sink)
 
 
-_DISABLED = TelemetryContext(NULL_TRACER, NULL_REGISTRY, NULL_SINK)
+_DISABLED = TelemetryContext(NULL_REGISTRY, NULL_SINK)
 
 #: Explicitly scoped context (``scoped(...)``); None falls through to
 #: the process default.
@@ -162,7 +154,6 @@ def _bootstrap() -> TelemetryContext:
         return _DISABLED
     out = output_dir()
     return TelemetryContext(
-        Tracer("run"),
         MetricsRegistry(),
         EventSink(shard_path(out), meta=run_metadata()),
     )
@@ -214,7 +205,6 @@ class _Scope:
 
 
 def scoped(
-    tracer: Tracer | None = None,
     registry: MetricsRegistry | None = None,
     sink: EventSink | None = None,
 ) -> _Scope:
@@ -223,28 +213,10 @@ def scoped(
     Components left as None stay disabled inside the scope (the scope
     replaces the whole context, it does not layer over the process
     default) — so ``scoped(registry=reg)`` collects metrics without
-    tracing or event output, which is what deterministic aggregation
-    across worker processes wants.
+    event output, which is what deterministic aggregation across
+    worker processes wants.
     """
-    return _Scope(
-        TelemetryContext(tracer or NULL_TRACER, registry or NULL_REGISTRY, sink or NULL_SINK)
-    )
-
-
-def tracer() -> Tracer | NullTracer:
-    """The current tracer (a no-op when telemetry is disabled)."""
-    return _current().tracer
-
-
-def active_tracer() -> Tracer | None:
-    """The current tracer, or None when tracing is disabled.
-
-    Call sites that need a recording tracer either way (the decoder
-    derives ``stage_ms`` from its spans) use
-    ``active_tracer() or Tracer()``.
-    """
-    t = _current().tracer
-    return None if t is NULL_TRACER else t
+    return _Scope(TelemetryContext(registry or NULL_REGISTRY, sink or NULL_SINK))
 
 
 def registry() -> MetricsRegistry | NullRegistry:
@@ -257,22 +229,17 @@ def sink() -> EventSink | NullEventSink:
     return _current().sink
 
 
-def span(name: str, **attrs: Any) -> ContextManager[Span]:
-    """Open a span on the current tracer (no-op when disabled)."""
-    return _current().tracer.span(name, **attrs)
-
-
 def emit(event: str, **fields: Any) -> dict[str, Any]:
     """Emit a structured event on the current sink (no-op when disabled)."""
     return _current().sink.emit(event, **fields)
 
 
 def flush(out_dir: str | Path | None = None) -> dict[str, Path]:
-    """Write the current context's trace and metrics to *out_dir*.
+    """Write the current context's metrics to *out_dir*.
 
-    Writes ``trace.json`` and ``metrics.json`` (events stream to their
-    shard as they are emitted).  Returns ``{"trace": path, "metrics":
-    path}``, or an empty dict when telemetry is disabled.  Only the
+    Writes ``metrics.json`` (events stream to their shard as they are
+    emitted).  Returns ``{"metrics": path}``, or an empty dict when
+    telemetry is disabled.  Only the
     calling process's collectors are written; worker processes that need
     their metrics aggregated return registry snapshots instead (see
     :func:`~repro.telemetry.metrics.merge_snapshots`).
@@ -282,15 +249,10 @@ def flush(out_dir: str | Path | None = None) -> dict[str, Path]:
         return {}
     out = Path(out_dir) if out_dir is not None else output_dir()
     out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-    trace_path = out / "trace.json"
-    trace_path.write_text(json.dumps(ctx.tracer.as_dict(), indent=2) + "\n")
-    paths["trace"] = trace_path
     metrics_path = out / "metrics.json"
     metrics_path.write_text(
         json.dumps(ctx.registry.snapshot(), indent=2, sort_keys=True) + "\n"
     )
-    paths["metrics"] = metrics_path
     if ctx.sink:
         ctx.sink.close()
-    return paths
+    return {"metrics": metrics_path}

@@ -1,11 +1,9 @@
-"""Render telemetry artifacts into per-stage tables and breakdowns.
+"""Render telemetry artifacts into tables and breakdowns.
 
 Consumes the artifacts a telemetry-enabled run leaves under its output
-directory — ``trace.json``, ``metrics.json`` and the
-``events-*.jsonl`` shards — and renders:
+directory — ``metrics.json`` and the ``events-*.jsonl`` shards — and
+renders:
 
-* a per-stage latency table (total / count / mean milliseconds per span
-  name, aggregated over the whole trace tree);
 * a decode failure-stage breakdown (from the
   ``decode.failures{stage=...}`` counter family);
 * pool health (the jobs-in-flight gauge plus per-worker completion
@@ -15,14 +13,15 @@ directory — ``trace.json``, ``metrics.json`` and the
 ``build_report`` returns a plain dict; ``format_report`` renders the
 human table; ``check_report`` is the CI assertion entry point behind
 ``repro telemetry report --check`` (schema-validates every event line
-and demands a non-empty trace).
+and the metrics document).  Per-stage timing is not here: it comes from
+perfbench's probes (``perfbench/run.py --trace 1``).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 from .events import merge_shards, validate_events_file
 
@@ -35,30 +34,11 @@ def _load_json(path: Path) -> dict[str, Any]:
     return json.loads(path.read_text())
 
 
-def _span_stats(
-    spans: Iterable[dict[str, Any]], stats: dict[str, dict[str, Any]]
-) -> None:
-    for span in spans:
-        entry = stats.setdefault(span["name"], {"count": 0, "total_ms": 0.0, "errors": 0})
-        entry["count"] += 1
-        entry["total_ms"] += float(span.get("duration_ms", 0.0))
-        if span.get("status") == "error":
-            entry["errors"] += 1
-        _span_stats(span.get("children", ()), stats)
-
-
 def build_report(telemetry_dir: str | Path) -> dict[str, Any]:
     """Aggregate the artifacts under *telemetry_dir* into one report."""
     telemetry_dir = Path(telemetry_dir)
-    trace = _load_json(telemetry_dir / "trace.json")
     metrics = _load_json(telemetry_dir / "metrics.json")
     events = merge_shards(telemetry_dir)
-
-    stage_stats: dict[str, dict[str, Any]] = {}
-    _span_stats(trace.get("spans", ()), stage_stats)
-    for entry in stage_stats.values():
-        entry["total_ms"] = round(entry["total_ms"], 4)
-        entry["mean_ms"] = round(entry["total_ms"] / max(entry["count"], 1), 4)
 
     # Lazy import: telemetry is a substrate layer below core in the
     # declared import DAG (RB006); the decoder's stage list is only
@@ -91,7 +71,6 @@ def build_report(telemetry_dir: str | Path) -> dict[str, Any]:
 
     return {
         "telemetry_dir": str(telemetry_dir),
-        "stages": {name: stage_stats[name] for name in sorted(stage_stats)},
         "failure_stages": failure_stages,
         "counters": counters,
         "gauges": gauges,
@@ -105,20 +84,6 @@ def build_report(telemetry_dir: str | Path) -> dict[str, Any]:
 def format_report(report: dict[str, Any]) -> str:
     """Human-readable rendering of :func:`build_report`'s output."""
     lines = [f"telemetry report — {report['telemetry_dir']}", ""]
-
-    stages = report["stages"]
-    if stages:
-        header = f"{'span':<28} {'count':>7} {'total ms':>10} {'mean ms':>9} {'errors':>7}"
-        lines += ["per-stage latency", header, "-" * len(header)]
-        for name, s in stages.items():
-            lines.append(
-                f"{name:<28} {s['count']:>7} {s['total_ms']:>10.3f} "
-                f"{s['mean_ms']:>9.3f} {s['errors']:>7}"
-            )
-    else:
-        lines.append("per-stage latency: no trace recorded")
-
-    lines.append("")
     failures = report["failure_stages"]
     if failures:
         lines.append("decode failures by stage")
@@ -152,14 +117,14 @@ def check_report(telemetry_dir: str | Path) -> list[str]:
 
     Demands that the directory holds at least one artifact, that every
     event line passes :func:`~repro.telemetry.events.validate_event`,
-    and that any trace present has at least one span.
+    and that any metrics document present has all three sections.
     """
     telemetry_dir = Path(telemetry_dir)
     problems: list[str] = []
     shards = sorted(telemetry_dir.glob("events-*.jsonl"))
-    trace_path = telemetry_dir / "trace.json"
-    if not shards and not trace_path.exists():
-        return [f"{telemetry_dir}: no telemetry artifacts (no events-*.jsonl, no trace.json)"]
+    metrics_path = telemetry_dir / "metrics.json"
+    if not shards and not metrics_path.exists():
+        return [f"{telemetry_dir}: no telemetry artifacts (no events-*.jsonl, no metrics.json)"]
 
     for shard in shards:
         problems.extend(validate_events_file(shard))
@@ -170,16 +135,6 @@ def check_report(telemetry_dir: str | Path) -> list[str]:
             if head and head.get("event") != "run":
                 problems.append(f"{shard}: first event is {head.get('event')!r}, not 'run'")
 
-    if trace_path.exists():
-        try:
-            trace = json.loads(trace_path.read_text())
-        except json.JSONDecodeError as exc:
-            problems.append(f"{trace_path}: not valid JSON ({exc.msg})")
-        else:
-            if not trace.get("spans"):
-                problems.append(f"{trace_path}: trace holds no spans")
-
-    metrics_path = telemetry_dir / "metrics.json"
     if metrics_path.exists():
         try:
             metrics = json.loads(metrics_path.read_text())

@@ -4,7 +4,8 @@ Each 16-bit header group carries only a CRC-8 and the header has no FEC,
 so enough symbol substitutions in the sequence group can turn one valid
 header into another.  These tests enumerate the surface exhaustively
 (sampling cannot find a ~1e-4 event) and pin the one constructed wrong
-delivery it opens at the reassembly layer.
+delivery it opens, at the reassembly layer and through a whole
+:class:`~repro.link.session.TransferSession`.
 """
 
 from dataclasses import replace
@@ -13,11 +14,13 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from repro.core.decoder import FrameDecoder
+from repro.channel.link import LinkConfig
+from repro.core.decoder import DecodeError, FrameDecoder
 from repro.core.encoder import FrameCodecConfig, FrameEncoder
 from repro.core.header import FrameHeader, HeaderError
 from repro.core.palette import bytes_to_symbols, symbols_to_bytes
 from repro.core.sync import StreamReassembler
+from repro.link.session import TransferSession
 
 #: Symbols of the sequence group: seq_hi, seq_lo and their CRC-8, 2 bits each.
 GROUP1_SYMBOLS = 12
@@ -89,3 +92,62 @@ def test_aliased_header_does_not_deliver_another_frames_bytes():
     results += reassembler.flush()
     wrong = [r for r in results if r.sequence == 5 and r.ok and r.payload == payloads[1]]
     assert wrong == []
+
+
+def _seq5_alias(header: FrameHeader) -> FrameHeader:
+    """The alias symbols 6, 9 and 10 turn a seq-1 header into."""
+    return next(
+        alias
+        for positions, alias in _accepted(header, 3)
+        if positions == (6, 9, 10) and alias.sequence == 5
+    )
+
+
+class _AliasingDecoder(FrameDecoder):
+    """Reads one frame-1 capture as seq 5 and loses frame 5 in round 1.
+
+    "Frame 5's captures" are all captures showing any row of it: its
+    own, and frame 4's rolling-shutter mix whose tail rows are frame 5's.
+    """
+
+    def __init__(self, config: FrameCodecConfig):
+        super().__init__(config)
+        self.round = 0
+        self.aliased = False
+
+    def extract(self, image):
+        extraction = super().extract(image)
+        sequence = extraction.header.sequence
+        shown = {sequence + offset for offset in extraction.row_assignment if offset >= 0}
+        if 5 in shown and self.round == 1:
+            raise DecodeError("frame 5 lost in round 1", stage="header")
+        if sequence == 1 and not self.aliased:
+            self.aliased = True
+            return replace(extraction, header=_seq5_alias(extraction.header))
+        return extraction
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_session_never_delivers_wrong_bytes_through_a_header_alias(monkeypatch):
+    """A 7-frame transfer must return the payload or None, never other bytes.
+
+    Frame 1's aliased capture fills slot 5, whose own captures are lost
+    in round 1; only frame 1 is resent, so the session completes with
+    frame 1's payload in slot 5.  The fix of ROADMAP item 1 flips this
+    test.
+    """
+    config = FrameCodecConfig()
+    payload = b"".join(bytes([i]) * config.payload_bytes_per_frame for i in range(7))
+    session = TransferSession(config, link_config=LinkConfig())
+    decoder = session.decoder = _AliasingDecoder(config)
+    run_round = session._run_round
+
+    def counted_round(*args):
+        decoder.round += 1
+        return run_round(*args)
+
+    monkeypatch.setattr(session, "_run_round", counted_round)
+    recovered, stats = session.transmit(payload)
+    if stats.frames_total != 7 or not decoder.aliased:
+        pytest.fail("the construction no longer reaches the alias")  # not an xfail
+    assert recovered is None or recovered == payload

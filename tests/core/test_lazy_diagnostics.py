@@ -14,7 +14,7 @@ from repro.channel.screen import FrameSchedule
 from repro.core import decoder as decoder_mod
 from repro.core.decoder import DecodeDiagnostics, FrameDecoder
 from repro.imaging.color import normalize_frame
-from repro.telemetry import MetricsRegistry, Tracer
+from repro.telemetry import MetricsRegistry
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +91,7 @@ class TestDecoderLaziness:
             decoder_mod, "sharpness_score",
             lambda image: calls.append(1) or real(image),
         )
-        with telemetry.scoped(tracer=Tracer(), registry=MetricsRegistry()):
+        with telemetry.scoped(registry=MetricsRegistry()):
             extraction = FrameDecoder(config).extract(cap.image)
         assert calls == [1]
         assert extraction.diagnostics.sharpness_materialized
@@ -101,7 +101,7 @@ class TestDecoderLaziness:
         config, cap = capture
         decoder = FrameDecoder(config)
         lazy = decoder.extract(cap.image).diagnostics.sharpness
-        with telemetry.scoped(tracer=Tracer()):
+        with telemetry.scoped(registry=MetricsRegistry()):
             eager = decoder.extract(cap.image).diagnostics.sharpness
         assert lazy == eager  # bit-identical: same function, same input
 

@@ -59,6 +59,20 @@ class TestSimulateDecode:
     def test_simulate_angled(self, capsys):
         assert main(["simulate", "--angle-deg", "20", "--seed", "1"]) == 0
 
+    def test_decode_says_when_the_last_frame_was_never_seen(self, tmp_path, capsys):
+        # At 40 cm every capture is lost, so no frame (the last one
+        # included) arrives: there is no gap list to print.
+        session = tmp_path / "lost.npz"
+        rc = main(["simulate", "--seed", "5", "--distance-cm", "40",
+                   "--message", "x" * 900, "--save-session", str(session)])
+        assert rc == 1
+        capsys.readouterr()
+        assert main(["decode", str(session)]) == 1
+        err = capsys.readouterr().err
+        assert "0 frames recovered; last frame never seen" in err
+        assert "missing []" not in err
+        assert "stream incomplete" in err
+
 
 class TestTelemetryReport:
     @pytest.fixture()
@@ -74,16 +88,17 @@ class TestTelemetryReport:
     def test_simulate_then_report_and_check(self, _telemetry_env, tmp_path, capsys):
         assert main(["simulate", "--seed", "3"]) == 0
         tel_dir = _telemetry_env
-        assert (tel_dir / "trace.json").exists()
-        assert (tel_dir / "metrics.json").exists()
+        assert sorted(p.name for p in tel_dir.iterdir() if p.suffix == ".json") == [
+            "metrics.json"
+        ]
         assert list(tel_dir.glob("events-*.jsonl"))
 
         out_dir = tmp_path / "results"
         assert main(["telemetry", "report", "--dir", str(tel_dir),
                      "--out", str(out_dir)]) == 0
         out = capsys.readouterr().out
-        assert "per-stage latency" in out
-        assert "decode.extract" in out
+        assert "decode failures by stage" in out
+        assert "events (" in out
         assert (out_dir / "T1_telemetry_report.txt").exists()
         assert (out_dir / "T1_telemetry_report.json").exists()
 
@@ -93,6 +108,11 @@ class TestTelemetryReport:
         missing = tmp_path / "nowhere"
         assert main(["telemetry", "report", "--dir", str(missing)]) == 2
         assert "no telemetry directory" in capsys.readouterr().err
+
+    def test_check_fails_an_empty_directory(self, tmp_path, capsys):
+        assert main(["telemetry", "report", "--dir", str(tmp_path), "--check"]) == 1
+        err = capsys.readouterr().err
+        assert "no metrics.json" in err and "trace.json" not in err
 
     def test_check_flags_corrupt_shard(self, _telemetry_env, capsys):
         tel_dir = _telemetry_env

@@ -5,9 +5,9 @@ import json
 import pytest
 
 from repro import telemetry
-from repro.telemetry import EventSink, MetricsRegistry, Tracer
+from repro.telemetry import EventSink, MetricsRegistry
+from repro.telemetry.events import NULL_SINK
 from repro.telemetry.metrics import NULL_REGISTRY
-from repro.telemetry.trace import NULL_TRACER
 
 
 @pytest.fixture(autouse=True)
@@ -23,9 +23,8 @@ def _reset_telemetry(monkeypatch):
 class TestDisabledDefault:
     def test_disabled_accessors_are_shared_noops(self):
         assert not telemetry.enabled()
-        assert telemetry.tracer() is NULL_TRACER
         assert telemetry.registry() is NULL_REGISTRY
-        assert telemetry.active_tracer() is None
+        assert telemetry.sink() is NULL_SINK
         assert not telemetry.sink()
         assert telemetry.emit("frame", sequence=0, ok=True) == {}
         assert telemetry.flush() == {}
@@ -41,26 +40,25 @@ class TestDisabledDefault:
 
 class TestScoped:
     def test_scoped_installs_and_restores(self):
-        tracer = Tracer()
-        with telemetry.scoped(tracer=tracer) as ctx:
-            assert telemetry.tracer() is tracer
-            assert ctx.tracer is tracer
-            with telemetry.span("inside"):
-                pass
-        assert telemetry.tracer() is NULL_TRACER
-        assert tracer.span_names() == {"inside"}
+        registry = MetricsRegistry()
+        with telemetry.scoped(registry=registry) as ctx:
+            assert telemetry.enabled()
+            assert telemetry.registry() is registry
+            assert ctx.registry is registry
+            telemetry.registry().counter("inside").inc()
+        assert not telemetry.enabled()
+        assert telemetry.registry() is NULL_REGISTRY
+        assert registry.counter("inside").value == 1
 
     def test_scope_replaces_whole_context(self, monkeypatch, tmp_path):
         # Even with the env toggle on, a registry-only scope must not
-        # trace or emit events: deterministic aggregation wants metrics
-        # alone.
+        # emit events: deterministic aggregation wants metrics alone.
         monkeypatch.setenv(telemetry.ENV_TOGGLE, "1")
         monkeypatch.setenv(telemetry.ENV_DIR, str(tmp_path))
         telemetry.configure(None)
         registry = MetricsRegistry()
         with telemetry.scoped(registry=registry):
             assert telemetry.registry() is registry
-            assert telemetry.tracer() is NULL_TRACER
             assert not telemetry.sink()
 
     def test_nested_scopes_unwind_in_order(self):
@@ -79,14 +77,12 @@ class TestEnvBootstrapAndFlush:
         monkeypatch.setenv(telemetry.ENV_DIR, str(tmp_path))
         telemetry.configure(None)
         assert telemetry.enabled()
-        with telemetry.span("decode.extract"):
-            pass
         telemetry.registry().counter("decode.captures_ok").inc()
         telemetry.emit("session_start", frames=1, payload_bytes=3)
 
         paths = telemetry.flush()
-        trace = json.loads(paths["trace"].read_text())
-        assert trace["spans"][0]["name"] == "decode.extract"
+        assert set(paths) == {"metrics"}
+        assert not (tmp_path / "trace.json").exists()
         metrics = json.loads(paths["metrics"].read_text())
         assert metrics["counters"]["decode.captures_ok"] == 1
         shards = list(tmp_path.glob("events-*.jsonl"))
@@ -103,11 +99,8 @@ class TestEnvBootstrapAndFlush:
         assert not telemetry.enabled()
 
     def test_flush_to_explicit_directory(self, tmp_path):
-        tracer = Tracer()
         sink = EventSink()
-        with telemetry.scoped(tracer=tracer, registry=MetricsRegistry(), sink=sink):
-            with telemetry.span("s"):
-                pass
+        with telemetry.scoped(registry=MetricsRegistry(), sink=sink):
             paths = telemetry.flush(tmp_path)
-        assert paths["trace"].parent == tmp_path
+        assert paths["metrics"].parent == tmp_path
         assert paths["metrics"].exists()
