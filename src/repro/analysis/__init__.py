@@ -2,7 +2,7 @@
 
 The pipeline's headline invariants — bit-identical serial/parallel
 decode results, deterministic seeded fault scenarios, wall-clock-free
-telemetry merges, leak-free SharedMemory, versioned wire formats —
+telemetry merges, leak-free file handles, versioned wire formats —
 are properties of *how* the code is written, not just of what the
 tests observe.  This package enforces them at lint time with a
 two-phase, project-wide analyzer: per-file AST rules, then passes
@@ -35,10 +35,10 @@ RB006     Import layering (project pass): eager imports must respect
           imports, no import cycles.
           Lazy (function-scoped / TYPE_CHECKING) imports are the
           sanctioned upward mechanism.
-RB007     Resource lifecycle: ``SharedMemory`` / ``open`` /
-          ``NamedTemporaryFile`` acquisitions must be released on all
-          paths — context manager, ``finally`` release, or explicit
-          ownership transfer to a caller/manager.
+RB007     Resource lifecycle: ``open`` / ``NamedTemporaryFile``
+          acquisitions must be released on all paths — context
+          manager, ``finally`` release, or explicit ownership transfer
+          to a caller/manager.
 RB008     CLI exit-code contract: ``cli.py`` / ``__main__.py`` handler
           functions return ints through the 0/1/2 funnel; raw
           ``sys.exit(expr)`` is banned outside ``sys.exit(main())``.

@@ -550,7 +550,6 @@ class RB004TelemetryHygiene(Rule):
 #: Dotted-name suffixes whose call acquires an OS-backed resource that
 #: must be released on every path (RB007).
 _ACQUIRE_SUFFIXES = (
-    "SharedMemory",
     "NamedTemporaryFile",
     "TemporaryFile",
     "TemporaryDirectory",
@@ -570,12 +569,11 @@ def _is_acquisition(call: ast.Call) -> bool:
 
 
 class RB007ResourceLifecycle(Rule):
-    """SharedMemory/open/NamedTemporaryFile must be released on all paths.
+    """open/NamedTemporaryFile must be released on all paths.
 
-    A leaked ``SharedMemory`` segment outlives the process and pollutes
-    ``/dev/shm`` for every later run; a leaked file handle holds its
-    descriptor until garbage collection.  An acquisition is clean when
-    its result is
+    A leaked file handle holds its descriptor until garbage collection,
+    and a leaked temporary file or directory outlives the process.  An
+    acquisition is clean when its result is
 
     * used as a context manager (``with open(...) as f``),
     * released under ``try/finally`` (``finally: f.close()``),
@@ -658,7 +656,7 @@ class RB007ResourceLifecycle(Rule):
                     if isinstance(arg, ast.Call):
                         moved.add(id(arg))
             elif isinstance(node, ast.Assign):
-                # `self.shm = SharedMemory(...)` / `cache[k] = open(...)`:
+                # `self.fh = open(...)` / `cache[k] = open(...)`:
                 # the object/container now owns the handle.
                 if any(
                     isinstance(t, (ast.Attribute, ast.Subscript)) for t in node.targets

@@ -16,7 +16,7 @@ reproduction keeps what defines COBRA relative to RainBar:
   frames fails its CRC and is lost — this produces the throughput
   collapse of Fig. 11(b);
 * blur assessment to pick the best capture of each frame (adopted by
-  RainBar, so shared code);
+  RainBar, whose reassembler ranks repeated rows by the same score);
 * the same four-color alphabet and frame code, so the capacity
   difference is purely structural, as in Section III-B.
 
@@ -37,7 +37,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ..core.blur import BestCaptureSelector
 from ..core.brightness import DEFAULT_T_SAT, estimate_black_threshold
 from ..core.corners import CornerDetectionError, CornerTracker, ring_colors, tracker_candidates
 from ..core.decoder import (
@@ -53,6 +52,7 @@ from ..core.locators import walk_locator_column
 from ..core.palette import DATA_COLORS, Color, bytes_to_symbols, rgb_table, symbols_to_bytes
 from ..core.recognition import ColorClassifier
 from ..imaging.color import normalize_frame
+from ..imaging.metrics import gradient_energy
 
 __all__ = ["CobraLayout", "CobraConfig", "CobraEncoder", "CobraDecoder", "CobraReceiver"]
 
@@ -243,19 +243,29 @@ class CobraDecoder:
     def decode_capture(self, image: np.ndarray) -> FrameResult:
         """Decode one capture as one frame (COBRA cannot split mixes)."""
         image = normalize_frame(image)
-        layout = self.config.layout
+        header, classifier, anchors = self.locate(image)
+        centers = self._cell_centers(self.config.layout.data_cells, anchors)
+        colors = classifier.classify_centers(image, centers)
+        symbols = _COLOR_TO_SYMBOL[colors]
+        return self.assemble(header, symbols)
 
+    def locate(
+        self, image: np.ndarray
+    ) -> tuple[FrameHeader, ColorClassifier, dict[str, np.ndarray]]:
+        """Header, classifier and TRB anchors of a normalized capture.
+
+        Brightness, black mask, corner trackers, border walks and the
+        header row: everything :meth:`decode_capture` does before it
+        reads the code area, and all :class:`CobraReceiver` needs to
+        key a capture by its sequence number.
+        """
         est = estimate_black_threshold(image)
         classifier = ColorClassifier(t_value=est.t_value, t_sat=self.t_sat)
         black = classifier.black_mask(image)
         corners = self._detect_corners(image, classifier, black)
         anchors = self._walk_borders(image, classifier, corners, black)
-
         header = self._read_header(image, classifier, corners, anchors)
-        centers = self._cell_centers(layout.data_cells, anchors)
-        colors = classifier.classify_centers(image, centers)
-        symbols = _COLOR_TO_SYMBOL[colors]
-        return self.assemble(header, symbols)
+        return header, classifier, anchors
 
     # -- corner detection -------------------------------------------------
 
@@ -411,44 +421,36 @@ class CobraReceiver:
     """Stream-level COBRA reception with blur assessment.
 
     Collects every capture, keeps the sharpest per readable sequence
-    number, and decodes each frame once.  Mixed captures usually fail
-    header or payload CRC and are simply lost — COBRA has no tracking
-    bars to recover them.
+    number (the highest :func:`~repro.imaging.metrics.gradient_energy`;
+    a tie keeps the earlier capture), and decodes each frame once.
+    Mixed captures usually fail header or payload CRC and are simply
+    lost — COBRA has no tracking bars to recover them.
     """
 
     def __init__(self, decoder: CobraDecoder):
         self.decoder = decoder
-        self._selector = BestCaptureSelector()
-        self._headers_seen: set[int] = set()
+        #: Sequence -> (sharpness, normalized capture) of the best capture.
+        self._best: dict[int, tuple[float, np.ndarray]] = {}
         self.dropped_captures = 0
 
     def offer(self, image: np.ndarray) -> None:
         """Register one capture (header pre-read to key blur assessment)."""
         image = normalize_frame(image)
         try:
-            extraction_seq = self._peek_sequence(image)
+            header, _, _ = self.decoder.locate(image)
         except DecodeError:
             self.dropped_captures += 1
             return
-        self._headers_seen.add(extraction_seq)
-        self._selector.offer(extraction_seq, image)
-
-    def _peek_sequence(self, image: np.ndarray) -> int:
-        est = estimate_black_threshold(image)
-        classifier = ColorClassifier(t_value=est.t_value, t_sat=self.decoder.t_sat)
-        black = classifier.black_mask(image)
-        corners = self.decoder._detect_corners(image, classifier, black)
-        anchors = self.decoder._walk_borders(image, classifier, corners, black)
-        header = self.decoder._read_header(image, classifier, corners, anchors)
-        return header.sequence
+        score = gradient_energy(image)
+        incumbent = self._best.get(header.sequence)
+        if incumbent is None or score > incumbent[0]:
+            self._best[header.sequence] = (score, image)
 
     def results(self) -> list[FrameResult]:
         """Decode the best capture of every frame seen."""
+        best, self._best = self._best, {}
         out = []
-        for seq in sorted(self._headers_seen):
-            image = self._selector.take(seq)
-            if image is None:
-                continue
+        for seq, (_, image) in sorted(best.items()):
             try:
                 out.append(self.decoder.decode_capture(image))
             except (DecodeError, CornerDetectionError) as exc:

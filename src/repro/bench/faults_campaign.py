@@ -99,10 +99,6 @@ class ScenarioSummary:
     metrics: dict = field(default_factory=dict)
 
     @property
-    def delivery_rate(self) -> float:
-        return self.delivered / self.trials if self.trials else 0.0
-
-    @property
     def capture_loss_rate(self) -> float:
         return self.captures_dropped / self.captures if self.captures else 0.0
 

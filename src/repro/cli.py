@@ -108,9 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
         "telemetry",
         help="inspect a REPRO_TELEMETRY=1 run's artifacts",
         description=(
-            "Merges the event shards under the telemetry directory, "
-            "aggregates the trace and metrics, and renders per-stage "
-            "latency tables plus the failure-stage breakdown."
+            "Reads metrics.json and the event shards under the telemetry "
+            "directory. 'report' renders the decode failure-stage "
+            "breakdown, pool health and event counts by type; 'tail' "
+            "renders per-scenario campaign progress from worker "
+            "heartbeats."
         ),
     )
     tel_sub = tel.add_subparsers(dest="telemetry_command", required=True)
@@ -125,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rep.add_argument(
         "--check", action="store_true",
-        help="validate the artifacts (schema, run header, trace coverage); "
+        help="validate the artifacts (event schema, run header, metrics sections); "
              "exit non-zero on problems",
     )
 

@@ -1,7 +1,6 @@
 """RainBar core: frame layout, encoding, and the receive pipeline."""
 
 from .blocks import BlockLocalizer
-from .blur import BestCaptureSelector, sharpness_score
 from .brightness import BrightnessEstimate, estimate_black_threshold
 from .capacity import CapacityReport, capacity_report
 from .corners import CornerDetection, CornerDetectionError, detect_corner_trackers
@@ -70,8 +69,6 @@ __all__ = [
     "walk_locator_column",
     "find_first_middle_locator",
     "BlockLocalizer",
-    "BestCaptureSelector",
-    "sharpness_score",
     "FrameDecoder",
     "FrameResult",
     "CaptureExtraction",

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..imaging.color import normalize_frame
+from ..imaging.metrics import gradient_energy
 
 if TYPE_CHECKING:
     from .decoder import CaptureExtraction, FrameDecoder
@@ -97,6 +98,6 @@ def describe_extraction(extraction: CaptureExtraction) -> str:
         f"T_v={d.t_value:.3f}, block~{d.block_size:.1f}px, "
         f"locators refined {d.locator_refinement:.0%}, "
         f"corner purity {d.corner_purity:.0%}, "
-        f"sharpness {d.sharpness:.4f}; rows: {own} own, {next_rows} next, "
+        f"sharpness {gradient_energy(extraction.image):.4f}; rows: {own} own, {next_rows} next, "
         f"{bad} ambiguous; {erased} erased symbols"
     )

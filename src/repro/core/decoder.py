@@ -23,7 +23,6 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, ContextManager, Iterable, Iterator, Sized
 
 import numpy as np
@@ -40,7 +39,6 @@ from ..telemetry.metrics import (
     MetricsRegistry,
 )
 from .blocks import BlockLocalizer
-from .blur import sharpness_score
 from .brightness import DEFAULT_T_SAT, estimate_black_threshold
 from .corners import CornerDetection, CornerDetectionError, detect_corner_trackers
 from .encoder import FrameCode, FrameCodecConfig
@@ -142,80 +140,20 @@ class DecodeError(RuntimeError):
         return self.failure.stage
 
 
+@dataclass(frozen=True)
 class DecodeDiagnostics:
-    """Pipeline internals exposed for benchmarks and debugging.
+    """Pipeline internals exposed for benchmarks and debugging."""
 
-    ``sharpness`` is lazy: the blur metric is pure diagnosis — no
-    decode decision reads it — so the happy path skips the extra image
-    pass and only computes it on first access (memoized; pass
-    ``sharpness_fn`` instead of a value to defer).  With telemetry
-    enabled the decoder materializes it eagerly as the ``diagnostics``
-    stage so the stage breakdown stays observable.
-    Laziness never changes the value: the deferred closure runs the
-    same ``sharpness_score`` over the same capture.
-    """
-
-    __slots__ = (
-        "t_value",
-        "block_size",
-        "locator_refinement",
-        "corner_purity",
-        "stage_ms",
-        "failure",
-        "_sharpness",
-        "_sharpness_fn",
-    )
-
-    def __init__(
-        self,
-        t_value: float,
-        block_size: float,
-        locator_refinement: float,  # fraction of locators that converged
-        corner_purity: float,
-        sharpness: float | None = None,
-        stage_ms: dict | None = None,
-        failure: DecodeFailure | None = None,
-        sharpness_fn: Callable[[], float] | None = None,
-    ):
-        if sharpness is None and sharpness_fn is None:
-            raise ValueError("DecodeDiagnostics needs sharpness or sharpness_fn")
-        self.t_value = t_value
-        self.block_size = block_size
-        self.locator_refinement = locator_refinement
-        self.corner_purity = corner_purity
-        #: Wall-clock per pipeline stage in milliseconds (insertion order
-        #: is pipeline order); bench E10 reports this as the stage
-        #: breakdown.  The ``diagnostics`` stage only appears when the
-        #: sharpness pass actually ran during extraction.
-        self.stage_ms: dict = stage_ms if stage_ms is not None else {}
-        #: Populated by :meth:`FrameDecoder.extract_diagnosed` when the
-        #: capture failed; ``None`` for successful extractions.
-        self.failure = failure
-        self._sharpness = sharpness
-        self._sharpness_fn = sharpness_fn
-
-    @property
-    def sharpness(self) -> float:
-        """Blur metric of the capture, computed on first access."""
-        if self._sharpness is None:
-            fn = self._sharpness_fn
-            assert fn is not None  # __init__ guarantees one of the two
-            self._sharpness = float(fn())
-            self._sharpness_fn = None
-        return self._sharpness
-
-    @property
-    def sharpness_materialized(self) -> bool:
-        """Whether the sharpness pass has already run."""
-        return self._sharpness is not None
-
-    def __repr__(self) -> str:
-        sharp = f"{self._sharpness:.4f}" if self._sharpness is not None else "<deferred>"
-        return (
-            f"DecodeDiagnostics(t_value={self.t_value!r}, "
-            f"block_size={self.block_size!r}, sharpness={sharp}, "
-            f"failure={self.failure!r})"
-        )
+    t_value: float
+    block_size: float
+    locator_refinement: float  # fraction of locators that converged
+    corner_purity: float
+    #: Wall-clock per pipeline stage in milliseconds (insertion order is
+    #: pipeline order); bench E10 reports this as the stage breakdown.
+    stage_ms: dict = field(default_factory=dict)
+    #: Populated by :meth:`FrameDecoder.extract_diagnosed` when the
+    #: capture failed; ``None`` for successful extractions.
+    failure: DecodeFailure | None = None
 
 
 @dataclass
@@ -234,6 +172,9 @@ class CaptureExtraction:
     row_assignment: np.ndarray  # (grid_rows,)
     data_symbols: np.ndarray  # (num_data_cells,)
     diagnostics: DecodeDiagnostics
+    #: The float frame the capture was decoded from; the reassembler
+    #: scores its blur to rank repeated captures of a row.
+    image: np.ndarray = field(repr=False)
     centers: np.ndarray | None = field(repr=False, default=None)  # (N, 2) data-cell centers
     #: Per-grid-row confidence in [0, 1]: rows adjacent to the rolling-
     #: shutter split are exposure-blended and should lose merge conflicts.
@@ -467,18 +408,6 @@ class FrameDecoder:
                 erased = np.isin(layout.symbol_rows, bad_rows)
                 data_symbols = np.where(erased, -1, data_symbols)
 
-        # The sharpness pass (6+ ms of a ~40 ms decode) is pure
-        # diagnosis: nothing downstream branches on it, so the happy
-        # path defers it to first access.  A live telemetry context
-        # materializes it eagerly so the `diagnostics` stage stays
-        # observable in the stage breakdown.
-        sharpness: float | None = None
-        sharpness_fn: Callable[[], float] | None = None
-        if telemetry.enabled():
-            with stage("diagnostics"):
-                sharpness = sharpness_score(image)
-        else:
-            sharpness_fn = partial(sharpness_score, image)
         diagnostics = DecodeDiagnostics(
             t_value=brightness.t_value,
             block_size=corners.block_size,
@@ -489,8 +418,6 @@ class FrameDecoder:
             )
             / 3.0,
             corner_purity=min(corners.left.purity, corners.right.purity),
-            sharpness=sharpness,
-            sharpness_fn=sharpness_fn,
             stage_ms=stage_ms,
         )
         # Rows at the rolling-shutter split are exposure-blended: their
@@ -512,6 +439,7 @@ class FrameDecoder:
             row_assignment=row_assignment,
             data_symbols=data_symbols,
             diagnostics=diagnostics,
+            image=image,
             centers=centers,
             row_confidence=confidence,
         )
@@ -531,23 +459,11 @@ class FrameDecoder:
             extraction = self.extract(image)
         except DecodeError as exc:
             nan = float("nan")
-
-            def failed_sharpness(img: np.ndarray = np.asarray(image)) -> float:
-                # Failure diagnosis is the one consumer that genuinely
-                # wants the blur metric (was this capture lost because
-                # it was blurry?), but the capture may be arbitrarily
-                # corrupted — degrade to NaN instead of raising.
-                try:
-                    return float(sharpness_score(normalize_frame(img)))
-                except _UNEXPECTED_ERRORS + (TypeError,):
-                    return nan
-
             return None, DecodeDiagnostics(
                 t_value=nan,
                 block_size=nan,
                 locator_refinement=0.0,
                 corner_purity=0.0,
-                sharpness_fn=failed_sharpness,
                 failure=exc.failure,
             )
         return extraction, extraction.diagnostics

@@ -211,10 +211,6 @@ class FrameLayout:
         """Raw code-area capacity in whole bytes."""
         return self.data_capacity_bits // 8
 
-    def data_row_of_symbol(self, index: int) -> int:
-        """Grid row of the *index*-th data symbol (for erasure mapping)."""
-        return int(self.data_cells[index][0])
-
     @cached_property
     def symbol_rows(self) -> np.ndarray:
         """Grid row of every data symbol, aligned with :attr:`data_cells`."""

@@ -14,7 +14,9 @@ complete logical frames:
   with d_t = 1 to the successor;
 * when the same row of the same frame is seen twice (slow display
   rates), the sharper capture wins — this subsumes COBRA-style blur
-  assessment;
+  assessment: :meth:`StreamReassembler.add_capture` scores each
+  capture's float frame once with
+  :func:`~repro.imaging.metrics.gradient_energy`;
 * a frame is finalized (error-corrected and CRC-checked) once a capture
   for a *later* sequence arrives, or on :meth:`flush`; rows never seen
   become RS erasures.
@@ -28,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .. import telemetry
+from ..imaging.metrics import gradient_energy
 from .decoder import CaptureExtraction, FrameResult, assemble_frame
 from .encoder import FrameCodecConfig
 from .header import FrameHeader
@@ -83,7 +86,7 @@ class StreamReassembler:
         """Fold one capture in; returns any frames finalized by its arrival."""
         seq = extraction.header.sequence
         layout = self.config.layout
-        sharp = extraction.diagnostics.sharpness
+        sharp = gradient_energy(extraction.image)
         telemetry.registry().counter("sync.captures_merged").inc()
 
         for offset in (0, 1):

@@ -17,7 +17,7 @@ so results are bit-identical across runs, call orders and process pools.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,10 +111,6 @@ class FaultPlan:
                 raise ValueError(f"unknown fault {fault_name!r} (known: {known})") from None
             faults.append(factory(**(kwargs or {})))
         return cls(faults=tuple(faults), seed=seed, name=name)
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        """Copy of this plan reseeded (campaign trials reuse one matrix)."""
-        return replace(self, seed=seed)
 
     @property
     def active(self) -> bool:

@@ -25,7 +25,6 @@ Determinism rules:
 
 from __future__ import annotations
 
-import json
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -251,9 +250,6 @@ class MetricsRegistry:
             hist.count += int(doc["count"])
             hist.sum += float(doc["sum"])
         return self
-
-    def to_json(self, include_timing: bool = True, indent: int = 2) -> str:
-        return json.dumps(self.snapshot(include_timing), indent=indent, sort_keys=True)
 
 
 def merge_snapshots(snapshots: Iterable[dict[str, Any]]) -> dict[str, Any]:

@@ -1,7 +1,7 @@
 """Seeded regressions for the contract rules (RB007, RB008, RB010) and RB000.
 
-Each rule gets the failure mode it exists to catch — a leaked
-SharedMemory segment, a raw ``sys.exit``, an inline schema literal, a
+Each rule gets the failure mode it exists to catch — a file handle
+closed only on the happy path, a raw ``sys.exit``, an inline schema literal, a
 stale suppression — plus the clean idioms that must keep passing (the
 ones ``src/repro`` actually uses).
 """
@@ -26,16 +26,15 @@ def rules_of(violations):
 # -- RB007: resource lifecycle -------------------------------------------
 
 
-def test_rb007_flags_leaked_shared_memory():
+def test_rb007_flags_unreleased_temporary_file():
     violations = check(
         """
-        from multiprocessing import shared_memory
+        import tempfile
 
-        def make(n):
-            seg = shared_memory.SharedMemory(create=True, size=n)
-            seg.buf[0] = 1
-        """,
-        relpath="repro/serve/fixture.py",
+        def scratch(data):
+            tmp = tempfile.NamedTemporaryFile()
+            tmp.write(data)
+        """
     )
     assert rules_of(violations) == ["RB007"]
     assert "no guaranteed release" in violations[0].message
@@ -69,14 +68,12 @@ def test_rb007_accepts_with_statement():
 def test_rb007_accepts_finally_release():
     violations = check(
         """
-        from multiprocessing import shared_memory
-
-        def fill(n):
-            seg = shared_memory.SharedMemory(create=True, size=n)
+        def slurp(path):
+            f = open(path)
             try:
-                seg.buf[0] = 1
+                return f.read()
             finally:
-                seg.close()
+                f.close()
         """
     )
     assert violations == []
@@ -87,19 +84,18 @@ def test_rb007_accepts_ownership_transfer():
     # ownership out of the local scope.
     violations = check(
         """
-        from multiprocessing import shared_memory
+        import tempfile
 
-        def create(n):
-            return shared_memory.SharedMemory(create=True, size=n)
+        def create(path):
+            return open(path)
 
-        class Ring:
-            def __init__(self, n):
-                self.shm = shared_memory.SharedMemory(create=True, size=n)
+        class Log:
+            def __init__(self, path):
+                self.fh = open(path, "a")
 
-        def adopt(n, registry):
-            registry.take(shared_memory.SharedMemory(create=True, size=n))
+        def adopt(registry):
+            registry.take(tempfile.NamedTemporaryFile())
         """,
-        relpath="repro/serve/fixture.py",
     )
     assert violations == []
 

@@ -1,9 +1,8 @@
-"""Blur assessment / best-capture selection and capacity analysis."""
+"""Blur assessment score and capacity analysis."""
 
 import numpy as np
 import pytest
 
-from repro.core.blur import BestCaptureSelector, sharpness_score
 from repro.core.capacity import (
     capacity_report,
     cobra_code_blocks,
@@ -13,6 +12,7 @@ from repro.core.capacity import (
 )
 from repro.core.layout import FrameLayout
 from repro.imaging.filters import gaussian_blur
+from repro.imaging.metrics import gradient_energy
 
 
 @pytest.fixture(scope="module")
@@ -24,40 +24,15 @@ def barcode_like():
 
 class TestSharpness:
     def test_blur_lowers_score(self, barcode_like):
-        assert sharpness_score(gaussian_blur(barcode_like, 1.5)) < sharpness_score(
+        assert gradient_energy(gaussian_blur(barcode_like, 1.5)) < gradient_energy(
             barcode_like
         )
 
     def test_monotone_in_blur(self, barcode_like):
         scores = [
-            sharpness_score(gaussian_blur(barcode_like, s)) for s in (0.0, 0.8, 1.6, 3.0)
+            gradient_energy(gaussian_blur(barcode_like, s)) for s in (0.0, 0.8, 1.6, 3.0)
         ]
         assert all(a > b for a, b in zip(scores, scores[1:]))
-
-
-class TestBestCaptureSelector:
-    def test_keeps_sharpest(self, barcode_like):
-        sel = BestCaptureSelector()
-        blurry = gaussian_blur(barcode_like, 2.0)
-        assert sel.offer(0, blurry)
-        assert sel.offer(0, barcode_like)  # sharper: becomes best
-        assert not sel.offer(0, gaussian_blur(barcode_like, 1.0))
-        best = sel.take(0)
-        assert np.array_equal(best, barcode_like)
-
-    def test_take_removes(self, barcode_like):
-        sel = BestCaptureSelector()
-        sel.offer(3, barcode_like)
-        assert sel.pending() == [3]
-        assert sel.take(3) is not None
-        assert sel.take(3) is None
-        assert sel.pending() == []
-
-    def test_frames_tracked_independently(self, barcode_like):
-        sel = BestCaptureSelector()
-        sel.offer(0, gaussian_blur(barcode_like, 2.0))
-        sel.offer(1, barcode_like)
-        assert sel.pending() == [0, 1]
 
 
 class TestPaperCapacityNumbers:

@@ -29,6 +29,9 @@ def truth(config):
 
 
 def fake_extraction(config, header, symbols, row_assignment, sharpness=1.0):
+    """An extraction whose frame's blur score is *sharpness*: a ramp of
+    slope ``s`` has gradient energy ``s**2``."""
+    image = np.sqrt(sharpness) * np.tile(np.arange(8.0), (4, 1))
     return CaptureExtraction(
         header=header,
         row_assignment=row_assignment,
@@ -38,8 +41,8 @@ def fake_extraction(config, header, symbols, row_assignment, sharpness=1.0):
             block_size=12.0,
             locator_refinement=1.0,
             corner_purity=1.0,
-            sharpness=sharpness,
         ),
+        image=image,
     )
 
 

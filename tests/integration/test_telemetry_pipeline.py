@@ -28,7 +28,7 @@ from repro.telemetry import EventSink, MetricsRegistry
 CORPUS_DIR = Path(__file__).parent.parent / "fixtures" / "corpus"
 
 #: ``DecodeDiagnostics.stage_ms`` keys of a successful extract, in
-#: pipeline order; a live telemetry context adds ``diagnostics``.
+#: pipeline order, with or without a live telemetry context.
 DECODE_STAGE_KEYS = [
     "input", "brightness", "corners", "locators", "classify", "header", "tracking",
 ]
@@ -58,8 +58,8 @@ def _disabled_default():
     telemetry.configure(None)
 
 
-class TestHierarchicalTrace:
-    def test_traced_session_covers_every_pipeline_layer(self):
+class TestPipelineTelemetry:
+    def test_session_metrics_cover_every_pipeline_layer(self):
         codec = _codec()
         session = TransferSession(
             codec,
@@ -109,7 +109,7 @@ class TestHierarchicalTrace:
         assert all(v >= 0.0 for v in stage_ms.values())
 
 
-class TestGoldenCorpusTrace:
+class TestGoldenCorpusStages:
     def test_every_fixture_produces_the_same_stage_set(self):
         """Every successfully-decoding fixture reports the same ordered
         ``stage_ms`` keys, with and without a live registry — the stage
@@ -126,7 +126,7 @@ class TestGoldenCorpusTrace:
             with telemetry.scoped(registry=MetricsRegistry()):
                 live = decoder.extract(image).diagnostics.stage_ms
             assert list(plain) == DECODE_STAGE_KEYS, name
-            assert list(live) == DECODE_STAGE_KEYS + ["diagnostics"], name
+            assert list(live) == DECODE_STAGE_KEYS, name
             assert all(v >= 0.0 for v in [*plain.values(), *live.values()]), name
             decoded += 1
         assert decoded >= 2
