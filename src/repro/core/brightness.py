@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..imaging.color import rgb_to_hsv
-
 __all__ = ["BrightnessEstimate", "estimate_black_threshold", "DEFAULT_MU", "DEFAULT_T_SAT"]
 
 DEFAULT_MU = 0.55
@@ -64,10 +62,17 @@ def estimate_black_threshold(
     When a frame has no dark samples at all (e.g. an all-white capture),
     V_b falls back to 0 so T_v degenerates gracefully toward
     ``(1 - mu) * V_o``.
+
+    A uint8 capture is read as ``image / 255.0`` without dividing the
+    frame: only the gathered samples are divided, which gives each the
+    float the divided frame holds there, so the estimate is the same bit
+    for bit.
     """
     if rng is None:
         rng = np.random.default_rng(0x5EED)
-    image = np.asarray(image, dtype=np.float64)
+    image = np.asarray(image)
+    if image.dtype != np.uint8:
+        image = np.asarray(image, dtype=np.float64)
     height, width = image.shape[:2]
     half_h, half_w = height // 2, width // 2
     regions = [
@@ -86,7 +91,10 @@ def estimate_black_threshold(
         ys = rng.integers(0, r_h, size=samples_per_region)
         xs = rng.integers(0, r_w, size=samples_per_region)
         pixels = region[ys, xs]
-        values.append(rgb_to_hsv(pixels)[:, 2])
+        if pixels.dtype == np.uint8:
+            pixels = pixels / 255.0
+        # HSV value, exactly as rgb_to_hsv computes it.
+        values.append(np.maximum(np.maximum(pixels[:, 0], pixels[:, 1]), pixels[:, 2]))
     value = np.concatenate(values) if values else np.zeros(1)
 
     # Split dark/bright populations.  The paper uses a fixed value < 0.1

@@ -172,8 +172,9 @@ class CaptureExtraction:
     row_assignment: np.ndarray  # (grid_rows,)
     data_symbols: np.ndarray  # (num_data_cells,)
     diagnostics: DecodeDiagnostics
-    #: The float frame the capture was decoded from; the reassembler
-    #: scores its blur to rank repeated captures of a row.
+    #: The capture as decoded: an 8-bit capture as given (never divided
+    #: into a float frame), any other input as its float64 frame.  The
+    #: reassembler scores its blur to rank repeated captures of a row.
     image: np.ndarray = field(repr=False)
     centers: np.ndarray | None = field(repr=False, default=None)  # (N, 2) data-cell centers
     #: Per-grid-row confidence in [0, 1]: rows adjacent to the rolling-
@@ -305,19 +306,22 @@ class FrameDecoder:
         stage_ms: dict[str, float],
     ) -> CaptureExtraction:
         with stage("input"):
-            # An 8-bit capture divided by 255 is always finite, and the
-            # black mask reads it undivided (ColorClassifier.black_mask).
-            captured = image
-            check_finite = getattr(image, "dtype", None) != np.uint8
+            # An 8-bit capture is read where it is sampled, as ``v / 255``
+            # (estimate_black_threshold, ColorClassifier.black_mask,
+            # sample_bilinear), and is always finite: it is neither
+            # copied nor checked.  Other input decodes as its float64
+            # frame.
             try:
-                image = normalize_frame(image)
+                image = np.asarray(image)
+                if image.dtype != np.uint8:
+                    image = normalize_frame(image)
             except TypeError as exc:
-                # normalize_frame turns non-numeric input (an exhausted
-                # iterator, an empty generator of frames, objects) into
-                # an object array whose float conversion raises
-                # TypeError — which is not in _UNEXPECTED_ERRORS, so
-                # without this it would escape extract_diagnosed.  Bad
-                # input is an input-stage failure, not a crash.
+                # Non-numeric input (an exhausted iterator, an empty
+                # generator of frames, objects) becomes an object array
+                # whose float conversion raises TypeError — which is not
+                # in _UNEXPECTED_ERRORS, so without this it would escape
+                # extract_diagnosed.  Bad input is an input-stage
+                # failure, not a crash.
                 raise DecodeError(
                     f"capture is not numeric image data: {exc}",
                     stage="input",
@@ -329,14 +333,11 @@ class FrameDecoder:
                     f"{image.shape}",
                     stage="input",
                 )
-            if check_finite:
-                if not np.all(np.isfinite(image)):
-                    # Corrupted sensor rows (e.g. injected scanline
-                    # faults) may carry NaN/inf; treat them as black
-                    # rather than letting non-finite values poison every
-                    # later stage.
-                    image = np.nan_to_num(image, nan=0.0, posinf=1.0, neginf=0.0)
-                captured = image
+            if image.dtype != np.uint8 and not np.all(np.isfinite(image)):
+                # Corrupted sensor rows (e.g. injected scanline faults)
+                # may carry NaN/inf; treat them as black rather than
+                # letting non-finite values poison every later stage.
+                image = np.nan_to_num(image, nan=0.0, posinf=1.0, neginf=0.0)
         layout = self.config.layout
 
         with stage("brightness"):
@@ -351,7 +352,7 @@ class FrameDecoder:
         with stage("corners"):
             # One black mask serves corners and locators: both only ask
             # which pixels classify as black.
-            black = classifier.black_mask(captured)
+            black = classifier.black_mask(image)
             try:
                 corners = detect_corner_trackers(
                     image, classifier, black, self.min_block_px, self.max_block_px

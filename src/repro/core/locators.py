@@ -19,6 +19,7 @@ CT centers (paper Fig. 8).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,23 @@ class LocatorColumn:
         return self.positions[-1]
 
 
+def _moved_less_than(dx: float, dy: float, tolerance: float) -> bool:
+    """``np.linalg.norm([dx, dy]) < tolerance``, decided on scalars.
+
+    The norm squares and sums through a dot product whose rounding (a
+    fused multiply-add, say) may differ from ``dx * dx + dy * dy`` by an
+    ulp or two, and its square root rounds once more.  Each of those
+    moves the sum by less than 1e-15 of its value, so a sum further than
+    1e-12 from ``tolerance ** 2`` decides the comparison as the norm
+    does; only a sum inside that band asks the norm itself.
+    """
+    squared = dx * dx + dy * dy
+    limit = tolerance * tolerance
+    if abs(squared - limit) > 1e-12 * limit:
+        return squared < limit
+    return bool(np.linalg.norm(np.array([dx, dy])) < tolerance)
+
+
 def correct_location(
     black: np.ndarray,
     point: np.ndarray,
@@ -87,30 +105,34 @@ def correct_location(
     estimate fell onto a data block.
     """
     height, width = black.shape
-    half = max(block_size * 0.75, 1.5)
-    point = np.asarray(point, dtype=np.float64).copy()
-    if not np.all(np.isfinite(point)) or not np.isfinite(half):
+    half = float(max(block_size * 0.75, 1.5))
+    point = np.asarray(point, dtype=np.float64)
+    x, y = float(point[0]), float(point[1])
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(half)):
         # A non-finite estimate (degenerate projection on a corrupted
         # capture) can never be corrected; treat it like an empty window.
         return None
 
+    # The loop runs on Python scalars.  The window's pixel coordinates
+    # are integers whose sums are exact, so ``x0 + sum / n`` is the
+    # numpy mean's value bit for bit.
     for __ in range(_MAX_CORRECTION_ITERS):
-        x0 = int(np.floor(point[0] - half))
-        x1 = int(np.ceil(point[0] + half)) + 1
-        y0 = int(np.floor(point[1] - half))
-        y1 = int(np.ceil(point[1] + half)) + 1
-        x0, x1 = max(x0, 0), min(x1, width)
-        y0, y1 = max(y0, 0), min(y1, height)
+        x0 = max(math.floor(x - half), 0)
+        x1 = min(math.ceil(x + half) + 1, width)
+        y0 = max(math.floor(y - half), 0)
+        y1 = min(math.ceil(y + half) + 1, height)
         if x1 - x0 < 2 or y1 - y0 < 2:
             return None
         ys, xs = np.nonzero(black[y0:y1, x0:x1])
-        if len(xs) < _MIN_BLACK_PIXELS:
+        n = len(xs)
+        if n < _MIN_BLACK_PIXELS:
             return None
-        new_point = np.array([x0 + xs.mean(), y0 + ys.mean()])
-        if np.linalg.norm(new_point - point) < _CONVERGENCE_PX:
-            return new_point
-        point = new_point
-    return point
+        new_x = x0 + int(xs.sum()) / n
+        new_y = y0 + int(ys.sum()) / n
+        if _moved_less_than(new_x - x, new_y - y, _CONVERGENCE_PX):
+            return np.array([new_x, new_y])
+        x, y = new_x, new_y
+    return np.array([x, y])
 
 
 def walk_locator_column(

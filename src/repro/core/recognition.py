@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import telemetry
-from ..imaging.color import normalize_frame, rgb_to_hsv
+from ..imaging.color import UINT8_LEVELS, normalize_frame, rgb_to_hsv
 from ..imaging.interpolation import sample_bilinear
 from ..telemetry.metrics import MARGIN_BUCKETS
 from .brightness import DEFAULT_T_SAT
@@ -38,9 +38,6 @@ __all__ = [
 
 _GREEN_LO, _GREEN_HI = 60.0, 180.0
 _BLUE_HI = 300.0
-
-#: Every 8-bit sample as the float the decoder reads (``v / 255``).
-_UINT8_LEVELS = np.arange(256) / 255.0
 
 
 def classify_hsv(
@@ -176,7 +173,7 @@ class ColorClassifier:
             image = np.asarray(image, dtype=np.float64)
             threshold: float | int = self.t_value
         else:
-            threshold = int(np.count_nonzero(_UINT8_LEVELS < self.t_value))
+            threshold = int(np.count_nonzero(UINT8_LEVELS < self.t_value))
         value = np.maximum(np.maximum(image[..., 0], image[..., 1]), image[..., 2])
         return value < threshold
 

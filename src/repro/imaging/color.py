@@ -25,7 +25,11 @@ __all__ = [
     "to_uint8",
     "normalize_frame",
     "luminance",
+    "UINT8_LEVELS",
 ]
+
+#: Every 8-bit sample as the float it reads as (``v / 255``).
+UINT8_LEVELS = np.arange(256) / 255.0
 
 
 def to_float(image: np.ndarray) -> np.ndarray:
@@ -46,11 +50,14 @@ def to_uint8(image: np.ndarray) -> np.ndarray:
 
 
 def normalize_frame(image: np.ndarray) -> np.ndarray:
-    """Map a capture to the float64 image in [0, 1] every decoder reads.
+    """Map a capture to a float64 image in [0, 1].
 
-    Captures are 8-bit (a recorded video's samples) and divide by 255;
-    any other input converts to float64 unchanged, so synthetic float
-    images decode as given.  Non-numeric input raises ``TypeError``.
+    8-bit captures divide by 255; any other input converts to float64
+    unchanged, so synthetic float images decode as given.  Non-numeric
+    input raises ``TypeError``.  RainBar's decoder calls this for float
+    input only: it reads an 8-bit capture where it samples it
+    (:mod:`repro.imaging.interpolation`).  COBRA's decoder and receiver
+    still decode every capture as this float frame.
     """
     image = np.asarray(image)
     if image.dtype == np.uint8:

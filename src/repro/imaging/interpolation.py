@@ -7,6 +7,13 @@ provides vectorized nearest-neighbour and bilinear samplers.
 Coordinate convention: a sample point is ``(x, y)`` where ``x`` indexes
 columns and ``y`` indexes rows, matching the paper's notation for block
 locations.
+
+A uint8 image (an 8-bit capture) is read as ``v / 255``, the float image
+the decoder works in, without converting the whole frame: the samplers
+gather the neighbours as uint8 and divide only those by 255.0.  Each
+gathered value is then the same float64 the divided frame holds at that
+pixel, and the blend that follows is unchanged, so every output equals
+the one sampled from ``image / 255.0`` bit for bit.
 """
 
 from __future__ import annotations
@@ -17,10 +24,20 @@ __all__ = ["sample_nearest", "sample_bilinear", "bilinear_coeffs"]
 
 
 def _prepare(image: np.ndarray) -> np.ndarray:
-    image = np.asarray(image, dtype=np.float64)
+    """*image* as ``(H, W, C)``: uint8 as given, anything else as float64."""
+    image = np.asarray(image)
+    if image.dtype != np.uint8:
+        image = np.asarray(image, dtype=np.float64)
     if image.ndim == 2:
         image = image[..., np.newaxis]
     return image
+
+
+def _gathered(values: np.ndarray) -> np.ndarray:
+    """Gathered samples as float64; uint8 samples divide by 255.0."""
+    if values.dtype == np.uint8:
+        return values / 255.0
+    return values
 
 
 def sample_nearest(
@@ -33,7 +50,7 @@ def sample_nearest(
 
     Out-of-bounds points return *fill*.  The output shape is
     ``xs.shape + (channels,)`` (the channel axis is squeezed for 2-D
-    inputs).
+    inputs).  A uint8 image reads as ``image / 255.0``.
     """
     img = _prepare(image)
     height, width, channels = img.shape
@@ -45,7 +62,7 @@ def sample_nearest(
     inside = (xi >= 0) & (xi < width) & (yi >= 0) & (yi < height)
 
     out = np.full(xs.shape + (channels,), fill, dtype=np.float64)
-    out[inside] = img[yi[inside], xi[inside]]
+    out[inside] = _gathered(img[yi[inside], xi[inside]])
     if np.asarray(image).ndim == 2:
         return out[..., 0]
     return out
@@ -116,7 +133,8 @@ def sample_bilinear(
     warp that lands exactly on the boundary stays continuous.  *coeffs*
     may carry a matching :func:`bilinear_coeffs` result to skip the
     coordinate arithmetic (the caller guarantees it was computed for the
-    same coordinates and source shape).
+    same coordinates and source shape).  A uint8 image reads as
+    ``image / 255.0``.
     """
     img = _prepare(image)
     height, width, channels = img.shape
@@ -133,10 +151,10 @@ def sample_bilinear(
     # ``p00*(1-fx) + p01*fx`` form exactly, but no further full-size
     # temporaries are allocated.
     flat = img.reshape(-1, channels)
-    p00 = flat.take(i00, axis=0)
-    p01 = flat.take(i01, axis=0)
-    p10 = flat.take(i10, axis=0)
-    p11 = flat.take(i11, axis=0)
+    p00 = _gathered(flat.take(i00, axis=0))
+    p01 = _gathered(flat.take(i01, axis=0))
+    p10 = _gathered(flat.take(i10, axis=0))
+    p11 = _gathered(flat.take(i11, axis=0))
 
     p00 *= ifx
     p01 *= fx

@@ -10,12 +10,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from .color import luminance
+from .color import UINT8_LEVELS, luminance
 
 __all__ = ["gradient_energy", "laplacian_variance", "psnr", "mean_abs_error"]
 
+#: ``luminance``'s three weighted terms of every 8-bit sample.
+_LUMA_R = 0.299 * UINT8_LEVELS
+_LUMA_G = 0.587 * UINT8_LEVELS
+_LUMA_B = 0.114 * UINT8_LEVELS
+
 
 def _intensity(image: np.ndarray) -> np.ndarray:
+    """The float64 intensity plane the sharpness scores reduce.
+
+    A colour image reduces to its ``luminance``.  A uint8 image reads as
+    ``image / 255.0``, but is never divided as a whole: each channel
+    looks its weighted term up in a 256-entry table and the terms are
+    summed in ``luminance``'s order, so the plane equals the luma of the
+    divided image bit for bit without a float RGB frame.
+    """
+    image = np.asarray(image)
+    if image.dtype == np.uint8:
+        if image.ndim == 3:
+            gray = _LUMA_R.take(image[..., 0])
+            gray += _LUMA_G.take(image[..., 1])
+            gray += _LUMA_B.take(image[..., 2])
+            return gray
+        return UINT8_LEVELS.take(image)
     image = np.asarray(image, dtype=np.float64)
     if image.ndim == 3:
         return luminance(image)

@@ -181,6 +181,7 @@ class TestPerfCheck:
             "trace.read_ms_per_frame",
         }
         assert bounds["decoder.corners_ms"] == pytest.approx(1.5 * 7.719 + 1)
+        assert bounds["decoder.input_ms"] == pytest.approx(1.5 * 0.0055 + 1)
         assert bounds["decoder.locators_ms"] == pytest.approx(3 * 3.92 + 10)
         assert bounds["decoder.extract_ms_p50"] == pytest.approx(2.5 * 17.19 + 20)
         assert bounds["trace.read_ms_per_frame"] == pytest.approx(1.5 * 2.481 + 1)
@@ -189,6 +190,9 @@ class TestPerfCheck:
         # (traced, before they were replaced) must not pass.
         assert bounds["trace.read_ms_per_frame"] < 10.25
         assert bounds["decoder.corners_ms"] < 13.42
+        # Nor a float64 frame per capture (traced, before the decoder
+        # read the uint8 capture).
+        assert bounds["decoder.input_ms"] < 1.385
 
     def test_repo_budgets_bound_every_simulator_layer(self):
         from repro.telemetry.budgets import load_budgets
@@ -203,6 +207,7 @@ class TestPerfCheck:
             "decoder.extract_ms_p50": 33.36,
             "encoder.encode_ms_per_frame": 0.3405,
             "coding.assemble_ms_per_frame": 0.3845,
+            "sync.add_capture_ms": 7.3757,
         }
         assert set(bounds) == set(reference) | {"imaging.sensor_pipeline_ms"}
         for name, ref in reference.items():
