@@ -3,13 +3,13 @@
 Commands
 --------
 ``encode``    bytes/file -> barcode frame stream (.npz) + optional PNGs
-``decode``    capture session (.npz) -> recovered payload
-``simulate``  end-to-end demo over the simulated channel
+``decode``    recorded session (capture trace) -> payload, via ``BufferedReceiver``
+``simulate``  end-to-end demo over the simulated channel (``--save-session``: a trace)
 ``capacity``  print the Section III-B capacity comparison
 ``info``      describe a saved frame stream
 ``trace``     capture traces: ``record`` a simulated session into the
-versioned trace container, replay-``decode`` one (optionally across
-the worker pool), ``info``/validate one
+versioned trace container, replay-``decode`` one capture by capture
+(optionally across the worker pool), ``info``/validate one
 ``faults-campaign``  sweep the fault-injection matrix across seeds
 ``telemetry``  report on a ``REPRO_TELEMETRY=1`` run's artifacts
 (``report``/``tail``)
@@ -21,12 +21,15 @@ against the ``[quality.*]`` budgets (``report [--check]``)
 
 The CLI wraps the same public API the examples use; it exists so the
 library is drivable without writing Python.  When ``REPRO_TELEMETRY=1``
-is set, every command flushes its trace/metrics artifacts to
+is set, every command flushes its metrics snapshot and event shards to
 ``$REPRO_TELEMETRY_DIR`` (default ``telemetry/``) on exit; ``repro
 telemetry report`` then renders them.  Per-stage timing comes from a
 traced ``perfbench/run.py --trace 1`` run: ``repro perf check`` reads
-its final JSON line and gates its metrics (exit 0 pass / 1 regression / 2 usage error,
-mirroring ``repro analyze``).
+its final JSON line and gates its metrics.
+
+Exit codes: 0 ok; 1 the data failed (an incomplete stream, a container
+the reader rejects, a failed check); 2 a usage error or an input file
+the OS cannot open.  No input file ends in a traceback.
 """
 
 from __future__ import annotations
@@ -37,7 +40,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
-    from .core.encoder import FrameCodecConfig
+    from collections.abc import Iterable, Iterator
+
+    from .channel.link import Capture, ScreenCameraLink
+    from .channel.screen import FrameSchedule
+    from .core.encoder import Frame, FrameCodecConfig
+    from .faults import FaultPlan
+    from .io.trace import TraceMetadata, TraceReader
 
 import numpy as np
 
@@ -58,8 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--block-px", type=int, default=12)
     enc.add_argument("--png-dir", help="also write one PNG per frame here")
 
-    dec = sub.add_parser("decode", help="decode a capture session (.npz)")
-    dec.add_argument("session", help="capture session saved by the library")
+    about = "reassemble a recorded session's payload across its captures (BufferedReceiver)"
+    dec = sub.add_parser("decode", help=about, description=about)
+    dec.add_argument("session", help="capture trace (e.g. from simulate --save-session); "
+                                     "its header's geometry beats the flags below")
     dec.add_argument("-o", "--output", help="write recovered bytes here (default stdout)")
     dec.add_argument("--display-rate", type=int, default=10)
     dec.add_argument("--block-px", type=int, default=12)
@@ -70,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--angle-deg", type=float, default=0.0)
     sim.add_argument("--display-rate", type=int, default=10)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--save-session", help="archive the captures to this .npz")
+    sim.add_argument("--save-session",
+                     help="record the captures as a capture trace in this directory")
 
     sub.add_parser("capacity", help="print the Section III-B capacity table")
 
@@ -215,9 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     trec.add_argument("--chunk-frames", type=int, default=64,
                       help="frames per npz chunk")
 
-    tdec = trace_sub.add_parser(
-        "decode", help="replay-decode a recorded trace"
-    )
+    about = "replay-decode a trace, each capture alone (no cross-capture check)"
+    tdec = trace_sub.add_parser("decode", help=about, description=about)
     tdec.add_argument("trace", help="trace directory written by `repro trace record`")
     tdec.add_argument("--display-rate", type=int, default=10)
     tdec.add_argument("--block-px", type=int, default=12)
@@ -303,7 +314,11 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     from .core.encoder import FrameEncoder
     from .io import save_frame_stream, write_png
 
-    data = sys.stdin.buffer.read() if args.input == "-" else Path(args.input).read_bytes()
+    try:
+        data = sys.stdin.buffer.read() if args.input == "-" else Path(args.input).read_bytes()
+    except OSError as exc:
+        print(f"encode: {exc}", file=sys.stderr)
+        return 2
     config = _config(args.display_rate, args.block_px)
     frames = FrameEncoder(config).encode_stream(data)
     save_frame_stream(args.output, frames)
@@ -320,13 +335,19 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     from .core.decoder import FrameDecoder
-    from .io import load_captures
+    from .io.trace import TraceFormatError, TraceReader
     from .link.reassembly import PayloadAssembler
     from .link.receiver_modes import BufferedReceiver
 
-    captures = load_captures(args.session)
-    config = _config(args.display_rate, args.block_px)
-    report = BufferedReceiver(FrameDecoder(config)).process(captures)
+    try:
+        reader = TraceReader(args.session)
+        config = _trace_decoder_config(reader.metadata, args.display_rate, args.block_px)
+    except (OSError, ValueError) as exc:
+        return _trace_failed("decode", exc)
+    try:
+        report = BufferedReceiver(FrameDecoder(config)).process(_trace_captures(reader))
+    except (OSError, TraceFormatError) as exc:
+        return _trace_failed("decode", exc)
     assembler = PayloadAssembler()
     assembler.add_all(report.results)
 
@@ -338,7 +359,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     else:
         gaps = f"missing {missing}"
     print(
-        f"{len(captures)} captures, {report.captures_dropped_error} dropped; "
+        f"{report.captures_seen} captures, {report.captures_dropped_error} dropped; "
         f"{assembler.received_count} frames recovered; {gaps}",
         file=sys.stderr,
     )
@@ -354,26 +375,20 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .channel.link import LinkConfig, ScreenCameraLink
-    from .channel.screen import FrameSchedule
     from .core.decoder import FrameDecoder
-    from .core.encoder import FrameEncoder
-    from .io import save_captures
     from .link.receiver_modes import BufferedReceiver
 
-    config = _config(args.display_rate, 12)
     message = args.message.encode()
-    frames = FrameEncoder(config).encode_stream(message)
-    schedule = FrameSchedule(
-        [f.render() for f in frames], display_rate=args.display_rate
-    )
-    link = ScreenCameraLink(
-        LinkConfig(distance_cm=args.distance_cm, view_angle_deg=args.angle_deg),
-        rng=np.random.default_rng(args.seed),
-    )
-    captures = link.capture_stream(schedule)
+    config, frames, schedule, link = _simulated_session(args, message)
     if args.save_session:
-        save_captures(args.save_session, captures)
+        # Decode the recorded trace, so the session on disk is the one checked.
+        reader = link.export_trace(
+            schedule, args.save_session,
+            extra_metadata=_session_metadata(config, len(message)),
+        )
+        captures: Iterable[Capture] = _trace_captures(reader)
+    else:
+        captures = link.capture_stream(schedule)
 
     report = BufferedReceiver(FrameDecoder(config)).process(captures)
     results, dropped = report.results, report.captures_dropped_error
@@ -381,7 +396,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         r.payload for r in sorted(results, key=lambda r: r.sequence) if r.ok
     )[: len(message)]
 
-    print(f"frames: {len(frames)}, captures: {len(captures)} ({dropped} dropped)")
+    print(f"frames: {len(frames)}, captures: {report.captures_seen} ({dropped} dropped)")
     ok = recovered == message
     print(f"recovered {'OK' if ok else 'MISMATCH'}: {recovered.decode(errors='replace')!r}")
     return 0 if ok else 1
@@ -406,7 +421,11 @@ def _cmd_capacity(__: argparse.Namespace) -> int:
 def _cmd_info(args: argparse.Namespace) -> int:
     from .io import load_frame_stream
 
-    frames = load_frame_stream(args.stream)
+    try:
+        frames = load_frame_stream(args.stream)
+    except (OSError, ValueError) as exc:  # unopenable / not a frame stream
+        print(f"info: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, OSError) else 1
     first = frames[0]
     print(f"{len(frames)} frames, grid {first.layout.grid_cols} x "
           f"{first.layout.grid_rows} at {first.layout.block_px} px")
@@ -465,15 +484,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_record(args: argparse.Namespace) -> int:
-    from .channel.link import LinkConfig, ScreenCameraLink
-    from .channel.screen import FrameSchedule
-    from .core.encoder import FrameEncoder
     from .faults import scenario_names, scenario_plan
 
-    if args.input is not None:
-        data = Path(args.input).read_bytes()
-    else:
-        data = args.message.encode()
+    try:
+        data = args.message.encode() if args.input is None else Path(args.input).read_bytes()
+    except OSError as exc:
+        print(f"trace record: {exc}", file=sys.stderr)
+        return 2
     faults = None
     if args.scenario:
         if args.scenario not in scenario_names():
@@ -481,6 +498,26 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
                   f"available: {', '.join(scenario_names())}", file=sys.stderr)
             return 2
         faults = scenario_plan(args.scenario, seed=args.seed)
+
+    config, frames, schedule, link = _simulated_session(args, data, faults)
+    reader = link.export_trace(
+        schedule, args.output, chunk_frames=args.chunk_frames,
+        extra_metadata=_session_metadata(config, len(data)),
+    )
+    print(f"{len(data)} bytes -> {len(frames)} frames -> "
+          f"{reader.num_frames} captures recorded to {args.output} "
+          f"({len(reader._index)} chunk(s), scenario "
+          f"{args.scenario or 'clean'})")
+    return 0
+
+
+def _simulated_session(
+    args: argparse.Namespace, data: bytes, faults: "FaultPlan | None" = None
+) -> "tuple[FrameCodecConfig, list[Frame], FrameSchedule, ScreenCameraLink]":
+    """*data*'s frames on a screen and the simulated camera filming it."""
+    from .channel.link import LinkConfig, ScreenCameraLink
+    from .channel.screen import FrameSchedule
+    from .core.encoder import FrameEncoder
 
     config = _config(args.display_rate, 12)
     frames = FrameEncoder(config).encode_stream(data)
@@ -492,41 +529,53 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
         rng=np.random.default_rng(args.seed),
         faults=faults,
     )
-    # The decoder geometry travels in the trace header, so `repro trace
-    # decode` can configure itself from the trace alone.
+    return config, frames, schedule, link
+
+
+def _session_metadata(config: "FrameCodecConfig", payload_bytes: int) -> dict[str, object]:
+    """Geometry for a session's trace header: its decoders then need no flags."""
     layout = config.layout
-    reader = link.export_trace(
-        schedule, args.output, chunk_frames=args.chunk_frames,
-        extra_metadata={
-            "display_rate": args.display_rate,
-            "grid_rows": layout.grid_rows,
-            "grid_cols": layout.grid_cols,
-            "block_px": layout.block_px,
-            "payload_bytes": len(data),
-        },
-    )
-    print(f"{len(data)} bytes -> {len(frames)} frames -> "
-          f"{reader.num_frames} captures recorded to {args.output} "
-          f"({len(reader._index)} chunk(s), scenario "
-          f"{args.scenario or 'clean'})")
-    return 0
+    return {
+        "display_rate": config.display_rate,
+        "grid_rows": layout.grid_rows,
+        "grid_cols": layout.grid_cols,
+        "block_px": layout.block_px,
+        "payload_bytes": payload_bytes,
+    }
 
 
-def _trace_decoder_config(args: argparse.Namespace, metadata: object) -> "FrameCodecConfig":
-    """Decoder geometry for a trace: --grid > trace header > CLI defaults."""
+def _trace_captures(reader: "TraceReader") -> "Iterator[Capture]":
+    """A trace's frames as captures, streamed chunk by chunk."""
+    from .channel.link import Capture
+
+    return (Capture(frame.time, frame.image) for frame in reader)
+
+
+def _trace_failed(command: str, exc: Exception) -> int:
+    """Report a trace that failed to load: 1 if the reader rejected it, else 2."""
+    from .io.trace import TraceFormatError
+
+    print(f"{command}: {exc}", file=sys.stderr)
+    return 1 if isinstance(exc, TraceFormatError) else 2
+
+
+def _trace_decoder_config(
+    metadata: "TraceMetadata", display_rate: int, block_px: int, grid: "str | None" = None
+) -> "FrameCodecConfig":
+    """Decoder geometry for a trace: *grid* > trace header > the given defaults."""
     from .core.encoder import FrameCodecConfig
     from .core.layout import FrameLayout
 
-    if args.grid:
+    if grid:
         try:
-            rows, cols, block = (int(v) for v in args.grid.lower().split("x"))
+            rows, cols, block = (int(v) for v in grid.lower().split("x"))
         except ValueError:
-            raise ValueError(f"--grid must be ROWSxCOLSxBLOCK, got {args.grid!r}")
+            raise ValueError(f"--grid must be ROWSxCOLSxBLOCK, got {grid!r}")
         return FrameCodecConfig(
             layout=FrameLayout(grid_rows=rows, grid_cols=cols, block_px=block),
-            display_rate=args.display_rate,
+            display_rate=display_rate,
         )
-    extra = getattr(metadata, "extra", None) or {}
+    extra = metadata.extra
     if {"grid_rows", "grid_cols", "block_px"} <= set(extra):
         return FrameCodecConfig(
             layout=FrameLayout(
@@ -534,9 +583,9 @@ def _trace_decoder_config(args: argparse.Namespace, metadata: object) -> "FrameC
                 grid_cols=int(extra["grid_cols"]),
                 block_px=int(extra["block_px"]),
             ),
-            display_rate=int(extra.get("display_rate", args.display_rate)),
+            display_rate=int(extra.get("display_rate", display_rate)),
         )
-    return _config(args.display_rate, args.block_px)
+    return _config(display_rate, block_px)
 
 
 def _cmd_trace_decode(args: argparse.Namespace) -> int:
@@ -548,22 +597,19 @@ def _cmd_trace_decode(args: argparse.Namespace) -> int:
 
     try:
         reader = TraceReader(args.trace, verify=not args.no_verify)
-        config = _trace_decoder_config(args, reader.metadata)
-    except TraceFormatError as exc:
-        print(f"trace decode: {exc}", file=sys.stderr)
-        return 1
+        config = _trace_decoder_config(
+            reader.metadata, args.display_rate, args.block_px, args.grid
+        )
     except (OSError, ValueError) as exc:
-        print(f"trace decode: {exc}", file=sys.stderr)
-        return 2
+        return _trace_failed("trace decode", exc)
 
     decoder = FrameDecoder(config)
     try:
         results = decoder.decode_trace(
             reader, workers=args.workers, chunksize=args.chunksize
         )
-    except TraceFormatError as exc:
-        print(f"trace decode: {exc}", file=sys.stderr)
-        return 1
+    except (OSError, TraceFormatError) as exc:
+        return _trace_failed("trace decode", exc)
 
     outcomes = []
     for index, result in enumerate(results):
@@ -610,9 +656,8 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
 
     try:
         info = trace_info(args.trace)
-    except TraceFormatError as exc:
-        print(f"trace info: {exc}", file=sys.stderr)
-        return 1
+    except (OSError, TraceFormatError) as exc:
+        return _trace_failed("trace info", exc)
     print(f"capture trace {info['path']} (schema v{info['version']})")
     shape = "x".join(str(d) for d in info["frame_shape"]) or "?"
     print(f"  {info['num_frames']} frame(s) of {shape} {info['frame_dtype']} "
@@ -631,9 +676,8 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
     if args.check:
         try:
             TraceReader(args.trace).validate()
-        except TraceFormatError as exc:
-            print(f"trace info: conformance check FAILED: {exc}", file=sys.stderr)
-            return 1
+        except (OSError, TraceFormatError) as exc:
+            return _trace_failed("trace info: conformance check FAILED", exc)
         print("  conformance check passed (all chunks verified)")
     return 0
 

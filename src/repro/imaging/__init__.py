@@ -23,7 +23,7 @@ from .geometry import (
     warp_perspective,
 )
 from .interpolation import sample_bilinear, sample_nearest
-from .metrics import gradient_energy, laplacian_variance, mean_abs_error, psnr
+from .metrics import gradient_energy, mean_abs_error, psnr
 from .noise import (
     add_ambient_light,
     add_gaussian_noise,
@@ -54,7 +54,6 @@ __all__ = [
     "sample_bilinear",
     "sample_nearest",
     "gradient_energy",
-    "laplacian_variance",
     "psnr",
     "mean_abs_error",
     "add_gaussian_noise",

@@ -1,20 +1,18 @@
-"""Persistence and export: images, frame/capture archives, capture traces.
+"""Persistence and export: images, frame-stream archives, capture traces.
 
 * :mod:`repro.io.images` — dependency-free PNG writer/reader and the
-  flat ``.npz`` archives for frame stacks and capture sessions;
+  flat ``.npz`` archive of an encoded frame stream;
 * :mod:`repro.io.trace` — the versioned, streamable capture-trace
-  container (npz chunks + JSONL index) that decouples recorded capture
-  sessions from the simulator that produced them.
+  container (npz chunks + JSONL index), the one format for recorded
+  capture sessions, independent of the simulator that produced them.
 
 Everything is re-exported here, so ``from repro.io import write_png``
 keeps working now that :mod:`repro.io` is a package.
 """
 
 from .images import (
-    load_captures,
     load_frame_stream,
     read_png,
-    save_captures,
     save_frame_stream,
     write_png,
 )
@@ -26,7 +24,6 @@ from .trace import (
     TraceMetadata,
     TraceReader,
     TraceWriter,
-    read_trace,
     trace_info,
     write_trace,
 )
@@ -36,8 +33,6 @@ __all__ = [
     "read_png",
     "save_frame_stream",
     "load_frame_stream",
-    "save_captures",
-    "load_captures",
     "TRACE_SCHEMA_VERSION",
     "TRACE_MAGIC",
     "TraceFormatError",
@@ -46,6 +41,5 @@ __all__ = [
     "TraceWriter",
     "TraceReader",
     "write_trace",
-    "read_trace",
     "trace_info",
 ]

@@ -1,36 +1,32 @@
-"""Persistence and export for frames, captures and barcode images.
+"""Persistence and export for encoded frames and barcode images.
 
-A sender in the wild needs to *show* the barcodes and a researcher needs
-to archive capture sessions, so the library ships:
+A sender in the wild needs to *show* the barcodes, so the library ships:
 
 * a dependency-free **PNG writer/reader** (RGB8, zlib-deflated — enough
   to display or inspect any rendered frame without Pillow/OpenCV);
-* **NPZ stream archives** for frame stacks and capture sessions, so an
-  experiment's exact inputs can be replayed bit-for-bit.
+* an **NPZ frame-stream archive** (grids + headers + payloads), which
+  ``repro encode`` writes and ``repro info`` reads.
+
+Recorded capture sessions are capture traces (:mod:`repro.io.trace`).
 """
 
 from __future__ import annotations
 
 import struct
+import zipfile
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..core.encoder import Frame, FrameCodecConfig
+from ..core.encoder import Frame
 from ..core.header import FrameHeader
-
-if TYPE_CHECKING:
-    from ..channel.link import Capture
 
 __all__ = [
     "write_png",
     "read_png",
     "save_frame_stream",
     "load_frame_stream",
-    "save_captures",
-    "load_captures",
 ]
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
@@ -131,48 +127,33 @@ def save_frame_stream(path: str | Path, frames: list[Frame]) -> None:
     )
 
 
-def load_frame_stream(path: str | Path, config: FrameCodecConfig | None = None) -> list[Frame]:
-    """Load a stream saved by :func:`save_frame_stream`."""
+def load_frame_stream(path: str | Path) -> list[Frame]:
+    """Load a stream saved by :func:`save_frame_stream`.
+
+    A file that is not such a stream (empty, truncated, garbage, another
+    archive, or a bare ``.npy`` array, which ``with`` refuses with
+    :exc:`TypeError`) raises :exc:`ValueError` naming *path*; a file
+    the OS cannot open raises :exc:`OSError`.
+    """
     from ..core.layout import FrameLayout
 
-    with np.load(Path(path), allow_pickle=False) as data:
-        rows, cols, block = (int(v) for v in data["layout"])
-        layout = FrameLayout(grid_rows=rows, grid_cols=cols, block_px=block)
-        frames = []
-        for grid, header_bytes, payload in zip(
-            data["grids"], data["headers"], data["payloads"]
-        ):
-            header = FrameHeader.unpack(header_bytes.tobytes())
-            frames.append(
-                Frame(
-                    header=header,
-                    grid=grid.copy(),
-                    payload=payload.tobytes(),
-                    layout=layout,
-                )
-            )
-    return frames
-
-
-def save_captures(path: str | Path, captures: "Sequence[Capture]") -> None:
-    """Archive a capture session (images + times) as .npz.
-
-    Images are stored as they are (uint8 for simulator captures), so
-    :func:`load_captures` returns the same bytes.
-    """
-    if not captures:
-        raise ValueError("no captures to save")
-    images = np.stack([c.image for c in captures])
-    times = np.array([c.time for c in captures])
-    np.savez_compressed(Path(path), images=images, times=times)
-
-
-def load_captures(path: str | Path) -> "list[Capture]":
-    """Load a session saved by :func:`save_captures`, dtype as stored."""
-    from ..channel.link import Capture
-
-    with np.load(Path(path), allow_pickle=False) as data:
-        return [
-            Capture(time=float(t), image=img)
-            for t, img in zip(data["times"], data["images"])
-        ]
+    try:
+        with np.load(Path(path), allow_pickle=False) as data:
+            rows, cols, block = (int(v) for v in data["layout"])
+            grids, headers, payloads = data["grids"], data["headers"], data["payloads"]
+    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(
+            f"{path}: not a frame stream ({type(exc).__name__}: {exc})"
+        ) from exc
+    if not len(grids):
+        raise ValueError(f"{path}: holds no frames")
+    layout = FrameLayout(grid_rows=rows, grid_cols=cols, block_px=block)
+    return [
+        Frame(
+            header=FrameHeader.unpack(header_bytes.tobytes()),
+            grid=grid.copy(),
+            payload=payload.tobytes(),
+            layout=layout,
+        )
+        for grid, header_bytes, payload in zip(grids, headers, payloads)
+    ]

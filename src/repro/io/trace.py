@@ -2,9 +2,11 @@
 
 A *capture trace* stores a capture session — every frame the camera
 produced plus its capture timing and the session's physical metadata —
-independently of the simulator that produced it (ROADMAP item 3: the
-precondition for serving uploaded captures, sharding decode work and
-keeping cross-version regression corpora).  The on-disk layout is a
+independently of the simulator that produced it: the one container
+for recorded sessions (``repro simulate --save-session`` and ``repro
+trace record`` write it; ``repro decode`` and ``repro trace decode``
+read it), and the basis for sharding decode work and keeping
+cross-version regression corpora.  The on-disk layout is a
 directory:
 
 .. code-block:: text
@@ -69,7 +71,6 @@ __all__ = [
     "TraceWriter",
     "TraceReader",
     "write_trace",
-    "read_trace",
     "trace_info",
 ]
 
@@ -301,7 +302,7 @@ class TraceReader:
             )
         try:
             header = json.loads(header_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSON or UTF-8 decoding too
             raise TraceFormatError(
                 f"unreadable trace header: {exc}", path=header_path
             ) from exc
@@ -334,9 +335,13 @@ class TraceReader:
         index_path = self.path / _INDEX_NAME
         if not index_path.is_file():
             raise TraceFormatError("missing index.jsonl", path=index_path)
+        try:
+            lines = index_path.read_text().splitlines()
+        except (OSError, ValueError) as exc:
+            raise TraceFormatError(f"unreadable index: {exc}", path=index_path) from exc
         entries: list[dict[str, Any]] = []
         expected_start = 0
-        for lineno, line in enumerate(index_path.read_text().splitlines(), 1):
+        for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:
@@ -396,7 +401,7 @@ class TraceReader:
             with np.load(chunk_path, allow_pickle=False) as data:
                 images = np.asarray(data["images"])
                 times = np.asarray(data["times"], dtype=np.float64)
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile,
+        except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile,
                 _io.UnsupportedOperation) as exc:
             raise TraceFormatError(
                 f"unreadable chunk {entry['chunk']}: {type(exc).__name__}: {exc}",
@@ -446,17 +451,6 @@ class TraceReader:
         for _ in self.iter_chunks():
             pass
 
-    def captures(self) -> "list[Capture]":
-        """The whole trace as :class:`~repro.channel.link.Capture` objects.
-
-        Frames keep the dtype the trace stored (uint8 for simulator
-        captures); every decoder normalizes its input.
-        """
-        from ..channel.link import Capture
-
-        images, times = self.read_all()
-        return [Capture(time=float(t), image=img) for t, img in zip(times, images)]
-
 
 def write_trace(
     path: "str | Path",
@@ -468,11 +462,6 @@ def write_trace(
     with TraceWriter(path, metadata=metadata, chunk_frames=chunk_frames) as writer:
         writer.extend(captures)
     return writer.close()
-
-
-def read_trace(path: "str | Path", verify: bool = True) -> "TraceReader":
-    """Open a trace for streaming replay (header + index validated)."""
-    return TraceReader(path, verify=verify)
 
 
 def trace_info(path: "str | Path") -> "dict[str, Any]":

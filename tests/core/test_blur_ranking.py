@@ -45,8 +45,8 @@ def _reset_telemetry():
 def scorer_calls(monkeypatch):
     """Records every blur-metric pass, however the metric was imported.
 
-    ``gradient_energy`` (and ``laplacian_variance``) reduce the frame
-    through the module-level ``_intensity``, looked up at call time.
+    ``gradient_energy`` reduces the frame through the module-level
+    ``_intensity``, looked up at call time.
     """
     calls = []
     real = metrics._intensity

@@ -1,18 +1,10 @@
-"""PNG writer/reader and stream archives."""
+"""PNG writer/reader and the frame-stream archive."""
 
 import numpy as np
 import pytest
 
-from repro.channel.link import Capture
 from repro.core.encoder import FrameCodecConfig, FrameEncoder
-from repro.io import (
-    load_captures,
-    load_frame_stream,
-    read_png,
-    save_captures,
-    save_frame_stream,
-    write_png,
-)
+from repro.io import load_frame_stream, read_png, save_frame_stream, write_png
 
 
 class TestPng:
@@ -72,24 +64,33 @@ class TestFrameStreamArchive:
         with pytest.raises(ValueError):
             save_frame_stream(tmp_path / "e.npz", [])
 
+    @pytest.mark.parametrize("kind", ["empty", "truncated", "garbage", "capture", "npy"])
+    def test_not_a_stream_is_one_value_error_naming_the_path(self, tmp_path, kind):
+        cfg = FrameCodecConfig()
+        good = tmp_path / "good.npz"
+        save_frame_stream(good, FrameEncoder(cfg).encode_stream(b"typed errors"))
+        path = tmp_path / "bad.npz"
+        if kind == "empty":  # np.load: EOFError
+            path.write_bytes(b"")
+        elif kind == "truncated":  # zipfile.BadZipFile
+            path.write_bytes(good.read_bytes()[:-16])
+        elif kind == "garbage":  # ValueError: pickled data
+            path.write_bytes(b"not an archive " * 8)
+        elif kind == "capture":  # another archive: KeyError 'layout'
+            np.savez(path, images=np.zeros((1, 4, 4, 3), np.uint8), times=np.zeros(1))
+        else:  # a bare array: ``with`` raises TypeError
+            with path.open("wb") as fh:
+                np.save(fh, np.zeros(3))
+        with pytest.raises(ValueError, match="bad.npz: not a frame stream"):
+            load_frame_stream(path)
 
-class TestCaptureArchive:
-    def test_roundtrip(self, tmp_path):
-        # Captures are uint8; the archive keeps every byte and the dtype.
-        rng = np.random.default_rng(1)
-        captures = [
-            Capture(time=0.1 * i, image=rng.integers(0, 256, (12, 16, 3), dtype=np.uint8))
-            for i in range(3)
-        ]
-        path = tmp_path / "session.npz"
-        save_captures(path, captures)
-        loaded = load_captures(path)
-        assert len(loaded) == 3
-        for a, b in zip(captures, loaded):
-            assert b.time == a.time
-            assert b.image.dtype == np.uint8
-            assert np.array_equal(a.image, b.image)
+    def test_stream_without_frames_is_a_value_error(self, tmp_path):
+        path = tmp_path / "none.npz"
+        np.savez(path, grids=np.zeros((0, 2, 2), np.uint8), headers=np.zeros((0, 4), np.uint8),
+                 payloads=np.zeros((0, 4), np.uint8), layout=np.array([10, 44, 12]))
+        with pytest.raises(ValueError, match="holds no frames"):
+            load_frame_stream(path)
 
-    def test_empty_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_captures(tmp_path / "e.npz", [])
+    def test_missing_file_is_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_frame_stream(tmp_path / "nope.npz")

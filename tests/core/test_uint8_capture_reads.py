@@ -6,7 +6,9 @@ divide (or look up) only the values they use.  Each oracle below keeps
 the float-frame code it replaced verbatim as ``_reference_*`` and
 demands the uint8 reading equal it on ``capture / 255.0``, compared as
 uint64 bits.  ``_reference_correct_location`` keeps the numpy form of
-the locator refinement that the scalar loop must match.
+the locator refinement that the scalar loop must match, and
+``_reference_gradient_energy`` the blur score that squared its
+differences into new arrays, which the in-place squares must match.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ from repro.core.locators import (
 )
 from repro.core.recognition import ColorClassifier
 from repro.imaging import color as color_mod
+from repro.imaging import metrics as metrics_mod
 from repro.imaging.color import normalize_frame, rgb_to_hsv
 from repro.imaging.interpolation import bilinear_coeffs, sample_bilinear, sample_nearest
-from repro.imaging.metrics import gradient_energy, laplacian_variance
+from repro.imaging.metrics import gradient_energy
 from repro.io import read_png
 
 CORPUS_DIR = Path(__file__).parent.parent / "fixtures" / "corpus"
@@ -176,6 +179,14 @@ def _reference_correct_location(black, point, block_size, iterations=_MAX_CORREC
             return new_point
         point = new_point
     return point
+
+
+def _reference_gradient_energy(image):
+    """The blur score as it squared into new arrays, kept verbatim as the oracle."""
+    gray = metrics_mod._intensity(image)
+    gx = np.diff(gray, axis=1)
+    gy = np.diff(gray, axis=0)
+    return float(np.mean(gx**2) + np.mean(gy**2))
 
 
 def _bits(array) -> np.ndarray:
@@ -334,7 +345,22 @@ class TestBlurScoreOfUint8:
         for image in images:
             divided = image / 255.0
             assert gradient_energy(image).hex() == gradient_energy(divided).hex()
-            assert laplacian_variance(image).hex() == laplacian_variance(divided).hex()
+
+    def test_in_place_squares_score_as_the_reference(self, paper_capture, corpus):
+        rng = np.random.default_rng(10)
+        noise = rng.integers(0, 256, (64, 80, 3), dtype=np.uint8)
+        images = [
+            paper_capture,
+            *corpus,
+            noise,
+            noise[..., 0],
+            noise / 255.0,
+            rng.random((33, 47)),
+        ]
+        for image in images:
+            before = image.copy()
+            assert gradient_energy(image).hex() == _reference_gradient_energy(image).hex()
+            assert np.array_equal(image, before)  # the caller's frame is never squared
 
     def test_flat_frames_score_zero(self):
         for level in (0, 255):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.imaging.metrics import gradient_energy, laplacian_variance, mean_abs_error, psnr
+from repro.imaging.metrics import gradient_energy, mean_abs_error, psnr
 from repro.imaging.noise import (
     add_ambient_light,
     add_gaussian_noise,
@@ -87,7 +87,6 @@ class TestMetrics:
 
     def test_constant_image_zero_energy(self):
         assert gradient_energy(np.full((10, 10), 0.3)) == 0.0
-        assert laplacian_variance(np.full((10, 10), 0.3)) == 0.0
 
     def test_psnr_identical_infinite(self):
         img = np.random.default_rng(0).random((8, 8))

@@ -1,5 +1,7 @@
 """The command-line interface, end to end."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -36,7 +38,7 @@ class TestEncodeInfo:
 
 class TestSimulateDecode:
     def test_simulate_roundtrip(self, tmp_path, capsys):
-        session = tmp_path / "session.npz"
+        session = tmp_path / "session.rbtrace"
         rc = main(
             [
                 "simulate",
@@ -48,11 +50,18 @@ class TestSimulateDecode:
         assert rc == 0
         out = capsys.readouterr().out
         assert "OK" in out
-        assert session.exists()
+        # The session is a capture trace carrying the geometry that
+        # `trace record` writes, so a decoder needs no flags.
+        from repro.io import trace_info
 
-        # Decode the archived session back to the message bytes.
+        extra = trace_info(session)["metadata"]["extra"]
+        assert extra == {"display_rate": 10, "grid_rows": 34, "grid_cols": 60,
+                         "block_px": 12, "payload_bytes": len(b"cli end to end")}
+
+        # Decode the recorded session back to the message bytes; the
+        # header's geometry wins over the fallback --block-px.
         out_file = tmp_path / "recovered.bin"
-        rc = main(["decode", str(session), "-o", str(out_file)])
+        rc = main(["decode", str(session), "-o", str(out_file), "--block-px", "9"])
         assert rc == 0
         assert out_file.read_bytes()[: len(b"cli end to end")] == b"cli end to end"
 
@@ -62,7 +71,7 @@ class TestSimulateDecode:
     def test_decode_says_when_the_last_frame_was_never_seen(self, tmp_path, capsys):
         # At 40 cm every capture is lost, so no frame (the last one
         # included) arrives: there is no gap list to print.
-        session = tmp_path / "lost.npz"
+        session = tmp_path / "lost.rbtrace"
         rc = main(["simulate", "--seed", "5", "--distance-cm", "40",
                    "--message", "x" * 900, "--save-session", str(session)])
         assert rc == 1
@@ -325,6 +334,13 @@ class TestTrace:
         assert main(["trace", "info", str(broken), "--check"]) == 1
         assert "conformance check FAILED" in capsys.readouterr().err
 
+    def test_record_missing_input_is_usage_error(self, tmp_path, capsys):
+        rc = main(["trace", "record", "-o", str(tmp_path / "t.rbtrace"),
+                   "--input", str(tmp_path / "nope.bin")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "trace record:" in err and "Traceback" not in err
+
     def test_info_rejects_future_schema_version(self, recorded, tmp_path, capsys):
         import json
         import shutil
@@ -336,3 +352,111 @@ class TestTrace:
         (future / "header.json").write_text(json.dumps(header))
         assert main(["trace", "info", str(future)]) == 1
         assert "unsupported trace schema version" in capsys.readouterr().err
+
+
+_CORPUS_TRACE = Path(__file__).parent.parent / "fixtures" / "corpus" / "traces" / "clean.rbtrace"
+_GARBAGE = b"\xff\xfe\x00\x81 not any kind of input " * 4
+
+#: Each subcommand that reads a file: its argv around the input, the kind
+#: of input it expects, and its exit code per bad input (exit 0: the
+#: input is valid bytes to encode).  A trace path that holds no trace,
+#: a missing one included, is a container the reader rejects (exit 1).
+_READERS = {
+    "decode": (["decode", "{input}", "-o", "{out}"], "trace",
+               {"missing": 1, "empty": 1, "truncated": 1, "wrong-kind": 1, "garbage": 1}),
+    "trace decode": (["trace", "decode", "{input}"], "trace",
+                     {"missing": 1, "empty": 1, "truncated": 1, "wrong-kind": 1,
+                      "garbage": 1}),
+    "trace info": (["trace", "info", "{input}", "--check"], "trace",
+                   {"missing": 1, "empty": 1, "truncated": 1, "wrong-kind": 1,
+                    "garbage": 1}),
+    "info": (["info", "{input}"], "stream",
+             {"missing": 2, "empty": 1, "truncated": 1, "wrong-kind": 1, "garbage": 1}),
+    "encode": (["encode", "{input}", "-o", "{out}"], "bytes",
+               {"missing": 2, "empty": 0, "truncated": 0, "wrong-kind": 2, "garbage": 0}),
+    "perf check": (["perf", "check", "--workload", "receive_replay", "{input}"], "perf",
+                   {"missing": 2, "empty": 2, "truncated": 2, "wrong-kind": 2,
+                    "garbage": 2}),
+    "quality check": (["quality", "report", "--dir", "{telemetry}", "--check",
+                       "--budget", "{input}"], "budget",
+                      {"missing": 2, "empty": 2, "truncated": 2, "wrong-kind": 2,
+                       "garbage": 2}),
+}
+
+
+def _bad_input(family: str, kind: str, tmp_path: Path) -> Path:
+    """A *kind* of bad input (missing, empty, ...) for a reader of *family*."""
+    import shutil
+
+    from repro.core.encoder import FrameCodecConfig, FrameEncoder
+    from repro.io import save_frame_stream
+
+    stream = tmp_path / "good-stream.npz"
+    save_frame_stream(stream, FrameEncoder(FrameCodecConfig()).encode_stream(b"bad inputs"))
+    suffix = {"stream": ".npz", "trace": ".rbtrace", "budget": ".toml"}.get(family, ".txt")
+    path = tmp_path / f"input-{kind}{suffix}"
+    if kind == "missing":
+        return path
+    if family == "trace":
+        if kind == "empty":
+            path.mkdir()
+        elif kind == "wrong-kind":
+            shutil.copy(stream, path)
+        else:
+            shutil.copytree(_CORPUS_TRACE, path)
+            if kind == "truncated":
+                chunk = path / "chunks" / "chunk-00000.npz"
+                chunk.write_bytes(chunk.read_bytes()[:-16])
+            else:
+                (path / "header.json").write_bytes(_GARBAGE)
+        return path
+    if kind == "empty":
+        path.write_bytes(b"")
+    elif kind == "garbage":
+        path.write_bytes(_GARBAGE)
+    elif family in ("stream", "bytes"):
+        if kind == "truncated":
+            path.write_bytes(stream.read_bytes()[:-16])
+        elif family == "bytes":  # a directory where a file belongs
+            path.mkdir()
+        else:  # a capture archive (a trace chunk), not a frame stream
+            shutil.copy(_CORPUS_TRACE / "chunks" / "chunk-00000.npz", path)
+    elif family == "perf":
+        if kind == "truncated":
+            path.write_bytes(
+                _perfbench_stdout(tmp_path / "full.txt", {"x": 1.0}).read_bytes()[:-8]
+            )
+        else:  # JSON, but a trace header rather than a perfbench result
+            shutil.copy(_CORPUS_TRACE / "header.json", path)
+    else:  # budget
+        if kind == "truncated":
+            path.write_text('[quality.frame_failure_rate]\nmax = ')
+        else:  # JSON, but a trace header rather than a budgets file
+            path = path.with_suffix(".json")
+            shutil.copy(_CORPUS_TRACE / "header.json", path)
+    return path
+
+
+class TestUnreadableInputs:
+    """Every subcommand that reads a file fails on a bad one with its
+    contract exit code and a one-line message, never a traceback."""
+
+    @pytest.mark.parametrize("kind", ["missing", "empty", "truncated", "wrong-kind", "garbage"])
+    @pytest.mark.parametrize("command", sorted(_READERS))
+    def test_exit_code_and_no_traceback(self, command, kind, tmp_path, capsys):
+        template, family, codes = _READERS[command]
+        telemetry_dir = tmp_path / "telemetry"
+        telemetry_dir.mkdir()
+        (telemetry_dir / "metrics.json").write_text("{}")
+        fields = {
+            "input": str(_bad_input(family, kind, tmp_path)),
+            "out": str(tmp_path / "out.bin"),
+            "telemetry": str(telemetry_dir),
+        }
+        argv = [arg.format(**fields) for arg in template]
+        capsys.readouterr()
+        assert main(argv) == codes[kind]
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if codes[kind]:
+            assert err.strip(), "a failure must say why on stderr"

@@ -23,7 +23,6 @@ from repro.io.trace import (
     TraceMetadata,
     TraceReader,
     TraceWriter,
-    read_trace,
     trace_info,
     write_trace,
 )
@@ -85,6 +84,12 @@ def test_header_not_json(trace):
         TraceReader(trace)
 
 
+def test_header_not_utf8(trace):
+    (trace / "header.json").write_bytes(b"\xff\xfe\x00\x81 garbage")
+    with pytest.raises(TraceFormatError, match="unreadable trace header"):
+        TraceReader(trace)
+
+
 def test_header_not_an_object(trace):
     (trace / "header.json").write_text('["a", "list"]')
     with pytest.raises(TraceFormatError, match="not a JSON object"):
@@ -102,7 +107,7 @@ def test_mismatched_schema_version_refused(trace, version):
     """A reader must refuse, not guess at, any version it doesn't know."""
     edit_header(trace, version=version)
     with pytest.raises(TraceFormatError, match="unsupported trace schema version"):
-        read_trace(trace)
+        TraceReader(trace)
 
 
 def test_missing_index(trace):
@@ -123,6 +128,13 @@ def test_corrupt_index_line(trace):
     with pytest.raises(TraceFormatError, match="corrupt index line 2") as exc:
         TraceReader(trace)
     assert exc.value.offset == 2  # chunk 0 held frames 0-1
+
+
+def test_index_not_utf8(trace):
+    (trace / "index.jsonl").write_bytes(b"\xff\xfe\x00\x81 garbage")
+    with pytest.raises(TraceFormatError, match="unreadable index") as exc:
+        TraceReader(trace)
+    assert exc.value.path.endswith("index.jsonl")
 
 
 def test_index_missing_field(trace):
@@ -181,6 +193,15 @@ def test_truncated_chunk_detected_without_sha_verification(trace):
     chunk = trace / "chunks" / "chunk-00001.npz"
     chunk.write_bytes(chunk.read_bytes()[:-20])
     with pytest.raises(TraceFormatError, match="unreadable chunk") as exc:
+        TraceReader(trace, verify=False).validate()
+    assert exc.value.offset == 2
+
+
+def test_empty_chunk_detected_without_sha_verification(trace):
+    """An emptied chunk makes ``np.load`` raise EOFError, which must still
+    surface as the typed error."""
+    (trace / "chunks" / "chunk-00001.npz").write_bytes(b"")
+    with pytest.raises(TraceFormatError, match="unreadable chunk.*EOFError") as exc:
         TraceReader(trace, verify=False).validate()
     assert exc.value.offset == 2
 

@@ -119,7 +119,7 @@ def test_write_trace_helper_round_trips_captures(tmp_path):
         Capture(time=i / 30.0, image=rng.random((4, 4, 3))) for i in range(5)
     ]
     reader = write_trace(tmp_path / "c.rbtrace", captures, chunk_frames=2)
-    restored = reader.captures()
+    restored = list(reader)
     assert len(restored) == len(captures)
     for a, b in zip(captures, restored):
         assert a.time == b.time
