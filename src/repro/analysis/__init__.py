@@ -2,11 +2,11 @@
 
 The pipeline's headline invariants — bit-identical serial/parallel
 decode results, deterministic seeded fault scenarios, wall-clock-free
-telemetry merges, leak-free file handles, versioned wire formats —
-are properties of *how* the code is written, not just of what the
-tests observe.  This package enforces them at lint time with a
-two-phase, project-wide analyzer: per-file AST rules, then passes
-over a shared module index that no single file can see.
+telemetry merges, versioned wire formats — are properties of *how*
+the code is written, not just of what the tests observe.  This
+package enforces them at lint time with a two-phase, project-wide
+analyzer: per-file AST rules, then passes over a shared module index
+that no single file can see.
 
 ========  ==============================================================
 RB000     Stale suppression: a ``# repro: noqa`` comment that no
@@ -35,17 +35,17 @@ RB006     Import layering (project pass): eager imports must respect
           imports, no import cycles.
           Lazy (function-scoped / TYPE_CHECKING) imports are the
           sanctioned upward mechanism.
-RB007     Resource lifecycle: ``open`` / ``NamedTemporaryFile``
-          acquisitions must be released on all paths — context
-          manager, ``finally`` release, or explicit ownership transfer
-          to a caller/manager.
-RB008     CLI exit-code contract: ``cli.py`` / ``__main__.py`` handler
-          functions return ints through the 0/1/2 funnel; raw
-          ``sys.exit(expr)`` is banned outside ``sys.exit(main())``.
 RB010     Schema-version hygiene: writers of versioned artifacts stamp
           documents from a single ``*_SCHEMA_VERSION`` constant, never
           an inline literal.
 ========  ==============================================================
+
+Two contracts are checked at run time instead, where they see what a
+syntax walk cannot: the tier-1 suite turns every ``ResourceWarning``
+into an error (a file handle leaked on any path the tests drive,
+exception paths included), and ``tests/integration/test_cli.py`` holds
+the exit-code table that runs every CLI subcommand and requires the
+exact 0/1/2 code ``main`` returns.
 
 Run it with ``python -m repro.analysis src/repro`` or ``repro
 analyze``; suppress a finding with a ``# repro: noqa RBxxx`` comment

@@ -73,7 +73,10 @@ def _list_rules() -> int:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help or a usage error, already printed
+        return int(exc.code or 0)
 
     if args.list_rules:
         return _list_rules()

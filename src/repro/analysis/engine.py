@@ -2,7 +2,7 @@
 
 Phase 1 parses every input into a :class:`ModuleRecord` (AST, noqa
 suppression map, dotted module name) and runs the per-file rules
-(RB001–RB004, RB007, RB008, RB010).  Phase 2 builds a shared module index over
+(RB001–RB004, RB010).  Phase 2 builds a shared module index over
 *all* records and runs the project passes (RB006 import layering) that
 no single file can see.  Only then are suppressions applied — one
 filter over the union of findings, which is what lets the engine also

@@ -1,4 +1,4 @@
-"""The RB001–RB004, RB007, RB008 and RB010 per-file rule classes.
+"""The RB001–RB004 and RB010 per-file rule classes.
 
 Every rule subclasses :class:`Rule` and implements :meth:`Rule.check`,
 receiving the parsed module and a :class:`RuleContext` describing where
@@ -29,8 +29,6 @@ __all__ = [
     "RB002SeedPlumbing",
     "RB003Uint8Overflow",
     "RB004TelemetryHygiene",
-    "RB007ResourceLifecycle",
-    "RB008CliExitContract",
     "RB010SchemaVersionHygiene",
     "RULES",
     "Rule",
@@ -156,7 +154,7 @@ class RuleContext:
     *package* is the first ``repro`` subpackage on that path (``core``,
     ``telemetry``, ...) or ``""`` when the file sits outside any known
     subpackage.  *in_repro* is True when the path passes through a
-    ``repro`` directory at all — repo-contract rules (RB008/RB010) are
+    ``repro`` directory at all — the repo-contract rule (RB010) is
     scoped to it so a run over ``tests/`` does not flag fixtures that
     deliberately construct malformed artifacts.
     """
@@ -547,331 +545,6 @@ class RB004TelemetryHygiene(Rule):
         return out
 
 
-#: Dotted-name suffixes whose call acquires an OS-backed resource that
-#: must be released on every path (RB007).
-_ACQUIRE_SUFFIXES = (
-    "NamedTemporaryFile",
-    "TemporaryFile",
-    "TemporaryDirectory",
-)
-
-#: Method names that count as releasing an acquired resource.
-_RELEASE_METHODS = frozenset({"close", "unlink", "cleanup", "terminate", "release"})
-
-
-def _is_acquisition(call: ast.Call) -> bool:
-    name = dotted_name(call.func)
-    if name == "open" or name.endswith(".open"):
-        # Path.open / io.open / builtins.open all hand back a file
-        # object the caller owns.
-        return name in ("open", "io.open") or name.endswith("Path.open")
-    return any(name == s or name.endswith("." + s) for s in _ACQUIRE_SUFFIXES)
-
-
-class RB007ResourceLifecycle(Rule):
-    """open/NamedTemporaryFile must be released on all paths.
-
-    A leaked file handle holds its descriptor until garbage collection,
-    and a leaked temporary file or directory outlives the process.  An
-    acquisition is clean when its result is
-
-    * used as a context manager (``with open(...) as f``),
-    * released under ``try/finally`` (``finally: f.close()``),
-    * returned/yielded to the caller (ownership transfer),
-    * stored on an object or into a container (a manager owns it), or
-    * passed directly to another call (a helper adopts it).
-
-    A plain local binding whose only release is an unguarded
-    ``.close()`` — or no release at all — leaks the resource on any
-    exception between acquire and close, and is flagged.
-    """
-
-    id = "RB007"
-    title = "resource acquired without guaranteed release"
-
-    def check(self, tree: ast.Module, ctx: RuleContext) -> list[Violation]:
-        out: list[Violation] = []
-        for scope in self._scopes(tree):
-            self._check_scope(scope, ctx, out)
-        return out
-
-    @staticmethod
-    def _scopes(tree: ast.Module) -> Iterator[ast.AST]:
-        yield tree
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node
-
-    def _check_scope(self, scope: ast.AST, ctx: RuleContext, out: list[Violation]) -> None:
-        # Nodes belonging to nested function scopes are analysed there.
-        nested: set[int] = set()
-        for node in ast.walk(scope):
-            if node is scope:
-                continue
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for sub in ast.walk(node):
-                    if sub is not node:
-                        nested.add(id(sub))
-
-        transferred = self._transferred_expressions(scope, nested)
-        released = self._released_names(scope, nested)
-
-        for node in ast.walk(scope):
-            if id(node) in nested or not isinstance(node, ast.Call):
-                continue
-            if not _is_acquisition(node):
-                continue
-            if id(node) in transferred:
-                continue
-            bound = self._binding_name(scope, nested, node)
-            if bound is not None and bound in released:
-                continue
-            label = dotted_name(node.func) or "resource"
-            out.append(
-                self.violation(
-                    ctx,
-                    node,
-                    f"`{label}(...)` acquires a resource with no guaranteed "
-                    "release; use `with`, release it in `finally`, or hand "
-                    "ownership to a caller/manager",
-                )
-            )
-
-    @staticmethod
-    def _transferred_expressions(scope: ast.AST, nested: set[int]) -> set[int]:
-        """ids of expressions whose resource ownership moves elsewhere."""
-        moved: set[int] = set()
-        for node in ast.walk(scope):
-            if id(node) in nested:
-                continue
-            if isinstance(node, ast.With):
-                for item in node.items:
-                    moved.add(id(item.context_expr))
-            elif isinstance(node, ast.Return) and node.value is not None:
-                moved.add(id(node.value))
-            elif isinstance(node, (ast.Yield, ast.YieldFrom)) and node.value is not None:
-                moved.add(id(node.value))
-            elif isinstance(node, ast.Call):
-                for arg in list(node.args) + [k.value for k in node.keywords]:
-                    if isinstance(arg, ast.Call):
-                        moved.add(id(arg))
-            elif isinstance(node, ast.Assign):
-                # `self.fh = open(...)` / `cache[k] = open(...)`:
-                # the object/container now owns the handle.
-                if any(
-                    isinstance(t, (ast.Attribute, ast.Subscript)) for t in node.targets
-                ):
-                    moved.add(id(node.value))
-        return moved
-
-    @staticmethod
-    def _binding_name(
-        scope: ast.AST, nested: set[int], call: ast.Call
-    ) -> "str | None":
-        for node in ast.walk(scope):
-            if id(node) in nested or not isinstance(node, ast.Assign):
-                continue
-            if node.value is call and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    return target.id
-        return None
-
-    @classmethod
-    def _released_names(cls, scope: ast.AST, nested: set[int]) -> set[str]:
-        """Names that are provably released or handed off in *scope*."""
-        released: set[str] = set()
-        for node in ast.walk(scope):
-            if id(node) in nested:
-                continue
-            if isinstance(node, ast.Try):
-                for stmt in node.finalbody:
-                    released |= cls._release_targets(stmt)
-            elif isinstance(node, ast.With):
-                for item in node.items:
-                    if isinstance(item.context_expr, ast.Name):
-                        released.add(item.context_expr.id)
-                    elif isinstance(item.context_expr, ast.Call):
-                        # contextlib.closing(f) / ExitStack patterns.
-                        for arg in item.context_expr.args:
-                            if isinstance(arg, ast.Name):
-                                released.add(arg.id)
-            elif isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
-                if isinstance(getattr(node, "value", None), ast.Name):
-                    released.add(node.value.id)  # type: ignore[union-attr]
-            elif isinstance(node, ast.Call):
-                for arg in list(node.args) + [k.value for k in node.keywords]:
-                    if isinstance(arg, ast.Name):
-                        released.add(arg.id)
-            elif isinstance(node, ast.Assign):
-                if any(
-                    isinstance(t, (ast.Attribute, ast.Subscript)) for t in node.targets
-                ) and isinstance(node.value, ast.Name):
-                    released.add(node.value.id)
-        return released
-
-    @staticmethod
-    def _release_targets(stmt: ast.stmt) -> set[str]:
-        """Names released by ``finally`` statements like ``f.close()``."""
-        out: set[str] = set()
-        for node in ast.walk(stmt):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _RELEASE_METHODS
-                and isinstance(node.func.value, ast.Name)
-            ):
-                out.add(node.func.value.id)
-        return out
-
-
-class RB008CliExitContract(Rule):
-    """CLI handlers return ints through the 0/1/2 contract; no raw sys.exit.
-
-    Applies to ``cli.py`` and ``__main__.py`` modules inside the repro
-    tree.  ``sys.exit(main())`` under the import guard is the single
-    sanctioned process-exit site; everything else returns its code so
-    the dispatcher (and the tests) see one funnel.  Handler functions
-    (``_cmd_*`` / ``main``) must return a value on every path, and a
-    literal return code must be 0, 1 or 2.
-    """
-
-    id = "RB008"
-    title = "CLI exit-code contract"
-
-    _HANDLER_PREFIX = "_cmd_"
-
-    def check(self, tree: ast.Module, ctx: RuleContext) -> list[Violation]:
-        basename = ctx.relpath.replace("\\", "/").rsplit("/", 1)[-1]
-        if not ctx.in_repro or basename not in ("cli.py", "__main__.py"):
-            return []
-        out: list[Violation] = []
-
-        for call in _iter_calls(tree):
-            name = dotted_name(call.func)
-            if name != "sys.exit":
-                continue
-            if self._is_main_funnel(call):
-                continue
-            out.append(
-                self.violation(
-                    ctx,
-                    call,
-                    "raw `sys.exit(...)` bypasses the 0/1/2 exit contract; "
-                    "return the code from the handler and let "
-                    "`sys.exit(main())` be the only exit site",
-                )
-            )
-
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not (node.name.startswith(self._HANDLER_PREFIX) or node.name == "main"):
-                continue
-            self._check_handler(node, ctx, out)
-        return out
-
-    @staticmethod
-    def _is_main_funnel(call: ast.Call) -> bool:
-        if len(call.args) != 1 or call.keywords:
-            return False
-        arg = call.args[0]
-        return isinstance(arg, ast.Call) and dotted_name(arg.func).endswith("main")
-
-    def _check_handler(
-        self,
-        node: "ast.FunctionDef | ast.AsyncFunctionDef",
-        ctx: RuleContext,
-        out: list[Violation],
-    ) -> None:
-        returns = [
-            n
-            for n in ast.walk(node)
-            if isinstance(n, ast.Return) and self._owner_function(node, n) is node
-        ]
-        for ret in returns:
-            if ret.value is None or (
-                isinstance(ret.value, ast.Constant) and ret.value.value is None
-            ):
-                out.append(
-                    self.violation(
-                        ctx,
-                        ret,
-                        f"`{node.name}()` returns without an exit code; every "
-                        "path must yield an int for the 0/1/2 contract",
-                    )
-                )
-            elif isinstance(ret.value, ast.Constant) and isinstance(
-                ret.value.value, int
-            ):
-                if ret.value.value not in (0, 1, 2):
-                    out.append(
-                        self.violation(
-                            ctx,
-                            ret,
-                            f"`{node.name}()` returns literal "
-                            f"{ret.value.value}; exit codes are 0 (ok), "
-                            "1 (finding/regression) or 2 (usage error)",
-                        )
-                    )
-        if not self._terminates(node.body):
-            out.append(
-                self.violation(
-                    ctx,
-                    node,
-                    f"`{node.name}()` can fall off the end without returning "
-                    "an exit code; end every path in `return <code>` or "
-                    "`raise`",
-                )
-            )
-
-    @staticmethod
-    def _owner_function(
-        root: "ast.FunctionDef | ast.AsyncFunctionDef", target: ast.AST
-    ) -> ast.AST:
-        """Innermost function owning *target* (to skip nested defs)."""
-        owner: ast.AST = root
-
-        def visit(node: ast.AST, current: ast.AST) -> "ast.AST | None":
-            if node is target:
-                return current
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not root:
-                current = node
-            for child in ast.iter_child_nodes(node):
-                found = visit(child, current)
-                if found is not None:
-                    return found
-            return None
-
-        found = visit(root, root)
-        return found if found is not None else owner
-
-    @classmethod
-    def _terminates(cls, body: Sequence[ast.stmt]) -> bool:
-        """Does *body* provably end in return/raise on every path?"""
-        if not body:
-            return False
-        last = body[-1]
-        if isinstance(last, ast.Return):
-            return last.value is not None
-        if isinstance(last, ast.Raise):
-            return True
-        if isinstance(last, ast.If):
-            return bool(last.orelse) and cls._terminates(last.body) and cls._terminates(
-                last.orelse
-            )
-        if isinstance(last, ast.With):
-            return cls._terminates(last.body)
-        if isinstance(last, ast.Try):
-            if last.finalbody and cls._terminates(last.finalbody):
-                return True
-            tail_ok = cls._terminates(last.orelse) if last.orelse else cls._terminates(
-                last.body
-            )
-            return tail_ok and all(cls._terminates(h.body) for h in last.handlers)
-        return False
-
-
 #: Dict keys whose value names a wire-format schema version (RB010).
 _SCHEMA_KEYS = frozenset({"version", "schema_version"})
 
@@ -937,7 +610,5 @@ RULES: Sequence[Rule] = (
     RB002SeedPlumbing(),
     RB003Uint8Overflow(),
     RB004TelemetryHygiene(),
-    RB007ResourceLifecycle(),
-    RB008CliExitContract(),
     RB010SchemaVersionHygiene(),
 )

@@ -28,8 +28,10 @@ traced ``perfbench/run.py --trace 1`` run: ``repro perf check`` reads
 its final JSON line and gates its metrics.
 
 Exit codes: 0 ok; 1 the data failed (an incomplete stream, a container
-the reader rejects, a failed check); 2 a usage error or an input file
-the OS cannot open.  No input file ends in a traceback.
+the reader rejects, a failed check); 2 a usage error, an input file
+the OS cannot open or an output path it cannot write.  No input file or
+output path ends in a traceback, and :func:`main` returns the code
+rather than raising :exc:`SystemExit`.
 """
 
 from __future__ import annotations
@@ -279,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Two-phase static analysis over the repro tree: per-file rules "
             "(global-nondeterminism, seed plumbing, uint8 overflow hazards, "
-            "telemetry hygiene, resource lifecycle, CLI exit-code contract, "
-            "schema-version hygiene) plus "
+            "telemetry hygiene, schema-version hygiene) plus "
             "project passes (import layering, stale suppressions).  Exit 0 "
             "clean, 1 violations, 2 usage error.  All arguments are "
             "forwarded to `python -m repro.analysis`."
@@ -317,19 +318,21 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     try:
         data = sys.stdin.buffer.read() if args.input == "-" else Path(args.input).read_bytes()
     except OSError as exc:
-        print(f"encode: {exc}", file=sys.stderr)
-        return 2
+        return _failed("encode", exc)
     config = _config(args.display_rate, args.block_px)
     frames = FrameEncoder(config).encode_stream(data)
-    save_frame_stream(args.output, frames)
-    print(f"{len(data)} bytes -> {len(frames)} frames "
-          f"({config.payload_bytes_per_frame} payload bytes each) -> {args.output}")
-    if args.png_dir:
-        png_dir = Path(args.png_dir)
-        png_dir.mkdir(parents=True, exist_ok=True)
-        for frame in frames:
-            write_png(png_dir / f"frame_{frame.header.sequence:05d}.png", frame.render())
-        print(f"wrote {len(frames)} PNGs to {png_dir}")
+    try:
+        save_frame_stream(args.output, frames)
+        print(f"{len(data)} bytes -> {len(frames)} frames "
+              f"({config.payload_bytes_per_frame} payload bytes each) -> {args.output}")
+        if args.png_dir:
+            png_dir = Path(args.png_dir)
+            png_dir.mkdir(parents=True, exist_ok=True)
+            for frame in frames:
+                write_png(png_dir / f"frame_{frame.header.sequence:05d}.png", frame.render())
+            print(f"wrote {len(frames)} PNGs to {png_dir}")
+    except OSError as exc:
+        return _failed("encode", exc)
     return 0
 
 
@@ -343,11 +346,11 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         reader = TraceReader(args.session)
         config = _trace_decoder_config(reader.metadata, args.display_rate, args.block_px)
     except (OSError, ValueError) as exc:
-        return _trace_failed("decode", exc)
+        return _failed("decode", exc)
     try:
         report = BufferedReceiver(FrameDecoder(config)).process(_trace_captures(reader))
     except (OSError, TraceFormatError) as exc:
-        return _trace_failed("decode", exc)
+        return _failed("decode", exc)
     assembler = PayloadAssembler()
     assembler.add_all(report.results)
 
@@ -368,7 +371,10 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         return 1
     payload = assembler.payload()
     if args.output:
-        Path(args.output).write_bytes(payload)
+        try:
+            Path(args.output).write_bytes(payload)
+        except OSError as exc:
+            return _failed("decode", exc)
     else:
         sys.stdout.buffer.write(payload)
     return 0
@@ -382,10 +388,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config, frames, schedule, link = _simulated_session(args, message)
     if args.save_session:
         # Decode the recorded trace, so the session on disk is the one checked.
-        reader = link.export_trace(
-            schedule, args.save_session,
-            extra_metadata=_session_metadata(config, len(message)),
-        )
+        try:
+            reader = link.export_trace(
+                schedule, args.save_session,
+                extra_metadata=_session_metadata(config, len(message)),
+            )
+        except OSError as exc:
+            return _failed("simulate", exc)
         captures: Iterable[Capture] = _trace_captures(reader)
     else:
         captures = link.capture_stream(schedule)
@@ -465,7 +474,10 @@ def _cmd_faults_campaign(args: argparse.Namespace) -> int:
     summaries = summarize(trials)
     print(format_table(summaries))
     if args.out != "-":
-        txt, js = write_campaign_results(args.out, trials, summaries)
+        try:
+            txt, js = write_campaign_results(args.out, trials, summaries)
+        except OSError as exc:
+            return _failed("faults-campaign", exc)
         print(f"\nwrote {txt} and {js}")
     undetected = sum(s.undetected_errors for s in summaries)
     if undetected:
@@ -489,8 +501,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
     try:
         data = args.message.encode() if args.input is None else Path(args.input).read_bytes()
     except OSError as exc:
-        print(f"trace record: {exc}", file=sys.stderr)
-        return 2
+        return _failed("trace record", exc)
     faults = None
     if args.scenario:
         if args.scenario not in scenario_names():
@@ -500,10 +511,13 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
         faults = scenario_plan(args.scenario, seed=args.seed)
 
     config, frames, schedule, link = _simulated_session(args, data, faults)
-    reader = link.export_trace(
-        schedule, args.output, chunk_frames=args.chunk_frames,
-        extra_metadata=_session_metadata(config, len(data)),
-    )
+    try:
+        reader = link.export_trace(
+            schedule, args.output, chunk_frames=args.chunk_frames,
+            extra_metadata=_session_metadata(config, len(data)),
+        )
+    except OSError as exc:
+        return _failed("trace record", exc)
     print(f"{len(data)} bytes -> {len(frames)} frames -> "
           f"{reader.num_frames} captures recorded to {args.output} "
           f"({len(reader._index)} chunk(s), scenario "
@@ -551,8 +565,8 @@ def _trace_captures(reader: "TraceReader") -> "Iterator[Capture]":
     return (Capture(frame.time, frame.image) for frame in reader)
 
 
-def _trace_failed(command: str, exc: Exception) -> int:
-    """Report a trace that failed to load: 1 if the reader rejected it, else 2."""
+def _failed(command: str, exc: Exception) -> int:
+    """Report a failed read or write: 1 if the trace reader rejected it, else 2."""
     from .io.trace import TraceFormatError
 
     print(f"{command}: {exc}", file=sys.stderr)
@@ -565,6 +579,7 @@ def _trace_decoder_config(
     """Decoder geometry for a trace: *grid* > trace header > the given defaults."""
     from .core.encoder import FrameCodecConfig
     from .core.layout import FrameLayout
+    from .io.trace import TraceFormatError
 
     if grid:
         try:
@@ -577,14 +592,17 @@ def _trace_decoder_config(
         )
     extra = metadata.extra
     if {"grid_rows", "grid_cols", "block_px"} <= set(extra):
-        return FrameCodecConfig(
-            layout=FrameLayout(
-                grid_rows=int(extra["grid_rows"]),
-                grid_cols=int(extra["grid_cols"]),
-                block_px=int(extra["block_px"]),
-            ),
-            display_rate=int(extra.get("display_rate", display_rate)),
-        )
+        try:
+            return FrameCodecConfig(
+                layout=FrameLayout(
+                    grid_rows=int(extra["grid_rows"]),
+                    grid_cols=int(extra["grid_cols"]),
+                    block_px=int(extra["block_px"]),
+                ),
+                display_rate=int(extra.get("display_rate", display_rate)),
+            )
+        except (TypeError, ValueError) as exc:  # the trace's data, not a flag
+            raise TraceFormatError(f"unusable geometry in the trace header: {exc}") from exc
     return _config(display_rate, block_px)
 
 
@@ -601,7 +619,7 @@ def _cmd_trace_decode(args: argparse.Namespace) -> int:
             reader.metadata, args.display_rate, args.block_px, args.grid
         )
     except (OSError, ValueError) as exc:
-        return _trace_failed("trace decode", exc)
+        return _failed("trace decode", exc)
 
     decoder = FrameDecoder(config)
     try:
@@ -609,7 +627,7 @@ def _cmd_trace_decode(args: argparse.Namespace) -> int:
             reader, workers=args.workers, chunksize=args.chunksize
         )
     except (OSError, TraceFormatError) as exc:
-        return _trace_failed("trace decode", exc)
+        return _failed("trace decode", exc)
 
     outcomes = []
     for index, result in enumerate(results):
@@ -645,8 +663,11 @@ def _cmd_trace_decode(args: argparse.Namespace) -> int:
         if telemetry.env_enabled() and registry:
             doc["metrics"] = registry.snapshot(include_timing=False)
         out = Path(args.json_out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json_mod.dumps(doc, indent=2, sort_keys=True) + "\n")
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(json_mod.dumps(doc, indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            return _failed("trace decode", exc)
         print(f"wrote {out}")
     return 0
 
@@ -657,7 +678,7 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
     try:
         info = trace_info(args.trace)
     except (OSError, TraceFormatError) as exc:
-        return _trace_failed("trace info", exc)
+        return _failed("trace info", exc)
     print(f"capture trace {info['path']} (schema v{info['version']})")
     shape = "x".join(str(d) for d in info["frame_shape"]) or "?"
     print(f"  {info['num_frames']} frame(s) of {shape} {info['frame_dtype']} "
@@ -677,7 +698,7 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
         try:
             TraceReader(args.trace).validate()
         except (OSError, TraceFormatError) as exc:
-            return _trace_failed("trace info: conformance check FAILED", exc)
+            return _failed("trace info: conformance check FAILED", exc)
         print("  conformance check passed (all chunks verified)")
     return 0
 
@@ -729,7 +750,10 @@ def _cmd_telemetry_report(args: argparse.Namespace) -> int:
     report = build_report(directory)
     print(format_report(report))
     if args.out != "-":
-        txt, js = write_report(report, args.out)
+        try:
+            txt, js = write_report(report, args.out)
+        except OSError as exc:
+            return _failed("telemetry report", exc)
         print(f"\nwrote {txt} and {js}")
     return 0
 
@@ -774,7 +798,10 @@ def _cmd_quality_report(args: argparse.Namespace) -> int:
 
     print(format_quality_report(report))
     if args.out != "-":
-        txt, js = write_quality_report(report, args.out)
+        try:
+            txt, js = write_quality_report(report, args.out)
+        except OSError as exc:
+            return _failed("quality report", exc)
         print(f"\nwrote {txt} and {js}")
     return 0
 
@@ -855,7 +882,10 @@ def main(argv: list[str] | None = None) -> int:
         from .analysis.__main__ import main as analyze_main
 
         return analyze_main(argv[1:])
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help or a usage error, already printed
+        return int(exc.code or 0)
     code = _COMMANDS[args.command](args)
     # Environment-enabled runs leave their trace/metrics behind for the
     # `telemetry report` / `quality report` subcommands (which must not

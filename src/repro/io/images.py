@@ -137,8 +137,10 @@ def load_frame_stream(path: str | Path) -> list[Frame]:
     """
     from ..core.layout import FrameLayout
 
+    # np.load hands a path's descriptor to the archive it opens, and a
+    # truncated zip fails before anything can close it: hold it here.
     try:
-        with np.load(Path(path), allow_pickle=False) as data:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             rows, cols, block = (int(v) for v in data["layout"])
             grids, headers, payloads = data["grids"], data["headers"], data["payloads"]
     except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:

@@ -138,6 +138,14 @@ class TraceMetadata:
     def from_dict(cls, doc: "dict[str, Any]") -> "TraceMetadata":
         known = {f for f in cls.__dataclass_fields__}
         kwargs: dict[str, Any] = {k: v for k, v in doc.items() if k in known}
+        for key in ("fps", "exposure_s", "readout_fraction"):
+            value = kwargs.get(key)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+            ):
+                raise ValueError(f"{key!r} must be a number, got {value!r}")
+        if not isinstance(kwargs.setdefault("extra", {}), dict):
+            raise ValueError(f"'extra' must be a JSON object, got {kwargs['extra']!r}")
         if kwargs.get("resolution") is not None:
             res = kwargs["resolution"]
             kwargs["resolution"] = (int(res[0]), int(res[1]))
@@ -145,7 +153,7 @@ class TraceMetadata:
         # into ``extra`` instead of being dropped or crashing.
         unknown = {k: v for k, v in doc.items() if k not in known}
         if unknown:
-            merged = dict(kwargs.get("extra") or {})
+            merged = dict(kwargs["extra"])
             merged.update(unknown)
             kwargs["extra"] = merged
         return cls(**kwargs)
@@ -158,6 +166,22 @@ class TraceFrame:
     index: int
     time: float
     image: np.ndarray
+
+
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _count(doc: "dict[str, Any]", key: str, default: int, *, path: Path,
+           offset: "int | None" = None) -> int:
+    """*doc*'s non-negative integer *key*, or a :class:`TraceFormatError`."""
+    value = doc.get(key, default)
+    if not _is_count(value):
+        raise TraceFormatError(
+            f"{key!r} must be a non-negative integer, got {value!r}",
+            path=path, offset=offset,
+        )
+    return value
 
 
 def _sha256(path: Path) -> str:
@@ -321,11 +345,23 @@ class TraceReader:
                 path=header_path,
             )
         self.header: dict[str, Any] = header
-        self.metadata = TraceMetadata.from_dict(header.get("metadata") or {})
-        self.num_frames = int(header.get("num_frames", 0))
-        self.frame_shape: tuple[int, ...] = tuple(
-            int(d) for d in header.get("frame_shape", ())
-        )
+        metadata = header.get("metadata") or {}
+        if not isinstance(metadata, dict):
+            raise TraceFormatError(
+                f"'metadata' must be a JSON object, got {metadata!r}", path=header_path
+            )
+        try:
+            self.metadata = TraceMetadata.from_dict(metadata)
+        except (TypeError, ValueError, IndexError) as exc:
+            raise TraceFormatError(f"malformed metadata: {exc}", path=header_path) from exc
+        self.num_frames = _count(header, "num_frames", 0, path=header_path)
+        shape = header.get("frame_shape", [])
+        if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
+            raise TraceFormatError(
+                f"'frame_shape' must be a list of non-negative integers, got {shape!r}",
+                path=header_path,
+            )
+        self.frame_shape: tuple[int, ...] = tuple(shape)
         self.frame_dtype = str(header.get("frame_dtype", ""))
         self._index = self._load_index()
 
@@ -351,19 +387,26 @@ class TraceReader:
                     f"corrupt index line {lineno}: {exc}",
                     path=index_path, offset=expected_start,
                 ) from exc
+            if not isinstance(entry, dict):
+                raise TraceFormatError(
+                    f"index line {lineno} is not a JSON object: {entry!r}",
+                    path=index_path, offset=expected_start,
+                )
             missing = {"chunk", "start", "frames"} - set(entry)
             if missing:
                 raise TraceFormatError(
                     f"index line {lineno} lacks field(s) {sorted(missing)}",
                     path=index_path, offset=expected_start,
                 )
-            if int(entry["start"]) != expected_start:
+            for key in ("start", "frames"):
+                _count(entry, key, 0, path=index_path, offset=expected_start)
+            if entry["start"] != expected_start:
                 raise TraceFormatError(
                     f"index line {lineno} starts at frame {entry['start']}, "
                     f"expected {expected_start} (gap or overlap)",
                     path=index_path, offset=expected_start,
                 )
-            expected_start += int(entry["frames"])
+            expected_start += entry["frames"]
             entries.append(entry)
         if expected_start != self.num_frames:
             raise TraceFormatError(
@@ -371,7 +414,10 @@ class TraceReader:
                 f"declares {self.num_frames}",
                 path=index_path, offset=min(expected_start, self.num_frames),
             )
-        if len(entries) != int(self.header.get("num_chunks", len(entries))):
+        num_chunks = _count(
+            self.header, "num_chunks", len(entries), path=self.path / _HEADER_NAME
+        )
+        if len(entries) != num_chunks:
             raise TraceFormatError(
                 f"index has {len(entries)} chunk(s) but the header declares "
                 f"{self.header.get('num_chunks')}",
@@ -382,8 +428,7 @@ class TraceReader:
     # -- streaming -------------------------------------------------------
 
     def _load_chunk(self, entry: "dict[str, Any]") -> "tuple[np.ndarray, np.ndarray]":
-        start = int(entry["start"])
-        declared = int(entry["frames"])
+        start, declared = entry["start"], entry["frames"]
         chunk_path = self.path / str(entry["chunk"])
         if not chunk_path.is_file():
             raise TraceFormatError(
@@ -398,7 +443,8 @@ class TraceReader:
                     path=chunk_path, offset=start,
                 )
         try:
-            with np.load(chunk_path, allow_pickle=False) as data:
+            # Held here: np.load leaks its own descriptor on a bad zip.
+            with chunk_path.open("rb") as fh, np.load(fh, allow_pickle=False) as data:
                 images = np.asarray(data["images"])
                 times = np.asarray(data["times"], dtype=np.float64)
         except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile,
@@ -425,7 +471,7 @@ class TraceReader:
         """Yield ``(start_offset, images, times)`` per validated chunk."""
         for entry in self._index:
             images, times = self._load_chunk(entry)
-            yield int(entry["start"]), images, times
+            yield entry["start"], images, times
 
     def __iter__(self) -> "Iterator[TraceFrame]":
         for start, images, times in self.iter_chunks():

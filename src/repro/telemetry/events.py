@@ -126,7 +126,8 @@ class EventSink:
             return
         if self._file is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = open(self.path, "a", encoding="utf-8")
+            # Held across emits and released by close(): the sink owns it.
+            self._file = open(self.path, "a", encoding="utf-8")  # noqa: SIM115
         self._file.write(json.dumps(obj, sort_keys=True) + "\n")
         self._file.flush()
 

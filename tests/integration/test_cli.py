@@ -1,10 +1,30 @@
 """The command-line interface, end to end."""
 
+import argparse
+import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+
+
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    """A short session recorded by `repro trace record` (decodes to exit 0)."""
+    trace = tmp_path_factory.mktemp("cli_trace") / "session.rbtrace"
+    rc = main(
+        [
+            "trace", "record",
+            "-o", str(trace),
+            "--message", "trace cli round trip",
+            "--seed", "3",
+            "--chunk-frames", "2",
+        ]
+    )
+    assert rc == 0
+    return trace
 
 
 class TestCapacity:
@@ -136,8 +156,6 @@ class TestPerformanceObservatory:
     """tail over a campaign telemetry directory."""
 
     def test_tail_renders_heartbeats(self, tmp_path, capsys):
-        import json
-
         tel_dir = tmp_path / "telemetry"
         tel_dir.mkdir()
         events = [
@@ -156,8 +174,6 @@ class TestPerformanceObservatory:
 
 def _perfbench_stdout(path, metrics, *, correct=True, failed=0):
     """Write a synthetic perfbench stdout: report lines, then the result object."""
-    import json
-
     result = {
         "correct": correct,
         "attempted": 4,
@@ -276,21 +292,6 @@ class TestPerfCheck:
 class TestTrace:
     """`repro trace record|decode|info` end to end."""
 
-    @pytest.fixture(scope="class")
-    def recorded(self, tmp_path_factory):
-        trace = tmp_path_factory.mktemp("cli_trace") / "session.rbtrace"
-        rc = main(
-            [
-                "trace", "record",
-                "-o", str(trace),
-                "--message", "trace cli round trip",
-                "--seed", "3",
-                "--chunk-frames", "2",
-            ]
-        )
-        assert rc == 0
-        return trace
-
     def test_record_then_info_and_check(self, recorded, capsys):
         assert main(["trace", "info", str(recorded)]) == 0
         out = capsys.readouterr().out
@@ -325,8 +326,6 @@ class TestTrace:
         assert "ROWSxCOLSxBLOCK" in capsys.readouterr().err
 
     def test_info_check_flags_truncated_chunk(self, recorded, tmp_path, capsys):
-        import shutil
-
         broken = tmp_path / "broken.rbtrace"
         shutil.copytree(recorded, broken)
         chunk = next((broken / "chunks").glob("chunk-*.npz"))
@@ -342,9 +341,6 @@ class TestTrace:
         assert "trace record:" in err and "Traceback" not in err
 
     def test_info_rejects_future_schema_version(self, recorded, tmp_path, capsys):
-        import json
-        import shutil
-
         future = tmp_path / "future.rbtrace"
         shutil.copytree(recorded, future)
         header = json.loads((future / "header.json").read_text())
@@ -386,8 +382,6 @@ _READERS = {
 
 def _bad_input(family: str, kind: str, tmp_path: Path) -> Path:
     """A *kind* of bad input (missing, empty, ...) for a reader of *family*."""
-    import shutil
-
     from repro.core.encoder import FrameCodecConfig, FrameEncoder
     from repro.io import save_frame_stream
 
@@ -460,3 +454,244 @@ class TestUnreadableInputs:
         assert "Traceback" not in err
         if codes[kind]:
             assert err.strip(), "a failure must say why on stderr"
+
+
+#: The exit-code table: for every leaf subcommand, argv that must exit 0
+#: and argv that must exit 1 or 2.  ``{name}`` fields are inputs built on
+#: first use (:class:`_Inputs`).  The bad input files of ``_READERS``
+#: count as rows too, and failures another test here already runs are
+#: left to it.  The "unwritable" family puts an output under a missing
+#: directory or under a regular file; the "malformed" family is a trace
+#: whose JSON has the wrong types.
+_EXIT_CODES = {
+    "encode": {
+        "ok": (["encode", "{bytes}", "-o", "{tmp}/s.npz"], 0),
+        "unwritable-output": (["encode", "{bytes}", "-o", "{tmp}/missing/s.npz"], 2),
+        "unwritable-png-dir": (["encode", "{bytes}", "-o", "{tmp}/s.npz",
+                                "--png-dir", "{file}/pngs"], 2),
+    },
+    "decode": {
+        "ok": (["decode", "{session}", "-o", "{tmp}/out.bin"], 0),
+        "malformed-geometry": (["decode", "{malformed_geometry}"], 1),
+        "unwritable-output": (["decode", "{session}", "-o", "{file}/out.bin"], 2),
+    },
+    "simulate": {
+        "ok": (["simulate", "--message", "x", "--seed", "3"], 0),
+        "unwritable-session": (["simulate", "--message", "x", "--seed", "3",
+                                "--save-session", "{file}/s.rbtrace"], 2),
+    },
+    "capacity": {
+        "ok": (["capacity"], 0),
+        "unknown-option": (["capacity", "--bogus"], 2),
+    },
+    "info": {
+        "ok": (["info", "{stream}"], 0),
+        "no-argument": (["info"], 2),
+    },
+    "faults-campaign": {
+        "ok": (["faults-campaign", "--seeds", "1", "--workers", "1", "--scenarios", "clean",
+                "--frames", "1", "--max-rounds", "1", "--out", "-"], 0),
+        "unknown-scenario": (["faults-campaign", "--scenarios", "nonesuch"], 2),
+        "unwritable-output": (["faults-campaign", "--seeds", "1", "--workers", "1",
+                               "--scenarios", "clean", "--frames", "1", "--max-rounds",
+                               "1", "--out", "{file}/results"], 2),
+    },
+    "trace record": {
+        "ok": (["trace", "record", "-o", "{tmp}/t.rbtrace", "--message", "x"], 0),
+        "unknown-scenario": (["trace", "record", "-o", "{tmp}/t.rbtrace",
+                              "--scenario", "nonesuch"], 2),
+        "unwritable-output": (["trace", "record", "-o", "{file}/t.rbtrace",
+                               "--message", "x"], 2),
+    },
+    "trace decode": {
+        "ok": (["trace", "decode", "{session}", "--json", "{tmp}/out/d.json"], 0),
+        "unwritable-json": (["trace", "decode", "{session}", "--json", "{file}/d.json"], 2),
+    },
+    "trace info": {
+        "ok": (["trace", "info", "{session}"], 0),
+        **{
+            f"malformed-{kind}": (["trace", "info", f"{{malformed_{kind}}}"], 1)
+            for kind in ("index-line", "frame-shape", "metadata", "num-frames", "start")
+        },
+    },
+    "telemetry report": {
+        "ok": (["telemetry", "report", "--dir", "{telemetry}", "--out", "{tmp}/t1"], 0),
+        "unwritable-output": (["telemetry", "report", "--dir", "{telemetry}",
+                               "--out", "{file}/t1"], 2),
+    },
+    "telemetry tail": {
+        "ok": (["telemetry", "tail", "--dir", "{telemetry}"], 0),
+        "no-directory": (["telemetry", "tail", "--dir", "{tmp}/missing"], 2),
+    },
+    "quality report": {
+        "ok": (["quality", "report", "--dir", "{telemetry}", "--out", "{tmp}/q1"], 0),
+        "unwritable-output": (["quality", "report", "--dir", "{telemetry}",
+                               "--out", "{file}/q1"], 2),
+    },
+    "perf check": {
+        "ok": (["perf", "check", "--workload", "receive_replay", "{perf_pass}"], 0),
+    },
+    "analyze": {
+        "ok": (["analyze", "{clean_py}"], 0),
+        "violation": (["analyze", "{bad_py}"], 1),
+        "unknown-rule": (["analyze", "--select", "RB999", "{clean_py}"], 2),
+    },
+}
+
+#: Trace JSON edits that must fail as a TraceFormatError (exit 1).
+_MALFORMED_TRACES = {
+    "index-line": ("index.jsonl", "5\n"),
+    "frame-shape": ("header.json", {"frame_shape": 5}),
+    "metadata": ("header.json", {"metadata": 3}),
+    "num-frames": ("header.json", {"num_frames": "x"}),
+    "start": ("index.jsonl", {"start": "zero"}),
+    "geometry": ("header.json",
+                 {"metadata": {"extra": {"grid_rows": "many", "grid_cols": 44, "block_px": 8}}}),
+}
+
+
+def _subcommands(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _leaves(parser, path=()):
+    """Every leaf subcommand under *parser*, as its space-joined path."""
+    subs = _subcommands(parser)
+    if not subs:
+        return {" ".join(path)}
+    return set().union(*(_leaves(sub, (*path, name)) for name, sub in subs.items()))
+
+
+def _leaf_of(argv):
+    """The leaf subcommand that *argv* addresses."""
+    parser, path = build_parser(), []
+    for token in argv:
+        subs = _subcommands(parser)
+        if token not in subs:
+            break
+        parser = subs[token]
+        path.append(token)
+    return " ".join(path)
+
+
+class _Inputs(dict):
+    """Template fields of the exit-code table, each built on first use."""
+
+    def __init__(self, tmp_path, session):
+        super().__init__(tmp=str(tmp_path), session=str(session))
+        self.tmp_path = tmp_path
+
+    def __missing__(self, name):
+        if name.startswith("malformed_"):
+            path = self._malformed(name[len("malformed_"):])
+        else:
+            path = getattr(self, f"_{name}")(self.tmp_path)
+        self[name] = str(path)
+        return self[name]
+
+    def _malformed(self, kind):
+        path = self.tmp_path / f"malformed-{kind}.rbtrace"
+        shutil.copytree(_CORPUS_TRACE, path)
+        name, edit = _MALFORMED_TRACES[kind]
+        target = path / name
+        if isinstance(edit, dict):  # the header, or the corpus's one-line index
+            edit = json.dumps({**json.loads(target.read_text()), **edit}) + "\n"
+        target.write_text(edit)
+        return path
+
+    @staticmethod
+    def _bytes(tmp_path):
+        path = tmp_path / "data.bin"
+        path.write_bytes(bytes(range(256)))
+        return path
+
+    @staticmethod
+    def _stream(tmp_path):
+        from repro.core.encoder import FrameCodecConfig, FrameEncoder
+        from repro.io import save_frame_stream
+
+        path = tmp_path / "stream.npz"
+        save_frame_stream(path, FrameEncoder(FrameCodecConfig()).encode_stream(b"table"))
+        return path
+
+    @staticmethod
+    def _file(tmp_path):
+        path = tmp_path / "a-regular-file"
+        path.write_text("outputs cannot go under a file\n")
+        return path
+
+    @staticmethod
+    def _telemetry(tmp_path):
+        path = tmp_path / "telemetry"
+        path.mkdir()
+        (path / "metrics.json").write_text("{}")
+        progress = {"event": "progress", "seq": 1, "scenario": "clean", "seed": 0,
+                    "completed": 1, "delivered": 1, "failure_stages": {}}
+        (path / "events-1.jsonl").write_text(json.dumps(progress) + "\n")
+        return path
+
+    @staticmethod
+    def _perf_pass(tmp_path):
+        from repro.telemetry.budgets import load_budgets
+
+        bounds = load_budgets("budgets.toml", "perf.receive_replay")
+        return _perfbench_stdout(tmp_path / "pass.txt",
+                                 {name: b.max_value for name, b in bounds.items()})
+
+    @staticmethod
+    def _clean_py(tmp_path):
+        path = tmp_path / "clean.py"
+        path.write_text("VALUE = 1\n")
+        return path
+
+    @staticmethod
+    def _bad_py(tmp_path):
+        path = tmp_path / "repro" / "core" / "bad.py"  # RB001: a wall clock in core/
+        path.parent.mkdir(parents=True)
+        path.write_text("import time\n\nSTAMP = time.time()\n")
+        return path
+
+
+_TABLE_ROWS = [
+    pytest.param(leaf, case, argv, code, id=f"{leaf}-{case}")
+    for leaf, cases in _EXIT_CODES.items()
+    for case, (argv, code) in cases.items()
+]
+
+
+class TestExitCodeTable:
+    """Every leaf subcommand returns exactly its contract code from main()."""
+
+    @pytest.mark.parametrize("leaf, case, template, code", _TABLE_ROWS)
+    def test_main_returns_the_contract_code(self, leaf, case, template, code, recorded,
+                                            tmp_path, capsys):
+        inputs = _Inputs(tmp_path, recorded)
+        argv = [arg.format_map(inputs) for arg in template]
+        capsys.readouterr()
+        returned = main(argv)
+        # Exactly the int: not None, not True, not a code outside 0/1/2.
+        assert type(returned) is int and returned == code, (argv, returned)
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if code:
+            assert (out + err).strip(), "a failure must say why"
+        if case.startswith(("unwritable-", "malformed-")):
+            # One line naming the command, as every file failure reads.
+            assert err.splitlines()[-1].startswith(f"{leaf}: "), err
+
+    def test_every_leaf_subcommand_has_a_success_and_a_failure_row(self):
+        # The leaves are walked from the parser, so a new subcommand
+        # fails here until the table holds its rows.
+        assert set(_EXIT_CODES) == _leaves(build_parser())
+        codes = {leaf: set() for leaf in _EXIT_CODES}
+        for leaf, cases in _EXIT_CODES.items():
+            for argv, code in cases.values():
+                assert _leaf_of(argv) == leaf, argv
+                codes[leaf].add(code)
+        for template, _, reader_codes in _READERS.values():
+            codes[_leaf_of(template)] |= set(reader_codes.values())
+        for leaf, seen in codes.items():
+            assert 0 in seen and seen & {1, 2} and seen <= {0, 1, 2}, (leaf, seen)

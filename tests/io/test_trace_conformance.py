@@ -110,6 +110,30 @@ def test_mismatched_schema_version_refused(trace, version):
         TraceReader(trace)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("frame_shape", 5, "'frame_shape' must be a list"),
+        ("frame_shape", [4, "six", 3], "'frame_shape' must be a list"),
+        ("metadata", 3, "'metadata' must be a JSON object"),
+        ("metadata", {"resolution": 5}, "malformed metadata"),
+        ("metadata", {"fps": "fast"}, "malformed metadata: 'fps' must be a number"),
+        ("metadata", {"extra": 5}, "malformed metadata: 'extra' must be a JSON object"),
+        ("num_frames", "x", "'num_frames' must be a non-negative integer"),
+        ("num_frames", True, "'num_frames' must be a non-negative integer"),
+        ("num_chunks", 2.5, "'num_chunks' must be a non-negative integer"),
+    ],
+    ids=["shape-int", "shape-str-dim", "metadata-int", "resolution-int", "fps-str",
+         "extra-int", "num-frames-str", "num-frames-bool", "num-chunks-float"],
+)
+def test_header_field_of_the_wrong_json_type(trace, field, value, message):
+    """A header field of the wrong JSON type is a format error, not a crash."""
+    edit_header(trace, **{field: value})
+    with pytest.raises(TraceFormatError, match=message) as exc:
+        TraceReader(trace)
+    assert exc.value.path.endswith("header.json")
+
+
 def test_missing_index(trace):
     (trace / "index.jsonl").unlink()
     with pytest.raises(TraceFormatError, match="missing index.jsonl") as exc:
@@ -145,6 +169,23 @@ def test_index_missing_field(trace):
     lines[0] = json.dumps(entry)
     index_path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TraceFormatError, match=r"lacks field\(s\) \['frames'\]"):
+        TraceReader(trace)
+
+
+def test_index_line_not_an_object(trace):
+    index_path = trace / "index.jsonl"
+    lines = index_path.read_text().splitlines()
+    lines[1] = "5"
+    index_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError, match="index line 2 is not a JSON object") as exc:
+        TraceReader(trace)
+    assert exc.value.offset == 2
+
+
+@pytest.mark.parametrize("field, value", [("start", "zero"), ("frames", -1), ("frames", 2.0)])
+def test_index_field_of_the_wrong_json_type(trace, field, value):
+    edit_index_line(trace, 1, **{field: value})
+    with pytest.raises(TraceFormatError, match=f"'{field}' must be a non-negative integer"):
         TraceReader(trace)
 
 
