@@ -369,7 +369,17 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     if not assembler.complete:
         print("stream incomplete", file=sys.stderr)
         return 1
+    # Frames carry whole payload blocks; a recorded session's header
+    # says how many of the reassembled bytes are the message.
     payload = assembler.payload()
+    declared = reader.metadata.extra.get("payload_bytes")
+    if declared is not None:
+        if type(declared) is not int or not 0 <= declared <= len(payload):
+            return _failed("decode", TraceFormatError(
+                f"trace header declares payload_bytes={declared!r}, "
+                f"but {len(payload)} bytes were reassembled"
+            ))
+        payload = payload[:declared]
     if args.output:
         try:
             Path(args.output).write_bytes(payload)

@@ -99,17 +99,50 @@ def tracker_candidates(
 ) -> ComponentTable:
     """Square-ish solid black components of plausible block size.
 
+    Only the screen's box is labeled: the bounding box of the mask's
+    non-black pixels, grown by a one-pixel margin and clipped to the
+    frame.  The margin is all black and joins the black outside the
+    box, so every component in the box that holds no margin pixel is a
+    component of the full frame, with its raster-order rank (and so its
+    label) unchanged; the rest are dropped.  Each dropped one is part
+    of a full-frame component that holds a whole sensor row or column,
+    whose box side is at least ``(1 + min(H, W)) / 2`` and so above
+    *max_block_px* whenever the cropped path is taken.  A larger
+    *max_block_px* could admit such a component, so then the full frame
+    is labeled, as is an all-black mask, which has no box.
+
     Box side and aspect are tested before any pixel is counted, so the
-    capture's background component (most of its black pixels) is never
-    summed.
+    black outside the screen is never summed.
     """
-    labels, count = connected_components(black)
+    height, width = black.shape
+    y0, x0, y1, x1 = 0, 0, height, width
+    if (1 + min(height, width)) / 2 > max_block_px:
+        rows = np.flatnonzero(~black.all(axis=1))
+        if len(rows):  # else all black: no box, one frame-sized component
+            y0, y1 = max(int(rows[0]) - 1, 0), min(int(rows[-1]) + 2, height)
+            cols = np.flatnonzero(~black[y0:y1].all(axis=0))
+            x0, x1 = max(int(cols[0]) - 1, 0), min(int(cols[-1]) + 2, width)
+    labels, count = connected_components(black[y0:y1, x0:x1])
+    # Margin sides: where the box grew, not where the frame clipped it.
+    # They need not be connected (a full-width box leaves a top and a
+    # bottom strip), so every label on any of them is dropped.
+    on_margin = np.zeros(count + 1, dtype=bool)
+    for grown, side in (
+        (y0 > 0, labels[0]),
+        (y1 < height, labels[-1]),
+        (x0 > 0, labels[:, 0]),
+        (x1 < width, labels[:, -1]),
+    ):
+        if grown:
+            on_margin[side] = True
     min_area = max(1, int((0.5 * min_block_px) ** 2))
     max_area = int((2.0 * max_block_px) ** 2)
     boxes = component_boxes(labels, count)
     keep = (boxes.side >= min_block_px) & (boxes.side <= max_block_px)
-    keep &= boxes.aspect <= _MAX_ASPECT
-    table = measure_components(labels, boxes[keep], min_area=min_area, max_area=max_area)
+    keep &= (boxes.aspect <= _MAX_ASPECT) & ~on_margin[boxes.label]
+    table = measure_components(
+        labels, boxes[keep], min_area=min_area, max_area=max_area, origin=(x0, y0)
+    )
     return table[table.fill_ratio >= _MIN_FILL]
 
 

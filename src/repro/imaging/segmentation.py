@@ -1,13 +1,15 @@
 """Binary mask segmentation.
 
-Corner-tracker detection labels the black-pixel mask of a capture and
-filters its components.  Labeling uses :func:`scipy.ndimage.label`
-(8-connectivity).  Geometry comes back as tables of per-component
-arrays: :func:`component_boxes` takes every bounding box from one
-``find_objects`` pass, and :func:`measure_components` counts area and
-coordinate sums inside each box only.  A caller that filters on box
-geometry first therefore never touches the pixels of components it
-drops — the big background component of a capture included.
+Corner-tracker detection labels the black-pixel mask of a capture (or
+the crop of it that holds the screen) and filters its components.
+Labeling uses :func:`scipy.ndimage.label` (8-connectivity).  Geometry
+comes back as tables of per-component arrays: :func:`component_boxes`
+takes every bounding box from one ``find_objects`` pass, and
+:func:`measure_components` counts area and coordinate sums inside each
+box only, returning frame coordinates for a crop given its origin.  A
+caller that filters on box geometry first therefore never touches the
+pixels of components it drops — the big background component of a
+capture included.
 """
 
 from __future__ import annotations
@@ -113,14 +115,22 @@ def measure_components(
     boxes: ComponentBoxes,
     min_area: int = 1,
     max_area: int | None = None,
+    origin: tuple[int, int] = (0, 0),
 ) -> ComponentTable:
     """Area and centroid of each boxed component, area-filtered.
 
     A component's area is at most its box's, so boxes smaller than
     ``min_area`` are dropped before any pixel is counted.  The rest are
     counted inside their own boxes only, all boxes in one vectorized
-    pass whose cost is the boxes' summed area.  The coordinate sums are of integers below 2**53, so the
-    centroids equal a full-frame sum bit for bit.
+    pass whose cost is the boxes' summed area.
+
+    *labels* may label a crop of a larger frame whose pixel ``(0, 0)``
+    sits at *origin* ``(x, y)`` of the frame; *boxes* are then in crop
+    coordinates, and the table's boxes and centroids in frame
+    coordinates.  The origin is added to each pixel's integer
+    coordinates before they are summed, and the sums are of integers
+    below 2**53, so the centroids equal a full-frame sum bit for bit
+    (adding the origin to a crop centroid after the division would not).
     """
     min_area = max(min_area, 1)
     boxes = boxes[boxes.width * boxes.height >= min_area]
@@ -133,15 +143,17 @@ def measure_components(
     xs = boxes.bbox[owner, 0] + dx
     hit = labels[ys, xs] == boxes.label[owner]
     owner = owner[hit]
+    origin_x, origin_y = origin
     area = np.bincount(owner, minlength=len(boxes))
-    sum_x = np.bincount(owner, weights=xs[hit], minlength=len(boxes))
-    sum_y = np.bincount(owner, weights=ys[hit], minlength=len(boxes))
+    sum_x = np.bincount(owner, weights=xs[hit] + origin_x, minlength=len(boxes))
+    sum_y = np.bincount(owner, weights=ys[hit] + origin_y, minlength=len(boxes))
     keep = area >= min_area
     if max_area is not None:
         keep &= area <= max_area
     area = area[keep]
     centroid = np.column_stack([sum_x[keep] / area, sum_y[keep] / area])
-    return ComponentTable(boxes.label[keep], boxes.bbox[keep], area, centroid)
+    bbox = boxes.bbox[keep] + np.array([origin_x, origin_y, origin_x, origin_y])
+    return ComponentTable(boxes.label[keep], bbox, area, centroid)
 
 
 def component_stats(

@@ -5,15 +5,20 @@ keeps the image-and-classifier form of the correction loop verbatim, as
 the oracle the mask form must match exactly.  ``_reference_tracker_candidates``
 keeps the full-frame candidate search (label, full-frame ``bincount``
 statistics, then every filter) verbatim, as the oracle the box-first
-search must match exactly.
+search, which labels only the screen's box, must match exactly.
 """
 
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from repro.bench.faults_campaign import CAMPAIGN_GRID, CAMPAIGN_SENSOR
+from repro.channel.link import LinkConfig, ScreenCameraLink
+from repro.channel.screen import FrameSchedule
+from repro.core import corners
 from repro.core.brightness import estimate_black_threshold
 from repro.core.corners import (
     CornerDetectionError,
@@ -21,6 +26,7 @@ from repro.core.corners import (
     ring_colors,
     tracker_candidates,
 )
+from repro.core.decoder import FrameDecoder
 from repro.core.encoder import FrameCodecConfig, FrameEncoder
 from repro.core.layout import FrameLayout
 from repro.core.locators import (
@@ -34,11 +40,13 @@ from repro.core.locators import (
 )
 from repro.core.palette import Color
 from repro.core.recognition import ColorClassifier
+from repro.faults import scenario_names, scenario_plan
 from repro.imaging.filters import gaussian_blur
 from repro.imaging.color import normalize_frame
 from repro.imaging.geometry import PinholeSetup, apply_homography, warp_perspective
 from repro.imaging.segmentation import connected_components
 from repro.io import read_png
+from repro.link.session import TransferSession
 
 CORPUS_DIR = Path(__file__).parent.parent / "fixtures" / "corpus"
 
@@ -357,6 +365,22 @@ def _blocky_mask(rng, shape, density, blocks):
     return mask
 
 
+def _screen_mask(rng, shape, edges):
+    """A blocky screen in a black surround; its box touches *edges*.
+
+    The box's corner pixels are non-black, so the box of the mask's
+    non-black pixels is exactly the screen's.
+    """
+    height, width = shape
+    y0, y1 = (0 if "top" in edges else 13), (height if "bottom" in edges else height - 9)
+    x0, x1 = (0 if "left" in edges else 17), (width if "right" in edges else width - 11)
+    screen = _blocky_mask(rng, (y1 - y0, x1 - x0), 0.05, blocks=40)
+    screen[0, 0] = screen[-1, -1] = screen[0, -1] = screen[-1, 0] = False
+    mask = np.ones(shape, dtype=bool)
+    mask[y0:y1, x0:x1] = screen
+    return mask
+
+
 class TestCandidatesMatchFullFrame:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("density", [0.0, 0.05, 0.3, 0.6, 0.9])
@@ -376,6 +400,8 @@ class TestCandidatesMatchFullFrame:
 
     def test_all_black_mask(self):
         assert _assert_candidates_match(np.ones((40, 60), dtype=bool)) == 0
+        # Large enough for the cropped search, but with no box to crop.
+        assert _assert_candidates_match(np.ones((90, 140), dtype=bool)) == 0
         # Small enough to be a candidate block itself.
         assert _assert_candidates_match(np.ones((8, 9), dtype=bool)) == 1
 
@@ -387,6 +413,70 @@ class TestCandidatesMatchFullFrame:
         _assert_candidates_match(mask, 2.0, 5.0)
 
     @pytest.mark.parametrize(
+        "edges",
+        ["", "top", "right", "top,left", "bottom,right", "top,bottom", "left,right",
+         "top,left,right", "top,bottom,left,right"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_black_surround(self, edges, seed):
+        rng = np.random.default_rng([seed, zlib.crc32(edges.encode())])
+        mask = _screen_mask(rng, (90, 140), edges.split(","))
+        assert _assert_candidates_match(mask) > 0
+        for min_px, max_px in ((1.0, 6.0), (4.5, 9.0), (2.0, 200.0)):
+            _assert_candidates_match(mask, min_px, max_px)
+
+    def test_screen_box_smaller_than_a_block(self):
+        # A 10x12 box, black but for its four corners: cropped with its
+        # margin it is one solid, square-ish component, but in the frame
+        # it is part of the black surround.
+        mask = np.ones((90, 140), dtype=bool)
+        mask[40, 50] = mask[40, 61] = mask[49, 50] = mask[49, 61] = False
+        assert _assert_candidates_match(mask) == 0
+        # A 30x30 non-black box around one black block.
+        mask = np.ones((90, 140), dtype=bool)
+        mask[30:60, 60:90] = False
+        mask[41:49, 70:78] = True
+        assert _assert_candidates_match(mask) == 1
+
+    def test_components_reaching_the_margin_diagonally(self):
+        mask = np.ones((90, 140), dtype=bool)
+        mask[20:70, 30:110] = False
+        # Each block reaches a black box-edge pixel, and through it the
+        # margin, by one diagonal step only: it is not a candidate.
+        mask[20, 30] = True
+        mask[21:29, 31:39] = True
+        mask[30:38, 30] = True
+        mask[38:46, 31:39] = True
+        mask[69, 100] = True
+        mask[61:69, 101:109] = True
+        # One block is a pixel clear of the box edge: a candidate.
+        mask[50:58, 60:68] = True
+        assert _assert_candidates_match(mask) == 1
+
+    @pytest.mark.parametrize("scenario", scenario_names())
+    def test_fault_scenario_captures(self, scenario, monkeypatch):
+        # The first round of a campaign-grid session under the
+        # scenario's FaultPlan at trial seed 0, as fault_recovery runs it.
+        seen = []
+
+        def checked(black, min_block_px, max_block_px):
+            seen.append(_assert_candidates_match(black, min_block_px, max_block_px))
+            return tracker_candidates(black, min_block_px, max_block_px)
+
+        monkeypatch.setattr(corners, "tracker_candidates", checked)
+        rows, cols, block = CAMPAIGN_GRID
+        codec = FrameCodecConfig(layout=FrameLayout(rows, cols, block))
+        session = TransferSession(
+            codec,
+            link_config=LinkConfig(sensor_size=CAMPAIGN_SENSOR),
+            rng=np.random.default_rng([0, zlib.crc32(scenario.encode())]),
+            faults=scenario_plan(scenario, seed=0),
+        )
+        payload = bytes((i * 89 + 5) % 256 for i in range(2 * codec.payload_bytes_per_frame))
+        session.transmit(payload, max_rounds=1)
+        assert seen and sum(seen) > 0
+
+    @pytest.mark.parametrize(
         "name", sorted(p.stem for p in CORPUS_DIR.glob("*.png"))
     )
     def test_corpus_captures(self, name):
@@ -396,6 +486,34 @@ class TestCandidatesMatchFullFrame:
         black = classifier.black_mask(capture)
         assert np.array_equal(black, classifier.black_mask(image))
         assert _assert_candidates_match(black) > 0
+
+
+class TestScreenBoxGuard:
+    """The cropped search runs only while (1 + min(H, W)) / 2 > max_block_px."""
+
+    @pytest.mark.parametrize(
+        "sensor, grid, limit",
+        [((480, 800), None, 240.5), (CAMPAIGN_SENSOR, CAMPAIGN_GRID, 150.5)],
+    )
+    def test_large_max_block_labels_the_full_frame(self, monkeypatch, sensor, grid, limit):
+        codec = FrameCodecConfig(layout=FrameLayout(*grid)) if grid else FrameCodecConfig()
+        frame = FrameEncoder(codec).encode_stream(b"guard")[0]
+        schedule = FrameSchedule([frame.render()], display_rate=codec.display_rate)
+        link = ScreenCameraLink(LinkConfig(sensor_size=sensor), rng=np.random.default_rng(0))
+        capture = link.capture_at(schedule, 0.01).image
+        shapes = []
+
+        def spy(mask):
+            shapes.append(mask.shape)
+            return connected_components(mask)
+
+        monkeypatch.setattr(corners, "connected_components", spy)
+        FrameDecoder(codec, max_block_px=limit).extract_diagnosed(capture)
+        assert shapes == [sensor]
+        shapes.clear()
+        FrameDecoder(codec, max_block_px=np.nextafter(limit, 0.0)).extract_diagnosed(capture)
+        assert len(shapes) == 1
+        assert shapes[0][0] < sensor[0] and shapes[0][1] < sensor[1]
 
 
 class TestUint8BlackMask:
